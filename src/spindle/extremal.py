@@ -38,16 +38,11 @@ def _check_width_radius(w: float, r: float, g: Geometry) -> None:
 
 
 def triangle_inradius(w: float, r: float, g: Geometry) -> float:
-    """Inradius of the regular disk triangle of width w and arc radius r."""
+    """Inradius of the regular disk triangle of width w and arc radius r:
+    (r + w - avers((4 vers r - vers(r - w)) / 3)) / 2 in every plane."""
     _check_width_radius(w, r, g)
-    if g.kappa == 0:
-        return 0.5 * (r + w - math.sqrt((4.0 * r * r - (r - w) ** 2) / 3.0))
-    if g.kappa > 0:
-        arg = (4.0 * math.cos(r) - math.cos(r - w)) / 3.0
-        arg = max(-1.0, min(1.0, arg))
-        return 0.5 * (r + w - math.acos(arg))
-    if r <= _LOG_FORM_R:
-        return 0.5 * (r + w - math.acosh((4.0 * math.cosh(r) - math.cosh(r - w)) / 3.0))
+    if g.kappa >= 0 or r <= _LOG_FORM_R:
+        return 0.5 * (r + w - _side_sum(w, r, g))
     # y = (4 cosh r - cosh(r-w)) / 3 = e^r * q / 3 with q of order one;
     # acosh(y) = log(y) + log(1 + sqrt(1 - 1/y^2)) and 1/y^2 underflows to 0
     q = 2.0 + 2.0 * math.exp(-2.0 * r) - 0.5 * (math.exp(-w) + math.exp(w - 2.0 * r))
@@ -57,29 +52,23 @@ def triangle_inradius(w: float, r: float, g: Geometry) -> float:
     return 0.5 * (r + w - acosh_y)
 
 
+def _side_sum(w: float, r: float, g: Geometry) -> float:
+    # r + w - 2 rho0, the sum of the vertex and arc-center distances from the
+    # incenter, by the law of cosines at the incenter (angle 2pi/3)
+    return g.avers((4.0 * g.vers(r) - g.vers(r - w)) / 3.0)
+
+
 def triangle_inradius_partials(w: float, r: float, g: Geometry) -> tuple[float, float]:
     """(d/dw, d/dr) of triangle_inradius; the w-partial is positive and the
     r-partial negative on the open domain, and the w-partial is exactly 1/2
     on the Reuleaux edge w = r."""
     _check_width_radius(w, r, g)
-    if g.kappa == 0:
-        root = math.sqrt(9.0 * r * r + 6.0 * r * w - 3.0 * w * w)
-        return 0.5 * (1.0 - (r - w) / root), 0.5 * (1.0 - (3.0 * r + w) / root)
-    if g.kappa > 0:
-        y3 = 4.0 * math.cos(r) - math.cos(r - w)
-        root = math.sqrt(max(9.0 - y3 * y3, 0.0))
-        if root == 0.0:
-            raise SpindleError("OUT_OF_RANGE", "derivative is singular here")
+    if g.kappa >= 0 or r <= _LOG_FORM_R:
+        # vers' = sn, so d avers(y) = dy / sn(avers y)
+        root = 3.0 * g.sn(_side_sum(w, r, g))
         return (
-            0.5 * (1.0 - math.sin(r - w) / root),
-            0.5 * (1.0 - (4.0 * math.sin(r) - math.sin(r - w)) / root),
-        )
-    if r <= _LOG_FORM_R:
-        y3 = 4.0 * math.cosh(r) - math.cosh(r - w)
-        root = math.sqrt(y3 * y3 - 9.0)
-        return (
-            0.5 * (1.0 - math.sinh(r - w) / root),
-            0.5 * (1.0 - (4.0 * math.sinh(r) - math.sinh(r - w)) / root),
+            0.5 * (1.0 - g.sn(r - w) / root),
+            0.5 * (1.0 - (4.0 * g.sn(r) - g.sn(r - w)) / root),
         )
     # factor e^r out of numerators and denominator; the -9 under the root
     # is smaller than everything else by e^{-2r}
@@ -114,8 +103,7 @@ def regular_disk_triangle(
     _check_width_radius(w, r, g)
     rho0 = triangle_inradius(w, r, g)
     p = center if center is not None else origin(g)
-    if g.kappa > 0:
-        g.check_radius(max(w - rho0, r - rho0), "triangle reach")
+    g.check_radius(max(w - rho0, r - rho0), "triangle reach")
     thetas = [angle + i * TWO_THIRDS_PI for i in range(3)]
     verts = [exp_map(p, tangent_from_angle(p, th, g), w - rho0, g) for th in thetas]
     cents = [exp_map(p, tangent_from_angle(p, th, g), r - rho0, g) for th in thetas]
@@ -157,8 +145,7 @@ def regular_disk_hexagon(w: float, r: float, rho: float, g: Geometry) -> DiskHex
             "BAD_RANGE", "rho must lie between the triangle inradius and w minus it"
         )
     p = origin(g)
-    if g.kappa > 0:
-        g.check_radius(max(w - rho, rho), "hexagon reach")
+    g.check_radius(max(w - rho, rho), "hexagon reach")
     apexes = tuple(
         exp_map(p, tangent_from_angle(p, i * TWO_THIRDS_PI, g), w - rho, g)
         for i in range(3)

@@ -2,16 +2,18 @@
 
 Points live in R^3: the Euclidean plane is the slice z = 1, the sphere is
 the unit sphere, and the hyperbolic plane is the upper hyperboloid sheet
-z^2 - x^2 - y^2 = 1.  Geodesics, circles, angles and the law of cosines
-share a single code path switched on the curvature sign; the curvature
-magnitude is fixed to |kappa| = 1 (other curvatures are length rescalings).
+z^2 - x^2 - y^2 = 1.  The curvature magnitude is fixed to |kappa| = 1
+(other curvatures are length rescalings).  Trigonometry is written once
+for all three planes through the model-space functions sn, cs and the
+versine vers(x) = 2 sn(x/2)^2 (Bridson-Haefliger, Metric Spaces of
+Non-Positive Curvature, ch. I.2): see Geometry and cos_angle.
 
 Conventions used throughout the package:
 
 * a Tangent is a unit tangent vector at the base point it is used with
   (Euclidean: z = 0; sphere: euclidean-orthogonal to the point;
   hyperboloid: Minkowski-orthogonal to the point);
-* `orient(a, b, z) > 0` means z lies on the left of the oriented geodesic
+* `det3(a, b, z) > 0` means z lies on the left of the oriented geodesic
   a -> b, in every geometry (it is the 3x3 determinant of the embeddings);
 * `perp` rotates a tangent by +90 degrees, counterclockwise.
 """
@@ -19,10 +21,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Optional, Sequence
 
-NORM_EPS = 1e-12    # normalization residual bound for embedded points
 GEOM_EPS = 1e-10    # tolerance for geometric predicates
 ANGLE_EPS = 1e-9    # angular tolerance for cone / arc-span tests
 MERGE_EPS = 10 * GEOM_EPS  # boundary vertices closer than this are merged
@@ -52,17 +53,56 @@ class Tangent(NamedTuple):
     z: float
 
 
+def _identity(x: float) -> float:
+    return x
+
+
+def _one(x: float) -> float:
+    return 1.0
+
+
+def _asin_clamped(x: float) -> float:
+    # rounding can push a sine a hair past 1; the angle is then pi/2
+    return math.asin(max(-1.0, min(1.0, x)))
+
+
+# (sn, cs, asn, radius_limit) per curvature sign
+_MODELS = {
+    0: (_identity, _one, _identity, math.inf),
+    1: (math.sin, math.cos, _asin_clamped, math.pi / 2),
+    -1: (math.sinh, math.cosh, math.asinh, math.inf),
+}
+
+
 @dataclass(frozen=True)
 class Geometry:
-    """One of the three model planes, identified by curvature sign."""
+    """One of the three model planes, identified by curvature sign.
+
+    sn, cs and asn (the inverse of sn) are its model-space functions,
+    derived from kappa: x, 1, x; sin, cos, asin; or sinh, cosh, asinh.
+    radius_limit bounds disk radii: pi/2 keeps spherical disks inside an
+    open hemisphere, where they are convex; elsewhere it is inf.
+    """
 
     kappa: int
     name: str
+    sn: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    cs: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    asn: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    radius_limit: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def radius_limit(self) -> float:
-        # Spherical disks must stay inside an open hemisphere to be convex.
-        return math.pi / 2 if self.kappa > 0 else math.inf
+    def __post_init__(self) -> None:
+        for name, value in zip(("sn", "cs", "asn", "radius_limit"), _MODELS[self.kappa]):
+            object.__setattr__(self, name, value)
+
+    def vers(self, x: float) -> float:
+        """2 sn(x/2)^2, that is x^2/2, 1 - cos x or cosh x - 1, exact near 0."""
+        s = self.sn(0.5 * x)
+        return 2.0 * s * s
+
+    def avers(self, v: float) -> float:
+        """Inverse of vers on [0, pi] (sphere) or [0, inf)."""
+        return 2.0 * self.asn(math.sqrt(0.5 * v))
 
     def check_radius(self, r: float, what: str = "r") -> None:
         if not (r > 0.0) or not math.isfinite(r):
@@ -111,11 +151,6 @@ def det3(a, b, c) -> float:
     )
 
 
-def orient(a: Point, b: Point, z: Point) -> float:
-    """Positive when z is on the left of the oriented geodesic a -> b."""
-    return det3(a, b, z)
-
-
 def _normalize_point(g: Geometry, x: float, y: float, z: float) -> Point:
     if g.kappa == 0:
         if abs(z - 1.0) > 1e-9:
@@ -139,29 +174,12 @@ def origin(g: Geometry) -> Point:
 
 
 def embed(g: Geometry, x: float, y: float) -> Point:
-    """Lift chart coordinates onto the model surface.
-
-    Euclidean: (x, y, 1).  Hyperbolic: z = sqrt(1 + x^2 + y^2).
-    Spherical: z = sqrt(1 - x^2 - y^2), so x^2 + y^2 must stay below 1.
-    """
-    if g.kappa == 0:
-        return Point(x, y, 1.0)
-    if g.kappa < 0:
-        return Point(x, y, math.sqrt(1.0 + x * x + y * y))
-    s = 1.0 - x * x - y * y
+    """Lift chart coordinates onto the surface: z = sqrt(1 - kappa (x^2 + y^2)),
+    so on the sphere x^2 + y^2 must stay below 1."""
+    s = 1.0 - g.kappa * (x * x + y * y)
     if s <= 0.0:
         raise SpindleError("BAD_RANGE", "spherical chart needs x^2 + y^2 < 1")
     return Point(x, y, math.sqrt(s))
-
-
-def surface_residual(p: Point, g: Geometry) -> float:
-    """How far p sits from the model surface (relative for curved models)."""
-    if g.kappa == 0:
-        return abs(p.z - 1.0)
-    if g.kappa > 0:
-        return abs(_dot3(p, p) - 1.0)
-    scale = max(1.0, p.x * p.x + p.y * p.y + p.z * p.z)
-    return abs(p.z * p.z - p.x * p.x - p.y * p.y - 1.0) / scale
 
 
 # --------------------------------------------------------------------------
@@ -229,12 +247,9 @@ def exp_map(p: Point, u: Tangent, t: float, g: Geometry) -> Point:
         raise SpindleError("BAD_RANGE", f"exp_map needs t >= 0, got {t}")
     if g.kappa == 0:
         return Point(p.x + t * u.x, p.y + t * u.y, 1.0)
-    if g.kappa > 0:
-        if t >= math.pi:
-            raise SpindleError("BAD_RANGE", "spherical exp_map needs t < pi")
-        c, s = math.cos(t), math.sin(t)
-    else:
-        c, s = math.cosh(t), math.sinh(t)
+    if t >= 2.0 * g.radius_limit:
+        raise SpindleError("BAD_RANGE", "spherical exp_map needs t < pi")
+    c, s = g.cs(t), g.sn(t)
     return _normalize_point(g, c * p.x + s * u.x, c * p.y + s * u.y, c * p.z + s * u.z)
 
 
@@ -245,25 +260,18 @@ def log_dir(p: Point, q: Point, g: Geometry) -> Tangent:
         raise SpindleError("DEGENERATE", "no direction between coincident points")
     if g.kappa == 0:
         return Tangent((q.x - p.x) / d, (q.y - p.y) / d, 0.0)
-    c = math.cos(d) if g.kappa > 0 else math.cosh(d)
+    c = g.cs(d)
     return _normalize_tangent(p, q.x - c * p.x, q.y - c * p.y, q.z - c * p.z, g)
 
 
 def perp(p: Point, u: Tangent, g: Geometry) -> Tangent:
-    """Tangent u rotated by +90 degrees (counterclockwise) at p."""
-    if g.kappa == 0:
-        return Tangent(-u.y, u.x, 0.0)
-    if g.kappa > 0:
-        return Tangent(
-            p.y * u.z - p.z * u.y,
-            p.z * u.x - p.x * u.z,
-            p.x * u.y - p.y * u.x,
-        )
-    # Lorentz cross product: <p x u, w> = det(p, u, w) for the (+,+,-) form
+    """Tangent u rotated by +90 degrees (counterclockwise) at p: p x u with
+    its third component scaled by kappa, so that <p x u, w> = det(p, u, w)
+    for tangents w, in the tangent form of every plane."""
     return Tangent(
         p.y * u.z - p.z * u.y,
         p.z * u.x - p.x * u.z,
-        p.y * u.x - p.x * u.y,
+        g.kappa * (p.x * u.y - p.y * u.x),
     )
 
 
@@ -276,7 +284,17 @@ def rotate_tangent(p: Point, u: Tangent, alpha: float, g: Geometry) -> Tangent:
 
 
 def tangent_dot(u: Tangent, v: Tangent, g: Geometry) -> float:
-    return _mdot(u, v) if g.kappa < 0 else _dot3(u, v)
+    # Minkowski sign on the hyperboloid; Euclidean tangents have z = 0
+    return u.x * v.x + u.y * v.y + g.kappa * u.z * v.z
+
+
+def _negate(u: Tangent) -> Tangent:
+    return Tangent(-u.x, -u.y, -u.z)
+
+
+def turn_angle(p: Point, u: Tangent, v: Tangent, g: Geometry) -> float:
+    """Signed counterclockwise angle from tangent u to tangent v at p."""
+    return math.atan2(det3(p, u, v), tangent_dot(u, v, g))
 
 
 def tangent_basis(p: Point, g: Geometry) -> tuple[Tangent, Tangent]:
@@ -300,24 +318,23 @@ def tangent_from_angle(p: Point, theta: float, g: Geometry) -> Tangent:
 
 def from_polar(g: Geometry, theta: float, t: float) -> Point:
     """Point at distance t from the chart origin, direction angle theta."""
-    if t == 0.0:
-        return origin(g)
     return exp_map(origin(g), tangent_from_angle(origin(g), theta, g), t, g)
+
+
+def frame_angle(p: Point, u: Tangent, g: Geometry) -> float:
+    """Angle of tangent u in the frame at p, in [0, 2*pi); inverts tangent_from_angle."""
+    t1, t2 = tangent_basis(p, g)
+    return math.atan2(tangent_dot(u, t2, g), tangent_dot(u, t1, g)) % (2.0 * math.pi)
 
 
 def angle_coord(o: Point, x: Point, g: Geometry) -> float:
     """Angle of the direction o -> x in the frame at o, in [0, 2*pi)."""
-    u = log_dir(o, x, g)
-    t1, t2 = tangent_basis(o, g)
-    a = math.atan2(tangent_dot(u, t2, g), tangent_dot(u, t1, g))
-    return a % (2.0 * math.pi)
+    return frame_angle(o, log_dir(o, x, g), g)
 
 
 def angle_at(a: Point, b: Point, c: Point, g: Geometry) -> float:
     """Interior angle at b of the geodesic wedge a-b-c, in [0, pi]."""
-    u = log_dir(b, a, g)
-    v = log_dir(b, c, g)
-    return math.atan2(abs(det3(b, u, v)), tangent_dot(u, v, g))
+    return abs(turn_angle(b, log_dir(b, a, g), log_dir(b, c, g), g))
 
 
 def midpoint(p: Point, q: Point, g: Geometry) -> Point:
@@ -330,33 +347,34 @@ def midpoint(p: Point, q: Point, g: Geometry) -> Point:
 # --------------------------------------------------------------------------
 # law of cosines and circles
 
+def cos_angle(a: float, b: float, c: float, g: Geometry) -> float:
+    """Cosine of the angle between sides a and b of a triangle whose third
+    side is c: (vers a - vers c + cs a vers b) / (sn a sn b)."""
+    return (g.vers(a) - g.vers(c) + g.cs(a) * g.vers(b)) / (g.sn(a) * g.sn(b))
+
+
 def side_from_cosine_law(b: float, c: float, alpha: float, g: Geometry) -> float:
     """Side opposite the angle alpha enclosed by sides b and c.
 
-    Uses half-angle forms, so tiny sides lose no precision
-    (hyperbolic b = c = 1e-4, alpha = pi/3 comes out to 1e-4 within 1e-10).
+    Uses the versine form vers a = vers(b - c) + 2 sn b sn c sin^2(alpha/2),
+    so tiny sides lose no precision (hyperbolic b = c = 1e-4, alpha = pi/3
+    comes out to 1e-4 within 1e-10).
     """
     if b <= 0.0 or c <= 0.0:
         raise SpindleError("BAD_RANGE", "sides must be positive")
     if not (0.0 < alpha < math.pi):
         raise SpindleError("BAD_RANGE", "angle must lie strictly between 0 and pi")
-    if g.kappa > 0 and (b >= math.pi / 2 or c >= math.pi / 2):
+    if b >= g.radius_limit or c >= g.radius_limit:
         raise SpindleError("BAD_RANGE", "spherical sides must stay below pi/2")
     sh = math.sin(0.5 * alpha)
-    if g.kappa == 0:
-        return math.sqrt((b - c) ** 2 + 4.0 * b * c * sh * sh)
-    if g.kappa < 0:
-        half = math.sinh(0.5 * (b - c))
-        d2 = 2.0 * half * half + 2.0 * math.sinh(b) * math.sinh(c) * sh * sh
-        return 2.0 * math.asinh(math.sqrt(0.5 * d2))
-    half = math.sin(0.5 * (b - c))
-    s2 = half * half + math.sin(b) * math.sin(c) * sh * sh
-    if s2 > 1.0 + 1e-12:
-        raise SpindleError("OUT_OF_RANGE", "no spherical triangle with these data")
-    s2 = min(s2, 1.0)
-    if s2 <= 0.5:
-        return 2.0 * math.asin(math.sqrt(s2))
-    return math.acos(max(-1.0, 1.0 - 2.0 * s2))
+    v = g.vers(b - c) + 2.0 * g.sn(b) * g.sn(c) * sh * sh
+    if g.kappa > 0:
+        if v > 2.0 + 2e-12:
+            raise SpindleError("OUT_OF_RANGE", "no spherical triangle with these data")
+        if v > 1.0:
+            # the arcsine form of avers loses digits past a right angle
+            return math.acos(max(-1.0, 1.0 - v))
+    return g.avers(v)
 
 
 def circle_circle_intersection(
@@ -376,16 +394,7 @@ def circle_circle_intersection(
         if abs(r1 - r2) <= 1e-12:
             raise SpindleError("COINCIDENT", "the circles coincide")
         return ()
-    if g.kappa == 0:
-        num = d * d + r1 * r1 - r2 * r2
-        den = 2.0 * d * r1
-    elif g.kappa > 0:
-        num = (math.cos(r2) - math.cos(r1)) + math.cos(r1) * 2.0 * math.sin(0.5 * d) ** 2
-        den = math.sin(r1) * math.sin(d)
-    else:
-        num = (math.cosh(r1) - math.cosh(r2)) + math.cosh(r1) * 2.0 * math.sinh(0.5 * d) ** 2
-        den = math.sinh(r1) * math.sinh(d)
-    cosb = num / den
+    cosb = cos_angle(r1, d, r2, g)
     if abs(cosb) > 1.0 + 1e-9:
         return ()
     cosb = max(-1.0, min(1.0, cosb))
@@ -507,9 +516,5 @@ def signed_distance_to_geodesic(x: Point, base: Point, u: Tangent, g: Geometry) 
     Positive on the left of the oriented geodesic.
     """
     _check_tangent(base, u, g)
-    if g.kappa == 0:
-        return u.x * (x.y - base.y) - u.y * (x.x - base.x)
-    pole = perp(base, u, g)  # unit normal of the geodesic's plane
-    if g.kappa > 0:
-        return math.asin(max(-1.0, min(1.0, _dot3(x, pole))))
-    return math.asinh(_mdot(x, pole))
+    # det3(base, u, x) is sn of the signed distance in every plane
+    return g.asn(det3(base, u, x))

@@ -26,6 +26,7 @@ from .geometry import (
     Point,
     SpindleError,
     Tangent,
+    _negate,
     _normalize_tangent,
     angle_coord,
     circle_circle_intersection,
@@ -112,8 +113,8 @@ def check_extremal_bounds(poly: DiskPolygon) -> dict:
         raise SpindleError("OUT_OF_RANGE", "width exceeds the arc radius")
     w_eff = min(w, r)
     inc = incircle(poly)
-    rho_bound = triangle_inradius(w_eff, r, g)
     tri = regular_disk_triangle(w_eff, r, g)
+    rho_bound = tri.rho0
     a = area(poly)
     a_bound = area(tri.region)
     margin_rho = inc.radius - rho_bound
@@ -190,15 +191,13 @@ def _farthest_from_support_line(
     return best_x, best_d
 
 
-def _negate(u: Tangent) -> Tangent:
-    return Tangent(-u.x, -u.y, -u.z)
-
-
 def inscribed_cap_domain(
-    poly: DiskPolygon,
+    poly: DiskPolygon, bounds: dict
 ) -> tuple[Optional[CapDomain], str, dict]:
     """Rebuild the cap-domain certificate inside a hull.
 
+    `bounds` is the record check_extremal_bounds returned for the same
+    hull; its width, incircle and area are reused, not measured again.
     Takes the incircle, and at three of its contact points erects the
     supporting geodesic; the farthest hull point from each line yields an
     apex direction, and the apexes sit at distance width - inradius from
@@ -207,9 +206,8 @@ def inscribed_cap_domain(
     """
     g = poly.geometry
     r = poly.r
-    inc = incircle(poly)
-    wit = thickness(poly)
-    w, rho = wit.value, inc.radius
+    inc = bounds["incircle"]
+    w, rho = bounds["width"], inc.radius
     if len(inc.contacts) < 3:
         return None, "contacts<3", {}
     if w - rho <= rho + 1e-9:
@@ -246,11 +244,9 @@ def inscribed_cap_domain(
     for arc in dom.arcs:
         battery.extend((arc.start, arc.midpoint()))
     contained = all(poly.contains(x, tol=1e-6) for x in battery)
-    a_poly = area(poly)
-    a_dom = area(dom)
     details = {
         "containment": contained,
-        "area_margin": a_poly - a_dom,
+        "area_margin": bounds["area"] - area(dom),
         "apex_count": len(apexes),
     }
     return dom, "ok", details
@@ -269,7 +265,7 @@ def run_trial(g: Geometry, trial: int, config: VerifyConfig) -> TrialReport:
     poly = sample_disk_polygon(g, n, r, rng)
     bounds = check_extremal_bounds(poly)
     violations = list(bounds["violations"])
-    dom, status, details = inscribed_cap_domain(poly)
+    dom, status, details = inscribed_cap_domain(poly, bounds)
     cap_margin = None
     if dom is not None:
         cap_margin = details["area_margin"]
@@ -399,7 +395,7 @@ def monotonicity_sweep(
     grid: dict = {}
     for w in w_values:
         for r in r_values:
-            if not (0.0 < w <= r) or (g.kappa > 0 and r >= math.pi / 2):
+            if not (0.0 < w <= r < g.radius_limit):
                 continue
             rho0 = triangle_inradius(w, r, g)
             tri = regular_disk_triangle(w, r, g)
@@ -456,7 +452,7 @@ def triangle_inradius_partials_checked(
             violations.append(
                 f"w-partial mismatch at w={w} r={r}: {dw} vs {num_w}"
             )
-    if w < r - 10.0 * h and (g.kappa <= 0 or r + h < math.pi / 2):
+    if w < r - 10.0 * h and r + h < g.radius_limit:
         num_r = (triangle_inradius(w, r + h, g) - triangle_inradius(w, r - h, g)) / (2 * h)
         if abs(num_r - dr) > 1e-5:
             violations.append(

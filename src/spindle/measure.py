@@ -25,25 +25,24 @@ from .geometry import (
     Point,
     SpindleError,
     Tangent,
+    _negate,
     _normalize_point,
     det3,
     distance,
     exp_map,
+    frame_angle,
     log_dir,
     smallest_enclosing_disk,
     tangent_basis,
     tangent_dot,
     tangent_from_angle,
+    turn_angle,
 )
 from .regions import Arc, CapDomain, DiskPolygon, TWO_PI
 
 
 def disk_area(g: Geometry, rho: float) -> float:
-    if g.kappa == 0:
-        return math.pi * rho * rho
-    if g.kappa > 0:
-        return TWO_PI * (1.0 - math.cos(rho))
-    return TWO_PI * (math.cosh(rho) - 1.0)
+    return TWO_PI * g.vers(rho)
 
 
 def _segment_minor(phi: float, rho: float, g: Geometry) -> float:
@@ -54,11 +53,8 @@ def _segment_minor(phi: float, rho: float, g: Geometry) -> float:
             p2 = phi * phi
             return 0.5 * rho * rho * (phi * p2 / 6.0) * (1.0 - p2 / 20.0 * (1.0 - p2 / 42.0))
         return 0.5 * rho * rho * (phi - math.sin(phi))
-    if g.kappa > 0:
-        c = math.cos(rho)
-        return 2.0 * math.atan(c * math.tan(0.5 * phi)) - phi * c
-    c = math.cosh(rho)
-    return phi * c - 2.0 * math.atan(c * math.tan(0.5 * phi))
+    c = g.cs(rho)  # the two curved forms differ only in sign
+    return g.kappa * (2.0 * math.atan(c * math.tan(0.5 * phi)) - phi * c)
 
 
 def segment_area(phi: float, rho: float, g: Geometry) -> float:
@@ -73,10 +69,6 @@ def segment_area(phi: float, rho: float, g: Geometry) -> float:
     if phi > math.pi:
         return disk_area(g, rho) - _segment_minor(TWO_PI - phi, rho, g)
     return _segment_minor(phi, rho, g)
-
-
-def _negate(u: Tangent) -> Tangent:
-    return Tangent(-u.x, -u.y, -u.z)
 
 
 def _polygon_area(verts: Sequence[Point], g: Geometry) -> float:
@@ -101,11 +93,9 @@ def _polygon_area(verts: Sequence[Point], g: Geometry) -> float:
         prev_v = verts[i - 1]
         next_v = verts[(i + 1) % n]
         w_in = _negate(log_dir(v, prev_v, g))  # arrival direction, continuing forward
-        w_out = log_dir(v, next_v, g)
-        turn_sum += math.atan2(det3(v, w_in, w_out), tangent_dot(w_in, w_out, g))
-    if g.kappa > 0:
-        return TWO_PI - turn_sum
-    return turn_sum - TWO_PI
+        turn_sum += turn_angle(v, w_in, log_dir(v, next_v, g), g)
+    # Gauss-Bonnet: kappa * area = 2*pi - total turning
+    return g.kappa * (TWO_PI - turn_sum)
 
 
 def area(region) -> float:
@@ -154,11 +144,6 @@ def _in_cone(v: Point, w: Tangent, n1: Tangent, n2: Tangent, g: Geometry) -> boo
     if det3(v, n1, w) < -ANGLE_EPS or det3(v, w, n2) < -ANGLE_EPS:
         return False
     return tangent_dot(w, n1, g) + tangent_dot(w, n2, g) > 0.0
-
-
-def _frame_angle(p: Point, u: Tangent, g: Geometry) -> float:
-    t1, t2 = tangent_basis(p, g)
-    return math.atan2(tangent_dot(u, t2, g), tangent_dot(u, t1, g)) % TWO_PI
 
 
 def _intervals_overlap(lo1: float, w1: float, lo2: float, w2: float) -> Optional[float]:
@@ -218,10 +203,10 @@ def thickness(poly: DiskPolygon) -> ThicknessWitness:
                 # vertex sits at the arc's center: every chord to the arc is
                 # normal there and has length r; need one whose reverse lies
                 # in the vertex cone
-                a0 = _frame_angle(v, log_dir(c, arc.start, g), g)
+                a0 = frame_angle(v, log_dir(c, arc.start, g), g)
                 n1, n2 = cones[k]
-                th1 = _frame_angle(v, n1, g)
-                width_cone = (_frame_angle(v, n2, g) - th1) % TWO_PI
+                th1 = frame_angle(v, n1, g)
+                width_cone = (frame_angle(v, n2, g) - th1) % TWO_PI
                 psi = _intervals_overlap(a0, arc.extent, (th1 + math.pi) % TWO_PI, width_cone)
                 if psi is not None:
                     y = exp_map(v, tangent_from_angle(v, psi, g), r, g)
@@ -316,16 +301,9 @@ def bounding_disk(region) -> tuple[Point, float]:
     arcs: Sequence[Arc] = region.arcs
     if len(arcs) == 1 and arcs[0].extent >= TWO_PI - ANGLE_EPS:
         return arcs[0].center, arcs[0].radius + 1e-9
-    if g.kappa == 0:
-        xs = [a.start for a in arcs]
-        o = Point(
-            sum(p.x for p in xs) / len(xs), sum(p.y for p in xs) / len(xs), 1.0
-        )
-    else:
-        sx = sum(a.start.x for a in arcs)
-        sy = sum(a.start.y for a in arcs)
-        sz = sum(a.start.z for a in arcs)
-        o = _normalize_point(g, sx, sy, sz)
+    # vertex centroid, pushed back onto the surface
+    sx, sy, sz = (sum(c) / len(arcs) for c in zip(*(a.start for a in arcs)))
+    o = _normalize_point(g, sx, sy, sz)
     radius = 0.0
     for a in arcs:
         radius = max(radius, distance(o, a.start, g), distance(o, a.end, g))

@@ -32,7 +32,7 @@ from .geometry import (
     Tangent,
     angle_coord,
     circle_circle_intersection,
-    det3,
+    cos_angle,
     distance,
     exp_map,
     log_dir,
@@ -40,7 +40,7 @@ from .geometry import (
     rotate_tangent,
     smallest_enclosing_disk,
     tangent_basis,
-    tangent_dot,
+    turn_angle,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -79,18 +79,13 @@ class Arc:
             return True
         u0 = log_dir(self.center, self.start, g)
         ux = log_dir(self.center, x, g)
-        a = math.atan2(det3(self.center, u0, ux), tangent_dot(u0, ux, g)) % TWO_PI
+        a = turn_angle(self.center, u0, ux, g) % TWO_PI
         return a <= self.extent + tol or a >= TWO_PI - tol
 
 
 def _arc_extent_from_chord(chord: float, radius: float, g: Geometry) -> float:
     # central angle subtended by a chord; chordal form, no acos cancellation
-    if g.kappa == 0:
-        q = 0.5 * chord / radius
-    elif g.kappa > 0:
-        q = math.sin(0.5 * chord) / math.sin(radius)
-    else:
-        q = math.sinh(0.5 * chord) / math.sinh(radius)
+    q = g.sn(0.5 * chord) / g.sn(radius)
     if q > 1.0 + 1e-9:
         raise SpindleError("OUT_OF_RANGE", "chord longer than the circle diameter")
     return 2.0 * math.asin(min(1.0, q))
@@ -112,7 +107,7 @@ def make_arc(center: Point, radius: float, start: Point, end: Point, g: Geometry
     extent = _arc_extent_from_chord(chord, radius, g)
     u0 = log_dir(center, start, g)
     u1 = log_dir(center, end, g)
-    ccw = math.atan2(det3(center, u0, u1), tangent_dot(u0, u1, g)) % TWO_PI
+    ccw = turn_angle(center, u0, u1, g) % TWO_PI
     # the chord determines extent or 2*pi - extent; pick the CCW-consistent one
     if abs(ccw - extent) > abs(ccw - (TWO_PI - extent)):
         extent = TWO_PI - extent
@@ -289,8 +284,7 @@ def ball_hull(points: Sequence[Point], r: float, g: Geometry) -> DiskPolygon:
             if not hits:
                 continue
             c = hits[0]  # left supporting-circle center for the edge a -> x
-            v = log_dir(a, c, g)
-            ang = math.atan2(det3(a, ref, v), tangent_dot(ref, v, g)) % TWO_PI
+            ang = turn_angle(a, ref, log_dir(a, c, g), g) % TWO_PI
             if best is None or ang < best[0] - 1e-12:
                 best = (ang, d_ax, x, c)
             elif ang <= best[0] + 1e-12 and d_ax > best[1]:
@@ -409,8 +403,7 @@ def cap_domain(disk: Circle, apexes: Iterable[Point], r: float, g: Geometry) -> 
     p, rho = disk.center, disk.radius
     if not (0.0 < rho < r):
         raise SpindleError("BAD_RANGE", "cap domain needs 0 < rho < r")
-    if g.kappa > 0:
-        g.check_radius(rho)
+    g.check_radius(rho)
 
     caps = []  # (theta, apex, c_left, c_right, t_in, t_out, half_width)
     for q in apexes:
@@ -466,14 +459,5 @@ def _cap_half_width(d: float, rho: float, r: float, g: Geometry) -> float:
     +-beta off the apex direction; the tangency points are diametrically
     opposite them, so the footprint half width is pi - beta.
     """
-    if g.kappa == 0:
-        num = d * d + (r - rho) ** 2 - r * r
-        den = 2.0 * d * (r - rho)
-    elif g.kappa > 0:
-        num = (math.cos(r) - math.cos(r - rho)) + math.cos(r - rho) * 2.0 * math.sin(0.5 * d) ** 2
-        den = math.sin(r - rho) * math.sin(d)
-    else:
-        num = (math.cosh(r - rho) - math.cosh(r)) + math.cosh(r - rho) * 2.0 * math.sinh(0.5 * d) ** 2
-        den = math.sinh(r - rho) * math.sinh(d)
-    beta = math.acos(max(-1.0, min(1.0, num / den)))
-    return math.pi - beta
+    cosb = cos_angle(r - rho, d, r, g)
+    return math.pi - math.acos(max(-1.0, min(1.0, cosb)))

@@ -261,7 +261,7 @@ def _mc_corpus(g):
     )
     for _ in range(40):
         poly = sample_disk_polygon(g, 7, 1.2, rng)
-        dom, status, _ = inscribed_cap_domain(poly)
+        dom, status, _ = inscribed_cap_domain(poly, check_extremal_bounds(poly))
         if dom is not None and status == "ok":
             regions.append(("cap-inscribed", dom))
             break

@@ -21,6 +21,8 @@ from spindle.geometry import (
     angle_at,
     angle_coord,
     circle_circle_intersection,
+    cos_angle,
+    det3,
     distance,
     embed,
     exp_map,
@@ -28,7 +30,6 @@ from spindle.geometry import (
     log_dir,
     midpoint,
     origin,
-    orient,
     perp,
     rotate_tangent,
     side_from_cosine_law,
@@ -226,6 +227,61 @@ def law_of_cosines_reference(b, c, alpha, g):
         return float(out)
 
 
+MODEL_REFERENCE = {
+    # kappa: (sn, cs, vers, avers), the textbook forms
+    0: (lambda x: x, lambda x: mp.mpf(1), lambda x: x * x / 2, lambda v: mp.sqrt(2 * v)),
+    1: (mp.sin, mp.cos, lambda x: 1 - mp.cos(x), lambda v: mp.acos(1 - v)),
+    -1: (mp.sinh, mp.cosh, lambda x: mp.cosh(x) - 1, lambda v: mp.acosh(1 + v)),
+}
+MODEL_ARGS = (1e-8, 1e-3, 0.3, 1.0, 1.4, 3.0)
+
+
+def test_model_functions_match_reference():
+    for g in ALL:
+        sn, cs, vers, avers = MODEL_REFERENCE[g.kappa]
+        with mp.workdps(50):
+            for x in MODEL_ARGS:
+                assert g.sn(x) == pytest.approx(float(sn(mp.mpf(x))), rel=1e-15)
+                assert g.cs(x) == pytest.approx(float(cs(mp.mpf(x))), rel=1e-15)
+                assert g.vers(x) == pytest.approx(float(vers(mp.mpf(x))), rel=1e-15)
+                v = g.vers(x)
+                assert g.avers(v) == pytest.approx(float(avers(mp.mpf(v))), rel=1e-15)
+
+
+def test_avers_inverts_vers():
+    for g in ALL:
+        for x in MODEL_ARGS:
+            assert g.avers(g.vers(x)) == pytest.approx(x, rel=1e-15)
+    # the sphere's arcsine saturates instead of failing past the antipode
+    assert SPHERICAL.avers(2.0 + 1e-15) == math.pi
+
+
+def cos_angle_reference(a, b, c, g):
+    with mp.workdps(50):
+        a, b, c = mp.mpf(a), mp.mpf(b), mp.mpf(c)
+        if g.kappa == 0:
+            out = (a * a + b * b - c * c) / (2 * a * b)
+        elif g.kappa > 0:
+            out = (mp.cos(c) - mp.cos(a) * mp.cos(b)) / (mp.sin(a) * mp.sin(b))
+        else:
+            out = (mp.cosh(a) * mp.cosh(b) - mp.cosh(c)) / (mp.sinh(a) * mp.sinh(b))
+        return float(out)
+
+
+def test_cos_angle_matches_reference():
+    sides = (
+        (1e-8, 1e-8, 1e-8),
+        (1e-8, 2e-8, 1.5e-8),
+        (0.5, 0.7, 0.6),
+        (1.0, 1.2, 0.9),
+        (0.3, 1.1, 1.0),
+    )
+    for g in ALL:
+        for a, b, c in sides:
+            want = cos_angle_reference(a, b, c, g)
+            assert cos_angle(a, b, c, g) == pytest.approx(want, rel=1e-15)
+
+
 def test_side_from_cosine_law_matches_reference():
     rng = np.random.default_rng(109)
     for g in ALL:
@@ -295,8 +351,8 @@ def test_circle_intersection_points_lie_on_both_circles():
             if len(pts) == 2:
                 hits += 1
                 left, right = pts
-                assert orient(c1.center, c2.center, left) > 0.0
-                assert orient(c1.center, c2.center, right) < 0.0
+                assert det3(c1.center, c2.center, left) > 0.0
+                assert det3(c1.center, c2.center, right) < 0.0
         assert hits > 50
 
 

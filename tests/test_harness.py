@@ -1,10 +1,12 @@
 """Randomized verification harness: sampling, bounds, sweeps, proof probes."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from spindle import harness
 from spindle.extremal import regular_disk_triangle, triangle_inradius
 from spindle.geometry import GEOMETRIES, EUCLIDEAN, SpindleError, distance
 from spindle.harness import (
@@ -16,6 +18,7 @@ from spindle.harness import (
     hexagon_margins,
     inscribed_cap_domain,
     monotonicity_sweep,
+    run_trial,
     run_verification,
     sample_disk_polygon,
     symmetric_cap_domain,
@@ -140,7 +143,8 @@ def test_inscribed_cap_domain_battery():
     for g in ALL:
         for _ in range(40):
             poly = sample_disk_polygon(g, int(rng.integers(3, 13)), 1.0, rng)
-            dom, status, details = inscribed_cap_domain(poly)
+            bounds = check_extremal_bounds(poly)
+            dom, status, details = inscribed_cap_domain(poly, bounds)
             if status != "ok":
                 assert dom is None
                 continue
@@ -153,6 +157,20 @@ def test_inscribed_cap_domain_battery():
             assert details["area_margin"] >= -1e-9
             assert area(dom) <= area(poly) + 1e-9
     assert oks > 30
+
+
+def test_run_trial_measures_each_hull_once(monkeypatch):
+    calls = Counter()
+    for name in ("thickness", "incircle"):
+        def counted(poly, _original=getattr(harness, name), _name=name):
+            calls[_name] += 1
+            return _original(poly)
+
+        monkeypatch.setattr(harness, name, counted)
+    for g in ALL:
+        calls.clear()
+        run_trial(g, 0, VerifyConfig(trials=1))
+        assert calls == {"thickness": 1, "incircle": 1}
 
 
 def test_cap_rotation_preserves_area():
