@@ -21,6 +21,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -377,6 +378,28 @@ def side_from_cosine_law(b: float, c: float, alpha: float, g: Geometry) -> float
     return g.avers(v)
 
 
+def _intersection_angle(r1: float, d: float, r2: float, g: Geometry) -> Optional[float]:
+    """Angle at the first center between the line of centers and an
+    intersection point of circles of radii r1, r2 with centers d apart:
+    None when they miss, 0 or pi when they touch."""
+    cosb = cos_angle(r1, d, r2, g)
+    if abs(cosb) > 1.0 + 1e-9:
+        return None
+    if 1.0 - abs(cosb) <= 1e-12:
+        return 0.0 if cosb > 0 else math.pi
+    return math.acos(cosb)
+
+
+def _points_off_axis(p: Point, q: Point, t: float, beta: float, g: Geometry) -> tuple[Point, ...]:
+    """Points at distance t from p in the directions turned by +beta (left)
+    and -beta (right) from the direction p -> q; one point if beta is 0 or pi."""
+    u = log_dir(p, q, g)
+    left = exp_map(p, rotate_tangent(p, u, beta, g), t, g)
+    if beta in (0.0, math.pi):
+        return (left,)
+    return (left, exp_map(p, rotate_tangent(p, u, -beta, g), t, g))
+
+
 def circle_circle_intersection(
     c1: Circle, c2: Circle, g: Geometry
 ) -> tuple[Point, ...]:
@@ -394,18 +417,10 @@ def circle_circle_intersection(
         if abs(r1 - r2) <= 1e-12:
             raise SpindleError("COINCIDENT", "the circles coincide")
         return ()
-    cosb = cos_angle(r1, d, r2, g)
-    if abs(cosb) > 1.0 + 1e-9:
+    beta = _intersection_angle(r1, d, r2, g)
+    if beta is None:
         return ()
-    cosb = max(-1.0, min(1.0, cosb))
-    u = log_dir(c1.center, c2.center, g)
-    if 1.0 - abs(cosb) <= 1e-12:
-        beta = 0.0 if cosb > 0 else math.pi
-        return (exp_map(c1.center, rotate_tangent(c1.center, u, beta, g), r1, g),)
-    beta = math.acos(cosb)
-    left = exp_map(c1.center, rotate_tangent(c1.center, u, beta, g), r1, g)
-    right = exp_map(c1.center, rotate_tangent(c1.center, u, -beta, g), r1, g)
-    return (left, right)
+    return _points_off_axis(c1.center, c2.center, r1, beta, g)
 
 
 def circumcenter(a: Point, b: Point, c: Point, g: Geometry) -> Optional[tuple[Point, float]]:
@@ -463,51 +478,51 @@ def smallest_enclosing_disk(
 ) -> tuple[Point, float, tuple[int, ...]]:
     """Smallest geodesic disk containing the points.
 
-    Combinatorial search over support sets of size <= 3; exact at the input
-    sizes this package works with (a few dozen points at most).  Returns
-    (center, radius, support indices).
+    Welzl's randomized incremental algorithm (Welzl 1991, "Smallest
+    enclosing disks (balls and ellipsoids)"), iterative form: a point outside
+    the current disk lies on the boundary of the next, which rests on at
+    most three support points.  Valid in every plane since disks are convex
+    (spherical radii stay below pi/2).  Points are visited in an order
+    shuffled with the fixed seed len(points): expected cost O(n), and the
+    output is deterministic.  Containment allows 1e-9 slack.  Returns
+    (center, radius, support indices into points).
     """
     if not points:
         raise SpindleError("BAD_RANGE", "need at least one point")
-    if len(points) == 1:
-        return points[0], 0.0, (0,)
-    best: Optional[tuple[float, Point, tuple[int, ...]]] = None
-    n = len(points)
+    order = list(range(len(points)))
+    random.Random(len(points)).shuffle(order)
 
-    def consider(center: Point, radius: float, support: tuple[int, ...]) -> None:
-        nonlocal best
-        if best is not None and radius >= best[0]:
-            return
-        for p in points:
-            if distance(center, p, g) > radius + 1e-9:
-                return
-        best = (radius, center, support)
+    def covers(disk, k: int) -> bool:
+        return distance(disk[0], points[k], g) <= disk[1] + 1e-9
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = distance(points[i], points[j], g)
-            if d < 1e-15:
+    def disk_about(center: Point, idx: tuple[int, ...]):
+        # smallest disk about center holding points idx; support: those on its rim
+        reach = [distance(center, points[k], g) for k in idx]
+        radius = max(reach)
+        return center, radius, tuple(k for k, d in zip(idx, reach) if d >= radius - 1e-9)
+
+    def triple(i: int, j: int, k: int):
+        cc = circumcenter(points[i], points[j], points[k], g)
+        if cc is not None:
+            return disk_about(cc[0], (i, j, k))
+        # no circle through the three (too close to collinear, or no proper
+        # hyperbolic circle): the smallest pair disk grown to cover the third
+        return min((disk_about(midpoint(points[a], points[b], g), (a, b, c))
+                    for a, b, c in ((i, j, k), (i, k, j), (j, k, i))), key=lambda d: d[1])
+
+    disk = (points[order[0]], 0.0, (order[0],))
+    for a, i in enumerate(order):
+        if covers(disk, i):
+            continue
+        disk = (points[i], 0.0, (i,))
+        for b, j in enumerate(order[:a]):
+            if covers(disk, j):
                 continue
-            c = midpoint(points[i], points[j], g)
-            consider(c, max(distance(c, points[i], g), distance(c, points[j], g)), (i, j))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                cc = circumcenter(points[i], points[j], points[k], g)
-                if cc is None:
-                    continue
-                center, _ = cc
-                radius = max(
-                    distance(center, points[i], g),
-                    distance(center, points[j], g),
-                    distance(center, points[k], g),
-                )
-                consider(center, radius, (i, j, k))
-    if best is None:
-        # all points coincide within tolerance
-        return points[0], 0.0, (0,)
-    radius, center, support = best
-    return center, radius, support
+            disk = disk_about(midpoint(points[i], points[j], g), (i, j))
+            for k in order[:b]:
+                if not covers(disk, k):
+                    disk = triple(i, j, k)
+    return disk
 
 
 def signed_distance_to_geodesic(x: Point, base: Point, u: Tangent, g: Geometry) -> float:

@@ -214,20 +214,10 @@ def inscribed_cap_domain(
         return None, "apex-inside-disk", {}
     p = inc.center
 
-    # pair each contact with its supporting arc; keep three spread contacts
-    pairs = []
-    for i in inc.support:
-        c = poly.centers[i]
-        t = exp_map(c, log_dir(c, p, g), r, g)
-        if all(distance(t, q[0], g) > 1e-9 for q in pairs):
-            pairs.append((t, c))
-    if len(pairs) < 3:
-        return None, "contacts<3", {}
-    pairs = pairs[:3]
-
+    # three spread contacts, each with the center of its supporting arc
     apexes = []
-    for t, c in pairs:
-        nu_in = log_dir(t, c, g)
+    for t, i in zip(inc.contacts[:3], inc.contact_arcs):
+        nu_in = log_dir(t, poly.centers[i], g)
         u = _negate(perp(t, nu_in, g))  # region side is the positive side
         x_star, h = _farthest_from_support_line(poly, t, u)
         if h < w - 1e-6:

@@ -38,7 +38,7 @@ from .geometry import (
     tangent_from_angle,
     turn_angle,
 )
-from .regions import Arc, CapDomain, DiskPolygon, TWO_PI
+from .regions import Arc, DiskPolygon, TWO_PI
 
 
 def disk_area(g: Geometry, rho: float) -> float:
@@ -259,11 +259,13 @@ def thickness(poly: DiskPolygon) -> ThicknessWitness:
 @dataclass(frozen=True)
 class Incircle:
     """Largest inscribed disk; contacts are its touching points on the
-    boundary, support the indices of the arcs it touches."""
+    boundary, contact_arcs the index of the arc each contact lies on, and
+    support the indices of the arcs it touches."""
 
     center: Point
     radius: float
     contacts: tuple[Point, ...]
+    contact_arcs: tuple[int, ...]
     support: tuple[int, ...]
 
 
@@ -278,18 +280,18 @@ def incircle(poly: DiskPolygon) -> Incircle:
         if all(distance(c, d, g) > MERGE_EPS for d in distinct):
             distinct.append(c)
     if len(distinct) == 1:
-        return Incircle(distinct[0], r, (), (0,))
+        return Incircle(distinct[0], r, (), (), (0,))
     x, big_r, _ = smallest_enclosing_disk(distinct, g)
     rho = r - big_r
     support = tuple(
         i for i, c in enumerate(centers) if abs(distance(c, x, g) - big_r) <= 1e-9
     )
-    contacts: list[Point] = []
+    contacts: dict[int, Point] = {}  # arc index -> contact, in support order
     for i in support:
         t = exp_map(centers[i], log_dir(centers[i], x, g), r, g)
-        if all(distance(t, s, g) > MERGE_EPS for s in contacts):
-            contacts.append(t)
-    return Incircle(x, rho, tuple(contacts), support)
+        if all(distance(t, s, g) > MERGE_EPS for s in contacts.values()):
+            contacts[i] = t
+    return Incircle(x, rho, tuple(contacts.values()), tuple(contacts), support)
 
 
 # --------------------------------------------------------------------------

@@ -30,9 +30,10 @@ from .geometry import (
     Point,
     SpindleError,
     Tangent,
+    _intersection_angle,
+    _points_off_axis,
     angle_coord,
     circle_circle_intersection,
-    cos_angle,
     distance,
     exp_map,
     log_dir,
@@ -274,24 +275,25 @@ def ball_hull(points: Sequence[Point], r: float, g: Geometry) -> DiskPolygon:
         return seg
 
     def wrap_step(a: Point, ref: Tangent) -> tuple[Point, Point]:
-        # successor of vertex a, given the inward reference direction there
-        best: Optional[tuple[float, float, Point, Point]] = None
+        # successor of vertex a, given the inward reference direction there;
+        # candidates are ranked by the direction of their left supporting-
+        # circle center, and only the winner's center is built
+        best: Optional[tuple[float, float, Point]] = None
         for x in kept:
             d_ax = distance(a, x, g)
             if d_ax <= MERGE_EPS:
                 continue
-            hits = circle_circle_intersection(Circle(a, r), Circle(x, r), g)
-            if not hits:
+            beta = _intersection_angle(r, d_ax, r, g)
+            if beta is None:
                 continue
-            c = hits[0]  # left supporting-circle center for the edge a -> x
-            ang = turn_angle(a, ref, log_dir(a, c, g), g) % TWO_PI
+            ang = turn_angle(a, ref, rotate_tangent(a, log_dir(a, x, g), beta, g), g) % TWO_PI
             if best is None or ang < best[0] - 1e-12:
-                best = (ang, d_ax, x, c)
+                best = (ang, d_ax, x)
             elif ang <= best[0] + 1e-12 and d_ax > best[1]:
-                best = (min(ang, best[0]), d_ax, x, c)
+                best = (min(ang, best[0]), d_ax, x)
         if best is None:
             raise SpindleError("MALFORMED_BOUNDARY", "hull wrap found no successor")
-        return best[2], best[3]
+        return best[2], circle_circle_intersection(Circle(a, r), Circle(best[2], r), g)[0]
 
     # start point: farthest from kept[0]; its supporting disk center sits
     # beyond it on the geodesic toward kept[0], so it is on the hull
@@ -412,17 +414,19 @@ def cap_domain(disk: Circle, apexes: Iterable[Point], r: float, g: Geometry) -> 
             raise SpindleError("DEGENERATE", "apex inside the disk")
         if d > 2.0 * r - rho + 1e-12:
             raise SpindleError("APEX_TOO_FAR", "apex beyond reach of tangent arcs")
-        hits = circle_circle_intersection(Circle(p, r - rho), Circle(q, r), g)
-        if not hits:
+        # the arc centers sit on the circle (p, r - rho) at angle +-beta off
+        # the apex direction
+        beta = _intersection_angle(r - rho, d, r, g)
+        if beta is None:
             raise SpindleError("APEX_TOO_FAR", "no tangent arc pair for this apex")
-        c_left = hits[0]
-        c_right = hits[-1]
+        hits = _points_off_axis(p, q, r - rho, beta, g)
+        c_left, c_right = hits[0], hits[-1]
         # tangency points sit diametrically opposite the arc centers through
-        # the disk center; the left center touches at the clockwise end
+        # the disk center, so the footprint half width seen from p is
+        # pi - beta; the left center touches at the clockwise end
         t_in = exp_map(c_left, log_dir(c_left, p, g), r, g)
         t_out = exp_map(c_right, log_dir(c_right, p, g), r, g)
-        theta = angle_coord(p, q, g)
-        caps.append((theta, q, c_left, c_right, t_in, t_out, _cap_half_width(d, rho, r, g)))
+        caps.append((angle_coord(p, q, g), q, c_left, c_right, t_in, t_out, math.pi - beta))
     caps.sort(key=lambda cap: cap[0])
 
     m = len(caps)
@@ -450,14 +454,3 @@ def cap_domain(disk: Circle, apexes: Iterable[Point], r: float, g: Geometry) -> 
         if span > ANGLE_EPS:
             arcs.append(Arc(p, rho, t_out, t_in_next, span, g))
     return CapDomain(g, r, p, rho, tuple(c[1] for c in caps), tuple(arcs), tuple(pairs), tuple(wedges))
-
-
-def _cap_half_width(d: float, rho: float, r: float, g: Geometry) -> float:
-    """Half the cap's angular footprint on the disk, seen from its center.
-
-    The arc centers sit at distance r - rho from the disk center at angle
-    +-beta off the apex direction; the tangency points are diametrically
-    opposite them, so the footprint half width is pi - beta.
-    """
-    cosb = cos_angle(r - rho, d, r, g)
-    return math.pi - math.acos(max(-1.0, min(1.0, cosb)))

@@ -11,8 +11,7 @@ always yields byte-identical SVG.
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from .geometry import (
     Geometry,

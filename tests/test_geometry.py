@@ -3,16 +3,19 @@
 Reference digits come from tests/oracles.py (mpmath, 40 significant digits).
 """
 
+import itertools
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from spindle import geometry
 from spindle.geometry import (
     EUCLIDEAN,
     GEOMETRIES,
     HYPERBOLIC,
+    MERGE_EPS,
     SPHERICAL,
     Circle,
     Point,
@@ -39,6 +42,8 @@ from spindle.geometry import (
     tangent_dot,
     tangent_from_angle,
 )
+from spindle.regions import ball_hull
+from test_regions import jittered_ring
 
 ALL = tuple(GEOMETRIES.values())
 
@@ -421,14 +426,85 @@ def test_smallest_enclosing_disk_is_minimal():
 
 def test_smallest_enclosing_disk_permutation_invariant():
     rng = np.random.default_rng(113)
-    g = HYPERBOLIC
-    pts = [random_point(g, rng) for _ in range(7)]
-    c0, r0, _ = smallest_enclosing_disk(pts, g)
-    for _ in range(10):
-        perm = list(rng.permutation(len(pts)))
-        c1, r1, _ = smallest_enclosing_disk([pts[i] for i in perm], g)
-        assert r1 == pytest.approx(r0, abs=1e-10)
-        assert distance(c0, c1, g) < 1e-8
+    for g in ALL:
+        pts = [random_point(g, rng) for _ in range(7)]
+        c0, r0, _ = smallest_enclosing_disk(pts, g)
+        for _ in range(10):
+            perm = list(rng.permutation(len(pts)))
+            c1, r1, _ = smallest_enclosing_disk([pts[i] for i in perm], g)
+            assert r1 == pytest.approx(r0, abs=1e-10)
+            assert distance(c0, c1, g) < 1e-8
+
+
+def check_enclosing_disk(pts, g):
+    """The disk covers every point within 1e-9, each support point lies on
+    its circle, and its radius is the brute-force minimum."""
+    center, radius, support = smallest_enclosing_disk(pts, g)
+    assert all(distance(center, p, g) <= radius + 1e-9 for p in pts)
+    assert support and all(0 <= i < len(pts) for i in support)
+    for i in support:
+        assert distance(center, pts[i], g) == pytest.approx(radius, abs=1e-9)
+    assert radius == pytest.approx(brute_force_sed(pts, g), abs=1e-9)
+    return center, radius, support
+
+
+def test_smallest_enclosing_disk_up_to_48_points():
+    rng = np.random.default_rng(115)
+    for g in ALL:
+        p = random_point(g, rng)
+        assert smallest_enclosing_disk([p], g) == (p, 0.0, (0,))
+        for n in (2, 3, 9, 20, 48):
+            check_enclosing_disk([random_point(g, rng, scale=0.6) for _ in range(n)], g)
+
+
+def test_smallest_enclosing_disk_of_ring_hull_centers():
+    # arc centers of a jittered ring hull are nearly cocircular: every
+    # triple is a candidate support set of almost the same radius
+    rng = np.random.default_rng(116)
+    for g in ALL:
+        for n in (16, 48):
+            hull = ball_hull(jittered_ring(g, n, 1.0, rng), 1.0, g)
+            centers = list(hull.centers)
+            assert len(centers) == n
+            first = check_enclosing_disk(centers, g)
+            assert smallest_enclosing_disk(centers, g) == first  # same bits
+
+
+def test_smallest_enclosing_disk_near_duplicates():
+    rng = np.random.default_rng(117)
+    for g in ALL:
+        base = [random_point(g, rng, scale=0.6) for _ in range(6)]
+        twins = [
+            exp_map(p, tangent_from_angle(p, rng.uniform(0.0, 2.0 * math.pi), g), MERGE_EPS, g)
+            for p in base
+        ]
+        check_enclosing_disk(base + twins, g)
+        check_enclosing_disk([base[0]] * 4 + [twins[0]], g)
+
+
+def test_smallest_enclosing_disk_circumcenter_fallback(monkeypatch):
+    # a near-collinear triple never reaches the three-point step (the disk
+    # on its outer pair covers the middle point), but a triangle of
+    # circumradius 1e-7 does, and falls under circumcenter's absolute
+    # collinearity cut-off in the Euclidean plane and on the sphere
+    real = geometry.circumcenter
+    results = []
+
+    def spy(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(geometry, "circumcenter", spy)
+    for g in ALL:
+        p = from_polar(g, 0.4, 0.3)
+        tri = [exp_map(p, tangent_from_angle(p, a, g), 1e-7, g) for a in (0.1, 2.2, 4.3)]
+        for perm in itertools.permutations(tri):
+            results.clear()
+            smallest_enclosing_disk(list(perm), g)
+            assert results, "the third point lies outside every pair disk"
+            if g is not HYPERBOLIC:
+                assert results == [None]
+            check_enclosing_disk(list(perm), g)
 
 
 def test_signed_distance_to_geodesic():

@@ -296,9 +296,13 @@ def test_incircle_contacts_touch_boundary():
             poly = random_polygon(g, rng, n=int(rng.integers(3, 9)))
             inc = incircle(poly)
             assert poly.contains(inc.center)
-            for q in inc.contacts:
+            assert len(inc.contact_arcs) == len(inc.contacts)
+            assert set(inc.contact_arcs) <= set(inc.support)
+            for q, i in zip(inc.contacts, inc.contact_arcs):
                 assert distance(inc.center, q, g) == pytest.approx(inc.radius, abs=1e-9)
                 assert poly.contains(q, tol=1e-9)
+                # the contact lies on the circle of the arc it is recorded on
+                assert distance(poly.arcs[i].center, q, g) == pytest.approx(poly.r, abs=1e-9)
             for i in inc.support:
                 c = poly.arcs[i].center
                 assert distance(c, inc.center, g) == pytest.approx(

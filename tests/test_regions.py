@@ -11,7 +11,6 @@ from spindle.geometry import (
     EUCLIDEAN,
     GEOMETRIES,
     HYPERBOLIC,
-    SPHERICAL,
     Circle,
     Point,
     SpindleError,
@@ -25,7 +24,6 @@ from spindle.geometry import (
     tangent_from_angle,
 )
 from spindle.regions import (
-    Arc,
     CapDomain,
     DiskPolygon,
     ball_hull,
@@ -41,6 +39,17 @@ TWO_PI = 2.0 * math.pi
 
 def random_point(g, rng, scale=1.0):
     return from_polar(g, rng.uniform(0.0, TWO_PI), scale * rng.uniform(0.0, 1.0))
+
+
+def jittered_ring(g, n, r, rng):
+    """n points about the circle of radius 0.49 r around the origin, one per
+    angular step, each moved by up to a quarter step and by 2e-5 relative in
+    radius: every point stays a hull vertex, and the arc centers are nearly
+    cocircular (the ring sets of the hull benchmark)."""
+    step = TWO_PI / n
+    theta = rng.uniform(0.0, TWO_PI) + step * (np.arange(n) + 0.25 * rng.uniform(-1.0, 1.0, n))
+    rad = 0.49 * r * (1.0 + 2e-5 * rng.uniform(-1.0, 1.0, n))
+    return [from_polar(g, float(t % TWO_PI), float(s)) for t, s in zip(theta, rad)]
 
 
 # --------------------------------------------------------------------------
@@ -198,6 +207,17 @@ def test_ball_hull_cocircular_points_keep_everything():
         pts = [from_polar(g, float(t), 0.45) for t in angles]
         hull = ball_hull(pts, 1.0, g)
         assert len(hull.vertices) == 8
+
+
+def test_ball_hull_jittered_rings_keep_every_point():
+    rng = np.random.default_rng(207)
+    for g in ALL:
+        for n in (16, 27, 38, 48):
+            pts = jittered_ring(g, n, 1.0, rng)
+            hull = ball_hull(pts, 1.0, g)
+            assert len(hull.vertices) == n
+            for a in hull.arcs:
+                assert all(distance(a.center, p, g) <= 1.0 + 1e-9 for p in pts)
 
 
 def test_ball_hull_near_circumradius_marks_degenerate():
