@@ -426,15 +426,17 @@ def circle_circle_intersection(
 def circumcenter(a: Point, b: Point, c: Point, g: Geometry) -> Optional[tuple[Point, float]]:
     """Center and radius of the circle through three points, or None.
 
-    None means the points are too close to geodesically collinear (in the
-    hyperbolic plane that includes triples whose equidistant locus is not
-    a proper circle).
+    None means the points are too close to geodesically collinear: the chords
+    u = a - b and v = b - c meet at an angle whose sine is below 1e-13, at any
+    scale (hyperbolic triples whose equidistant locus is no circle give None).
     """
+    u = Point(a.x - b.x, a.y - b.y, a.z - b.z)
+    v = Point(b.x - c.x, b.y - c.y, b.z - c.z)
     if g.kappa == 0:
         d = 2.0 * (
             a.x * (b.y - c.y) + b.x * (c.y - a.y) + c.x * (a.y - b.y)
         )
-        if abs(d) < 1e-13:
+        if d * d < 4e-26 * _dot3(u, u) * _dot3(v, v):  # |d| = 2 |u| |v| sin
             return None
         aa = a.x * a.x + a.y * a.y
         bb = b.x * b.x + b.y * b.y
@@ -443,8 +445,6 @@ def circumcenter(a: Point, b: Point, c: Point, g: Geometry) -> Optional[tuple[Po
         uy = (aa * (c.x - b.x) + bb * (a.x - c.x) + cc * (b.x - a.x)) / d
         center = Point(ux, uy, 1.0)
         return center, distance(center, a, g)
-    u = Point(a.x - b.x, a.y - b.y, a.z - b.z)
-    v = Point(b.x - c.x, b.y - c.y, b.z - c.z)
     if g.kappa > 0:
         n = Point(
             u.y * v.z - u.z * v.y,
@@ -452,7 +452,7 @@ def circumcenter(a: Point, b: Point, c: Point, g: Geometry) -> Optional[tuple[Po
             u.x * v.y - u.y * v.x,
         )
         nn = math.sqrt(_dot3(n, n))
-        if nn < 1e-13:
+        if nn < 1e-13 * math.sqrt(_dot3(u, u) * _dot3(v, v)):  # |n| = |u| |v| sin
             return None
         center = Point(n.x / nn, n.y / nn, n.z / nn)
         if _dot3(center, a) < 0.0:

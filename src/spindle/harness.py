@@ -63,12 +63,6 @@ class VerifyConfig:
     trials: int = 200
     seed: int = 0
     point_counts: tuple[int, ...] = tuple(range(2, 13))
-    radii: Optional[dict] = None
-
-    def radii_for(self, name: str) -> tuple[float, ...]:
-        if self.radii and name in self.radii:
-            return tuple(self.radii[name])
-        return DEFAULT_RADII[name]
 
 
 @dataclass
@@ -249,7 +243,7 @@ def run_trial(g: Geometry, trial: int, config: VerifyConfig) -> TrialReport:
     gi = list(GEOMETRIES).index(g.name)
     rng = np.random.default_rng((config.seed, gi, trial))
     counts = config.point_counts
-    radii = config.radii_for(g.name)
+    radii = DEFAULT_RADII[g.name]
     n = counts[trial % len(counts)]
     r = radii[trial % len(radii)]
     poly = sample_disk_polygon(g, n, r, rng)

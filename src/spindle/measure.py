@@ -7,6 +7,10 @@ normals a disk polygon admits: vertex to arc, arc to arc, and vertex to
 vertex.  The inradius comes from a minimax reduction: the largest inscribed
 disk of an intersection of radius-r disks is centered at the center of the
 smallest disk enclosing their centers.
+
+The Monte Carlo area check is written once for all three planes: area-uniform
+disk samples have vers s uniform (sample_in_disk), and surface points satisfy
+form(x - c, x - c) = 2 vers d(x, c) for the form of tangent_dot (_inside_disks).
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .geometry import (
     tangent_from_angle,
     turn_angle,
 )
-from .regions import Arc, DiskPolygon, TWO_PI
+from .regions import Arc, DiskPolygon, TWO_PI, angle_in
 
 
 def disk_area(g: Geometry, rho: float) -> float:
@@ -148,11 +152,9 @@ def _in_cone(v: Point, w: Tangent, n1: Tangent, n2: Tangent, g: Geometry) -> boo
 
 def _intervals_overlap(lo1: float, w1: float, lo2: float, w2: float) -> Optional[float]:
     """A point common to two circular intervals [lo, lo+w], or None."""
-    d = (lo2 - lo1) % TWO_PI
-    if d <= w1 + ANGLE_EPS:
+    if angle_in(lo2, lo1, w1):
         return lo2
-    d2 = (lo1 - lo2) % TWO_PI
-    if d2 <= w2 + ANGLE_EPS:
+    if angle_in(lo1, lo2, w2):
         return lo1
     return None
 
@@ -319,77 +321,58 @@ def bounding_disk(region) -> tuple[Point, float]:
     return o, radius + 1e-9
 
 
-def _sample_radii(u: np.ndarray, big_r: float, g: Geometry) -> np.ndarray:
-    # inverse CDF of the radial part of the uniform measure on a disk
-    if g.kappa == 0:
-        return big_r * np.sqrt(u)
-    if g.kappa > 0:
-        return np.arccos(1.0 - u * (1.0 - math.cos(big_r)))
-    return np.arccosh(1.0 + u * (math.cosh(big_r) - 1.0))
-
-
 def sample_in_disk(
     o: Point, big_r: float, count: int, rng: np.random.Generator, g: Geometry
 ) -> np.ndarray:
     """Area-uniform samples in the disk B(o, big_r), as an (n, 3) array of
-    embedded points."""
+    embedded points.
+
+    The disk of radius s has area 2 pi vers s, so v = vers s is uniform on
+    [0, vers big_r]; then cs s = 1 - kappa v and sn s = sqrt(v (2 - kappa v)),
+    and the sample is cs s o + sn s (cos theta t1 + sin theta t2).
+    """
     theta = rng.uniform(0.0, TWO_PI, count)
-    s = _sample_radii(rng.uniform(0.0, 1.0, count), big_r, g)
-    t1, t2 = tangent_basis(o, g)
-    dx = np.cos(theta)
-    dy = np.sin(theta)
-    ux = dx * t1.x + dy * t2.x
-    uy = dx * t1.y + dy * t2.y
-    uz = dx * t1.z + dy * t2.z
-    ov = np.array([o.x, o.y, o.z])
-    if g.kappa == 0:
-        return np.stack([ov[0] + s * ux, ov[1] + s * uy, np.ones(count)], axis=1)
-    if g.kappa > 0:
-        c, sn = np.cos(s), np.sin(s)
-    else:
-        c, sn = np.cosh(s), np.sinh(s)
-    return np.stack(
-        [c * ov[0] + sn * ux, c * ov[1] + sn * uy, c * ov[2] + sn * uz], axis=1
-    )
+    v = g.vers(big_r) * rng.uniform(0.0, 1.0, count)
+    sn = np.sqrt(v * (2.0 - g.kappa * v))
+    frame = np.array([o, *tangent_basis(o, g)])
+    return np.stack([1.0 - g.kappa * v, sn * np.cos(theta), sn * np.sin(theta)], axis=1) @ frame
 
 
-def _inside_disks(pts: np.ndarray, centers: Sequence[Point], radius: float, g: Geometry) -> np.ndarray:
+def _form_weights(g: Geometry) -> np.ndarray:
+    # form(a, b) = a_x b_x + a_y b_y + kappa a_z b_z, the bilinear form of
+    # tangent_dot; for surface points form(x - c, x - c) = 2 vers d(x, c)
+    return np.array([1.0, 1.0, float(g.kappa)])
+
+
+def _inside_disks(pts: np.ndarray, centers: Sequence[Point], radius: float, g: Geometry,
+                  xx: Optional[np.ndarray] = None) -> np.ndarray:
+    """Which rows of pts lie in every disk B(c, radius), by
+    form(x, x) - 2 form(x, c) + form(c, c) <= 2 vers(radius + GEOM_EPS); xx is
+    form(x, x) per row, when the caller has it already."""
+    w = _form_weights(g)
+    if xx is None:
+        xx = np.einsum("ij,ij,j->i", pts, pts, w)
+    bound = 2.0 * g.vers(radius + GEOM_EPS)
     inside = np.ones(len(pts), dtype=bool)
     for c in centers:
-        if g.kappa == 0:
-            d2 = (pts[:, 0] - c.x) ** 2 + (pts[:, 1] - c.y) ** 2
-            inside &= d2 <= (radius + GEOM_EPS) ** 2
-        elif g.kappa > 0:
-            dot = pts[:, 0] * c.x + pts[:, 1] * c.y + pts[:, 2] * c.z
-            inside &= dot >= math.cos(radius + GEOM_EPS)
-        else:
-            mdot = pts[:, 0] * c.x + pts[:, 1] * c.y - pts[:, 2] * c.z
-            inside &= -mdot <= math.cosh(radius + GEOM_EPS)
+        wc = w * c
+        inside &= xx - pts @ (2.0 * wc) <= bound - wc @ c
     return inside
 
 
 def _inside_cap_domain(pts: np.ndarray, dom, g: Geometry) -> np.ndarray:
-    # same predicate as CapDomain.contains, over a point batch
+    """CapDomain.contains over a point batch: the wedge angle about the
+    center p is atan2(form(x - p, e2), form(x - p, e1))."""
     p = dom.center
-    inside = _inside_disks(pts, [p], dom.rho, g)
-    e1, e2 = tangent_basis(p, g)
-    if g.kappa == 0:
-        a = (pts[:, 0] - p.x) * e1.x + (pts[:, 1] - p.y) * e1.y
-        b = (pts[:, 0] - p.x) * e2.x + (pts[:, 1] - p.y) * e2.y
-    elif g.kappa > 0:
-        a = pts[:, 0] * e1.x + pts[:, 1] * e1.y + pts[:, 2] * e1.z
-        b = pts[:, 0] * e2.x + pts[:, 1] * e2.y + pts[:, 2] * e2.z
-    else:
-        a = pts[:, 0] * e1.x + pts[:, 1] * e1.y - pts[:, 2] * e1.z
-        b = pts[:, 0] * e2.x + pts[:, 1] * e2.y - pts[:, 2] * e2.z
-    theta = np.arctan2(b, a)
-    for (cl, cr), (lo, hi) in zip(dom.cap_disks, dom.cap_wedges):
-        width = (hi - lo) % TWO_PI
-        wedge = (theta - lo) % TWO_PI <= width + ANGLE_EPS
-        if not wedge.any():
-            continue
-        in_cap = wedge & _inside_disks(pts, [cl.center, cr.center], dom.r, g)
-        inside |= in_cap
+    w = _form_weights(g)
+    xx = np.einsum("ij,ij,j->i", pts, pts, w)
+    inside = _inside_disks(pts, [p], dom.rho, g, xx)
+    e1, e2 = (w * e for e in tangent_basis(p, g))
+    theta = np.arctan2(pts @ e2 - e2 @ p, pts @ e1 - e1 @ p)
+    for (cl, cr), (lo, width) in zip(dom.cap_disks, dom.cap_wedges):
+        wedge = angle_in(theta, lo, width)
+        if wedge.any():
+            inside |= wedge & _inside_disks(pts, [cl.center, cr.center], dom.r, g, xx)
     return inside
 
 
@@ -398,8 +381,8 @@ def area_monte_carlo(
 ) -> tuple[float, float]:
     """Monte Carlo area estimate and its standard error.
 
-    Samples area-uniformly in a bounding disk and counts hits; membership
-    is vectorized for disk polygons and cap domains alike.
+    Samples area-uniformly in a bounding disk (sample_in_disk) and counts
+    hits with the batch forms of DiskPolygon.contains and CapDomain.contains.
     """
     if samples <= 0:
         raise SpindleError("BAD_RANGE", "need a positive sample count")

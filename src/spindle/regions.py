@@ -80,8 +80,14 @@ class Arc:
             return True
         u0 = log_dir(self.center, self.start, g)
         ux = log_dir(self.center, x, g)
-        a = turn_angle(self.center, u0, ux, g) % TWO_PI
-        return a <= self.extent + tol or a >= TWO_PI - tol
+        return angle_in(turn_angle(self.center, u0, ux, g), 0.0, self.extent, tol)
+
+
+def angle_in(theta, lo: float, width: float, tol: float = ANGLE_EPS):
+    """Whether the angle theta lies in the circular interval [lo, lo + width],
+    with slack tol at both ends; theta may be a float or a numpy array."""
+    a = (theta - lo) % TWO_PI
+    return (a <= width + tol) | (a >= TWO_PI - tol)
 
 
 def _arc_extent_from_chord(chord: float, radius: float, g: Geometry) -> float:
@@ -338,6 +344,8 @@ class CapDomain:
     A cap at apex q is bounded by the two radius-r arcs through q whose
     circles are internally tangent to the disk; the domain is the union of
     the disk and its caps, r-convex whenever the caps do not overlap.
+    cap_wedges holds each cap's angular footprint about the center as
+    (lo, width), the interval angle_in tests.
     """
 
     geometry: Geometry
@@ -354,8 +362,8 @@ class CapDomain:
         if distance(self.center, x, g) <= self.rho + tol:
             return True
         theta = angle_coord(self.center, x, g)
-        for (cl, cr), (lo, hi) in zip(self.cap_disks, self.cap_wedges):
-            if not _angle_in(theta, lo, hi):
+        for (cl, cr), (lo, width) in zip(self.cap_disks, self.cap_wedges):
+            if not angle_in(theta, lo, width):
                 continue
             if (
                 distance(cl.center, x, g) <= self.r + tol
@@ -385,12 +393,6 @@ class CapDomain:
         except (KeyError, TypeError, ValueError) as e:
             raise SpindleError("MALFORMED_BOUNDARY", f"bad cap_domain record: {e}")
         return cap_domain(Circle(center, rho), apexes, r, g)
-
-
-def _angle_in(theta: float, lo: float, hi: float, tol: float = ANGLE_EPS) -> bool:
-    # membership in an angular interval that may wrap past 2*pi
-    width = (hi - lo) % TWO_PI
-    return (theta - lo) % TWO_PI <= width + tol
 
 
 def cap_domain(disk: Circle, apexes: Iterable[Point], r: float, g: Geometry) -> CapDomain:
@@ -447,7 +449,7 @@ def cap_domain(disk: Circle, apexes: Iterable[Point], r: float, g: Geometry) -> 
         arcs.append(make_arc(c_left, r, t_in, q, g))
         arcs.append(make_arc(c_right, r, q, t_out, g))
         pairs.append((Circle(c_left, r), Circle(c_right, r)))
-        wedges.append(((th - half) % TWO_PI, (th + half) % TWO_PI))
+        wedges.append(((th - half) % TWO_PI, 2.0 * half))
         th_next, half_next = caps[(i + 1) % m][0], caps[(i + 1) % m][6]
         t_in_next = caps[(i + 1) % m][4]
         span = (th_next - half_next - th - half) % TWO_PI if m > 1 else TWO_PI - 2.0 * half

@@ -14,7 +14,6 @@ from spindle import geometry
 from spindle.geometry import (
     EUCLIDEAN,
     GEOMETRIES,
-    HYPERBOLIC,
     MERGE_EPS,
     SPHERICAL,
     Circle,
@@ -24,6 +23,7 @@ from spindle.geometry import (
     angle_at,
     angle_coord,
     circle_circle_intersection,
+    circumcenter,
     cos_angle,
     det3,
     distance,
@@ -482,28 +482,38 @@ def test_smallest_enclosing_disk_near_duplicates():
         check_enclosing_disk([base[0]] * 4 + [twins[0]], g)
 
 
+def tiny_triangle(g):
+    p = from_polar(g, 0.4, 0.3)
+    return [exp_map(p, tangent_from_angle(p, a, g), 1e-7, g) for a in (0.1, 2.2, 4.3)]
+
+
+def test_circumcenter_of_tiny_triangle():
+    # collinearity is judged by the angle, not by an absolute cut-off, so
+    # a triangle of circumradius 1e-7 still has its circle
+    for g in ALL:
+        tri = tiny_triangle(g)
+        cc = circumcenter(*tri, g)
+        assert cc is not None
+        assert cc[1] == pytest.approx(1e-7, abs=5e-9)
+        assert smallest_enclosing_disk(tri, g)[1] == pytest.approx(1e-7, abs=5e-9)
+
+
 def test_smallest_enclosing_disk_circumcenter_fallback(monkeypatch):
     # a near-collinear triple never reaches the three-point step (the disk
-    # on its outer pair covers the middle point), but a triangle of
-    # circumradius 1e-7 does, and falls under circumcenter's absolute
-    # collinearity cut-off in the Euclidean plane and on the sphere
-    real = geometry.circumcenter
-    results = []
+    # on its outer pair covers the middle point), but a tiny triangle does;
+    # with no circle through it, the grown pair disk must still cover all
+    calls = []
 
-    def spy(*args):
-        results.append(real(*args))
-        return results[-1]
+    def no_circle(*args):
+        calls.append(args)
+        return None
 
-    monkeypatch.setattr(geometry, "circumcenter", spy)
+    monkeypatch.setattr(geometry, "circumcenter", no_circle)
     for g in ALL:
-        p = from_polar(g, 0.4, 0.3)
-        tri = [exp_map(p, tangent_from_angle(p, a, g), 1e-7, g) for a in (0.1, 2.2, 4.3)]
-        for perm in itertools.permutations(tri):
-            results.clear()
+        for perm in itertools.permutations(tiny_triangle(g)):
+            calls.clear()
             smallest_enclosing_disk(list(perm), g)
-            assert results, "the third point lies outside every pair disk"
-            if g is not HYPERBOLIC:
-                assert results == [None]
+            assert calls, "the third point lies outside every pair disk"
             check_enclosing_disk(list(perm), g)
 
 

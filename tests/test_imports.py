@@ -1,8 +1,11 @@
-"""Static check: every module imports only names it reads.
+"""Static checks: every module imports only names it reads, and the package
+keeps no dead private helpers.
 
 No linter is a dependency of the package, so this parses each module under
 src/spindle and tests with ast and reports imported names that are never
 read.  Package __init__ modules are exempt: their imports are re-exports.
+A module-level private name (one leading underscore) in src/spindle must
+be read by some src/spindle module; tests do not count as readers.
 """
 
 import ast
@@ -50,3 +53,44 @@ def test_unused_import_check_flags_and_accepts():
         "def f(x: Sequence) -> 'Optional':\n    return np.sqrt(x)\n"
     )
     assert unused_imports(tree) == ["math (line 1)"]
+
+
+def unread_private_names(trees: dict) -> list[str]:
+    defined = {}
+    read = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{module}.{name} (line {node.lineno})"
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read |= {alias.name for alias in n.names}
+    return sorted(where for name, where in defined.items() if name not in read)
+
+
+def test_no_unread_private_names():
+    package = [p for p in SOURCES if p.parent.name == "spindle"]
+    assert package
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in package}
+    assert unread_private_names(trees) == []
+
+
+def test_unread_private_name_check_flags_and_accepts():
+    trees = {
+        "a": ast.parse("_LIMIT = 3\n_scale: float = 2.0\ndef _used(x):\n    return x * _scale\n"
+                       "def _dead(x):\n    return x\nclass _Box:\n    pass\n"),
+        "b": ast.parse("from .a import _used\nimport a\nY = _used(1) + a._LIMIT\n"),
+    }
+    assert unread_private_names(trees) == ["a._Box (line 7)", "a._dead (line 5)"]

@@ -13,12 +13,16 @@ import pytest
 from oracles import euclidean_width_reference, incircle_grid_reference
 from spindle.extremal import regular_disk_hexagon, regular_disk_triangle
 from spindle.geometry import (
+    ANGLE_EPS,
     EUCLIDEAN,
+    GEOM_EPS,
     GEOMETRIES,
     HYPERBOLIC,
     SPHERICAL,
     Circle,
+    Point,
     SpindleError,
+    angle_coord,
     distance,
     exp_map,
     from_polar,
@@ -26,10 +30,14 @@ from spindle.geometry import (
     tangent_from_angle,
 )
 from spindle.measure import (
+    _inside_cap_domain,
+    _inside_disks,
     area,
     area_monte_carlo,
+    bounding_disk,
     disk_area,
     incircle,
+    sample_in_disk,
     segment_area,
     thickness,
 )
@@ -84,8 +92,8 @@ def lens_region(g, r=1.0, t=0.5):
     return r_segment(from_polar(g, 0.0, t), from_polar(g, math.pi, t), r, g)
 
 
-def build_cap_domain(g):
-    o = origin(g)
+def build_cap_domain(g, o=None):
+    o = origin(g) if o is None else o
     apexes = [exp_map(o, tangent_from_angle(o, th, g), d, g)
               for th, d in zip(CAP_ANGLES, CAP_DISTS)]
     return cap_domain(Circle(o, 0.3), apexes, 1.0, g)
@@ -357,6 +365,84 @@ def test_monte_carlo_agrees_with_closed_form():
             est, se = area_monte_carlo(region, 100_000, rng)
             assert se > 0.0
             assert abs(est - want) <= 3.0 * se
+
+
+def test_samples_lie_on_the_surface_and_in_the_disk():
+    # R = 1e-6: an arccos/arccosh inverse CDF rounds 1 - cos R and puts
+    # samples up to 4.4e-5 R outside the disk
+    rng = np.random.default_rng(307)
+    for g in ALL:
+        o = from_polar(g, 0.7, 0.4)
+        for big_r in (1e-6, 0.3, 1.2):
+            pts = sample_in_disk(o, big_r, 2000, rng, g)
+            assert pts.shape == (2000, 3)
+            if g is EUCLIDEAN:
+                assert np.all(pts[:, 2] == 1.0)
+            else:
+                form = pts[:, 0] ** 2 + pts[:, 1] ** 2 + g.kappa * pts[:, 2] ** 2
+                assert np.all(np.abs(form - g.kappa) <= 1e-12)
+            far = max(distance(o, Point(*row), g) for row in pts)
+            assert far <= big_r * (1.0 + 1e-9)
+
+
+def test_samples_are_area_uniform():
+    # the share within s of the center is vers s / vers R, the area ratio
+    rng = np.random.default_rng(308)
+    n = 4000
+    for g in ALL:
+        o = from_polar(g, 2.0, 0.5)
+        big_r = 1.2
+        d = np.array([distance(o, Point(*row), g) for row in sample_in_disk(o, big_r, n, rng, g)])
+        for s in (0.25 * big_r, 0.5 * big_r, 0.75 * big_r):
+            share = g.vers(s) / g.vers(big_r)
+            se = math.sqrt(share * (1.0 - share) / n)
+            assert abs(np.mean(d <= s) - share) <= 4.0 * se
+
+
+def disk_polygon_margin(poly, x):
+    g = poly.geometry
+    return abs(max(distance(c, x, g) for c in poly.centers) - poly.r - GEOM_EPS)
+
+
+def cap_domain_margin(dom, x):
+    # distance of x from every decision boundary CapDomain.contains tests
+    g = dom.geometry
+    gaps = [abs(distance(dom.center, x, g) - dom.rho - GEOM_EPS)]
+    theta = angle_coord(dom.center, x, g)
+    for (cl, cr), (lo, width) in zip(dom.cap_disks, dom.cap_wedges):
+        a = (theta - lo) % TWO_PI
+        gaps += [abs(a - width - ANGLE_EPS), abs(a - TWO_PI + ANGLE_EPS)]
+        gaps += [abs(distance(c.center, x, g) - dom.r - GEOM_EPS) for c in (cl, cr)]
+    return min(gaps)
+
+
+def test_batch_membership_matches_scalar_contains():
+    rng = np.random.default_rng(309)
+    for g in ALL:
+        off = from_polar(g, 1.0, 0.4)
+        cases = [
+            (lens_region(g), _inside_disks, disk_polygon_margin),
+            (random_polygon(g, rng, n=12), _inside_disks, disk_polygon_margin),
+            (build_cap_domain(g), _inside_cap_domain, cap_domain_margin),
+            (build_cap_domain(g, off), _inside_cap_domain, cap_domain_margin),
+        ]
+        for region, batch, margin in cases:
+            o, big_r = bounding_disk(region)
+            pts = sample_in_disk(o, 1.1 * big_r, 3000, rng, g)
+            if batch is _inside_disks:
+                got = batch(pts, region.centers, region.r, g)
+            else:
+                got = batch(pts, region, g)
+            checked = inside = 0
+            for row, hit in zip(pts, got):
+                x = Point(*row)
+                if margin(region, x) <= 1e-9:
+                    continue
+                want = region.contains(x)
+                assert hit == want
+                checked += 1
+                inside += want
+            assert checked >= 2990 and 0 < inside < checked
 
 
 def test_monte_carlo_rejects_bad_samples():

@@ -26,6 +26,7 @@ from spindle.geometry import (
 from spindle.regions import (
     CapDomain,
     DiskPolygon,
+    angle_in,
     ball_hull,
     cap_domain,
     load_region,
@@ -255,6 +256,16 @@ def test_arc_point_at_endpoints_and_midpoint():
             assert a.contains_ray_angle(mid)
 
 
+def test_angle_in_wraps_and_is_tolerant_at_both_ends():
+    lo, width, tol = 6.0, 1.0, 1e-9  # the interval wraps past 2*pi
+    inside = [6.0, 6.5, 0.0, 0.7, 7.0 - TWO_PI, 6.0 - 0.5 * tol, 7.0 - TWO_PI + 0.5 * tol]
+    outside = [5.9, 0.8, 3.0, 6.0 - 2.0 * tol, 7.0 - TWO_PI + 2.0 * tol]
+    assert all(angle_in(t, lo, width, tol) for t in inside)
+    assert not any(angle_in(t, lo, width, tol) for t in outside)
+    got = angle_in(np.array(inside + outside), lo, width, tol)
+    assert got.tolist() == [True] * len(inside) + [False] * len(outside)
+
+
 # --------------------------------------------------------------------------
 # cap domains
 
@@ -264,6 +275,17 @@ def build_cap_domain(g, rho=0.3, r=1.0, dists=(0.35, 0.38, 0.42),
     apexes = [exp_map(o, tangent_from_angle(o, th, g), d, g)
               for th, d in zip(angles, dists)]
     return cap_domain(Circle(o, rho), apexes, r, g)
+
+
+def test_cap_at_full_reach_covers_the_whole_footprint():
+    # apex at distance 2r - rho: both arc centers coincide, the cap is the
+    # disk B(c, r) about that center, and its footprint is the full circle
+    for g in ALL:
+        o = origin(g)
+        dom = cap_domain(Circle(o, 0.3), [exp_map(o, tangent_from_angle(o, 0.5, g), 1.7, g)], 1.0, g)
+        assert dom.cap_wedges[0][1] == pytest.approx(TWO_PI)
+        for theta, t in ((0.5, 1.0), (2.0, 0.4)):
+            assert dom.contains(exp_map(o, tangent_from_angle(o, theta, g), t, g))
 
 
 def test_cap_domain_structure():
@@ -359,9 +381,9 @@ def test_cap_domain_round_trip(tmp_path):
         assert back.rho == pytest.approx(dom.rho)
         assert len(back.arcs) == len(dom.arcs)
         assert len(back.cap_wedges) == len(dom.cap_wedges)
-        for (lo, hi), (lo2, hi2) in zip(dom.cap_wedges, back.cap_wedges):
+        for (lo, width), (lo2, width2) in zip(dom.cap_wedges, back.cap_wedges):
             assert lo == pytest.approx(lo2, abs=1e-12)
-            assert hi == pytest.approx(hi2, abs=1e-12)
+            assert width == pytest.approx(width2, abs=1e-12)
 
 
 def test_load_region_rejects_malformed(tmp_path):
