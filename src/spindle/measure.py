@@ -2,11 +2,12 @@
 
 Area is exact: a signed geodesic-polygon part over the boundary vertices
 plus closed-form circular-segment corrections, one per arc.  Width
-(minimal double-normal length) enumerates the three families of double
-normals a disk polygon admits: vertex to arc, arc to arc, and vertex to
-vertex.  The inradius comes from a minimax reduction: the largest inscribed
-disk of an intersection of radius-r disks is centered at the center of the
-smallest disk enclosing their centers.
+(minimal double-normal length) treats every boundary piece as a circle
+with a span of outward normals, an arc as radius r and a vertex as radius
+0, and checks the one candidate chord of each pair of pieces, on the
+geodesic through their centers.  The inradius comes from a minimax
+reduction: the largest inscribed disk of an intersection of radius-r disks
+is centered at the center of the smallest disk enclosing their centers.
 
 The Monte Carlo area check is written once for all three planes: area-uniform
 disk samples have vers s uniform (sample_in_disk), and surface points satisfy
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,14 +33,12 @@ from .geometry import (
     Tangent,
     _negate,
     _normalize_point,
-    det3,
     distance,
     exp_map,
     frame_angle,
     log_dir,
     smallest_enclosing_disk,
     tangent_basis,
-    tangent_dot,
     tangent_from_angle,
     turn_angle,
 )
@@ -128,28 +128,6 @@ class ThicknessWitness:
     b: Point
 
 
-def _vertex_cones(poly: DiskPolygon) -> list[tuple[Tangent, Tangent]]:
-    # outward normal cone at vertex i, spanned CCW from the normal of the
-    # incoming arc to the normal of the outgoing arc
-    cones = []
-    arcs = poly.arcs
-    g = poly.geometry
-    for i, arc in enumerate(arcs):
-        v = arc.start
-        n1 = _negate(log_dir(v, arcs[i - 1].center, g))
-        n2 = _negate(log_dir(v, arc.center, g))
-        cones.append((n1, n2))
-    return cones
-
-
-def _in_cone(v: Point, w: Tangent, n1: Tangent, n2: Tangent, g: Geometry) -> bool:
-    # det3 against unit tangents at a surface point is the plain sine of the
-    # turning angle in every model, so the tolerance is scale-free
-    if det3(v, n1, w) < -ANGLE_EPS or det3(v, w, n2) < -ANGLE_EPS:
-        return False
-    return tangent_dot(w, n1, g) + tangent_dot(w, n2, g) > 0.0
-
-
 def _intervals_overlap(lo1: float, w1: float, lo2: float, w2: float) -> Optional[float]:
     """A point common to two circular intervals [lo, lo+w], or None."""
     if angle_in(lo2, lo1, w1):
@@ -159,12 +137,19 @@ def _intervals_overlap(lo1: float, w1: float, lo2: float, w2: float) -> Optional
     return None
 
 
+_KINDS = ("vertex-vertex", "vertex-arc", "arc-arc")  # by the number of arc ends
+
+
 def thickness(poly: DiskPolygon) -> ThicknessWitness:
     """Width of a disk polygon: the shortest double normal.
 
     A double normal is a chord meeting the boundary perpendicularly at both
-    ends (at a vertex, "perpendicular" means the chord direction reversed
-    falls in the outward normal cone).
+    ends.  Each boundary piece is a circle (center, rho, u0, span) whose
+    outward normals leave the center turned 0..span from u0: an arc has
+    rho = r, a vertex rho = 0 and the turn between its two arcs' normals.
+    A chord normal to two pieces lies on the geodesic through their centers,
+    so each pair has one candidate, of length rho_F + rho_G - d (two
+    vertices: d), kept when both end normals fall in their pieces' spans.
     """
     if not isinstance(poly, DiskPolygon):
         raise SpindleError("BAD_RANGE", "width is defined for disk polygons")
@@ -181,74 +166,56 @@ def thickness(poly: DiskPolygon) -> ThicknessWitness:
             2.0 * r, "arc-arc", exp_map(c, u, r, g), exp_map(c, _negate(u), r, g)
         )
 
-    verts = poly.vertices
-    cones = _vertex_cones(poly)
+    vert_pieces = []
+    for k, arc in enumerate(arcs):
+        v = arc.start
+        n_in = _negate(log_dir(v, arcs[k - 1].center, g))
+        n_out = _negate(log_dir(v, arc.center, g))
+        # signed, not reduced mod 2 pi: a smooth vertex turning by -1e-17
+        # must not read as a full cone
+        vert_pieces.append((v, 0.0, n_in, turn_angle(v, n_in, n_out, g)))
+    arc_pieces = [(a.center, r, log_dir(a.center, a.start, g), a.extent) for a in arcs]
+    # vertex-arc pairs first, then arc-arc, then vertex-vertex: on an exact
+    # tie (at w = r one chord of the regular triangle is all three) the
+    # first family found is the one reported
+    pairs = chain(
+        product(vert_pieces, arc_pieces),
+        combinations(arc_pieces, 2),
+        combinations(vert_pieces, 2),
+    )
+
+    def foot(c: Point, rho: float, u: Tangent) -> Point:
+        return exp_map(c, u, rho, g) if rho else c
+
     best: Optional[ThicknessWitness] = None
-
-    def consider(value: float, kind: str, a: Point, b: Point) -> None:
-        nonlocal best
-        if best is None or value < best.value:
-            best = ThicknessWitness(value, kind, a, b)
-
-    n = len(arcs)
-    # vertex to arc
-    for k, v in enumerate(verts):
-        for j, arc in enumerate(arcs):
-            if (
-                distance(v, arc.start, g) <= MERGE_EPS
-                or distance(v, arc.end, g) <= MERGE_EPS
-            ):
-                continue  # incident arcs give zero-length chords, not normals
-            c = arc.center
-            d_cv = distance(c, v, g)
-            if d_cv <= ANGLE_EPS:
-                # vertex sits at the arc's center: every chord to the arc is
-                # normal there and has length r; need one whose reverse lies
-                # in the vertex cone
-                a0 = frame_angle(v, log_dir(c, arc.start, g), g)
-                n1, n2 = cones[k]
-                th1 = frame_angle(v, n1, g)
-                width_cone = (frame_angle(v, n2, g) - th1) % TWO_PI
-                psi = _intervals_overlap(a0, arc.extent, (th1 + math.pi) % TWO_PI, width_cone)
-                if psi is not None:
-                    y = exp_map(v, tangent_from_angle(v, psi, g), r, g)
-                    consider(r, "vertex-arc", v, y)
+    for (cf, rf, uf, sf), (cg, rg, ug, sg) in pairs:
+        d = distance(cf, cg, g)
+        common = d <= MERGE_EPS
+        # with an arc end the chord runs toward the other center
+        length = (rf + rg if common else rf + rg - d) if rf + rg else d
+        # zero length: a vertex on its own arc, or two merged vertices
+        if length <= MERGE_EPS or (best is not None and length >= best.value):
+            continue
+        if common:
+            # every chord through a common center is normal to both circles:
+            # take a direction in one span whose reverse is in the other
+            phi = _intervals_overlap(
+                frame_angle(cf, uf, g), sf, frame_angle(cg, ug, g) + math.pi, sg
+            )
+            if phi is None:
                 continue
-            if not arc.contains_ray_angle(v):
+            nf = tangent_from_angle(cf, phi, g)
+            ng = tangent_from_angle(cg, phi + math.pi, g)
+        else:
+            nf, ng = log_dir(cf, cg, g), log_dir(cg, cf, g)
+            if not rf + rg:
+                nf, ng = _negate(nf), _negate(ng)
+            if not angle_in(turn_angle(cf, uf, nf, g), 0.0, sf):
                 continue
-            w_out = log_dir(v, c, g)
-            if not _in_cone(v, w_out, *cones[k], g):
+            if not angle_in(turn_angle(cg, ug, ng, g), 0.0, sg):
                 continue
-            y = exp_map(c, log_dir(c, v, g), r, g)
-            consider(r - d_cv, "vertex-arc", v, y)
-
-    # arc to arc
-    for i in range(n):
-        for j in range(i + 1, n):
-            ci, cj = centers[i], centers[j]
-            dij = distance(ci, cj, g)
-            if dij <= MERGE_EPS:
-                # same supporting circle on both sides: a diameter
-                m = arcs[i].midpoint()
-                anti = exp_map(ci, _negate(log_dir(ci, m, g)), r, g)
-                if arcs[j].contains_ray_angle(anti):
-                    consider(2.0 * r, "arc-arc", m, anti)
-                continue
-            xi = exp_map(ci, log_dir(ci, cj, g), r, g)
-            xj = exp_map(cj, log_dir(cj, ci, g), r, g)
-            if arcs[i].contains_ray_angle(xi) and arcs[j].contains_ray_angle(xj):
-                consider(2.0 * r - dij, "arc-arc", xj, xi)
-
-    # vertex to vertex
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            vi, vj = verts[i], verts[j]
-            if distance(vi, vj, g) <= MERGE_EPS:
-                continue
-            out_i = _negate(log_dir(vi, vj, g))
-            out_j = _negate(log_dir(vj, vi, g))
-            if _in_cone(vi, out_i, *cones[i], g) and _in_cone(vj, out_j, *cones[j], g):
-                consider(distance(vi, vj, g), "vertex-vertex", vi, vj)
+        kind = _KINDS[(rf > 0.0) + (rg > 0.0)]
+        best = ThicknessWitness(length, kind, foot(cf, rf, nf), foot(cg, rg, ng))
 
     if best is None:
         raise SpindleError("MALFORMED_BOUNDARY", "no double normal found")

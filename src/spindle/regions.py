@@ -136,7 +136,7 @@ class DiskPolygon:
     arcs[i] runs from vertex i to vertex i+1 (cyclically); one arc of
     extent 2*pi encodes a full disk.  `boundary_degenerate` marks inputs
     whose smallest enclosing disk radius sits within tolerance of r, where
-    the region can pinch down to a lens tip or a single point.
+    the radius-r disks holding them shrink to that one disk.
     """
 
     geometry: Geometry
@@ -239,27 +239,17 @@ def r_segment(x: Point, y: Point, r: float, g: Geometry) -> DiskPolygon:
 # --------------------------------------------------------------------------
 # hull of many points
 
-def _enclosing_state(points: Sequence[Point], r: float, g: Geometry) -> tuple[bool, bool]:
-    """(fits in a radius-r disk, smallest such disk is critically tight)."""
-    far = max(distance(points[0], p, g) for p in points)
-    if far <= r - 1e-9:
-        # disk centered beyond the farthest point from points[0] covers all:
-        # cheap certificate, skips the smallest-disk search
-        return True, False
-    _, radius, _ = smallest_enclosing_disk(points, g)
-    if radius > r + 1e-9:
-        return False, False
-    return True, radius > r - 1e-9
-
-
 def ball_hull(points: Sequence[Point], r: float, g: Geometry) -> DiskPolygon:
     """Smallest r-convex region containing the points.
 
     Gift-wraps the boundary: at each vertex the successor is the input
     point whose left supporting-circle center makes the least
     counterclockwise turn from the reference direction, ties going to the
-    farthest point so collinear-on-circle interior points drop out.
-    Raises NOT_ENCLOSABLE when no radius-r disk covers the input.
+    farthest point so collinear-on-circle interior points drop out.  When
+    the smallest enclosing disk has radius r (within 1e-9), it is the only
+    radius-r disk holding the points and so their hull, with its arcs split
+    at the points on its rim.  Raises NOT_ENCLOSABLE when no radius-r disk
+    covers the input.
     """
     g.check_radius(r)
     pts = list(points)
@@ -271,14 +261,22 @@ def ball_hull(points: Sequence[Point], r: float, g: Geometry) -> DiskPolygon:
             kept.append(p)
     if len(kept) == 1:
         raise SpindleError("DEGENERATE_POINT", "all points coincide")
-    ok, degenerate = _enclosing_state(kept, r, g)
-    if not ok:
+    o, radius, _ = smallest_enclosing_disk(kept, g)
+    if radius > r + 1e-9:
         raise SpindleError("NOT_ENCLOSABLE", "points do not fit in any radius-r disk")
+    degenerate = radius > r - 1e-9  # critically tight
     if len(kept) == 2:
         seg = r_segment(kept[0], kept[1], r, g)
         if degenerate and not seg.boundary_degenerate:
             seg = DiskPolygon(g, r, seg.arcs, boundary_degenerate=True)
         return seg
+    if degenerate:
+        rim = sorted(
+            (p for p in kept if abs(distance(o, p, g) - radius) <= 1e-9),
+            key=lambda p: angle_coord(o, p, g),
+        )
+        arcs = tuple(make_arc(o, r, a, b, g) for a, b in zip(rim, rim[1:] + rim[:1]))
+        return DiskPolygon(g, r, arcs, boundary_degenerate=True)
 
     def wrap_step(a: Point, ref: Tangent) -> tuple[Point, Point]:
         # successor of vertex a, given the inward reference direction there;

@@ -20,11 +20,9 @@ from .geometry import (
     distance,
     exp_map,
     log_dir,
-    rotate_tangent,
-    tangent_basis,
 )
 from .measure import Incircle, ThicknessWitness
-from .regions import TWO_PI, Arc
+from .regions import Arc, full_circle_arc
 
 ARC_SAMPLES = 256
 LINE_SAMPLES = 64
@@ -54,15 +52,6 @@ def _arc_polyline(arc: Arc, g: Geometry) -> list[tuple[float, float]]:
     for k in range(ARC_SAMPLES + 1):
         s = arc.extent * k / ARC_SAMPLES
         pts.append(_project(arc.point_at(s), g))
-    return pts
-
-
-def _circle_polyline(center: Point, rho: float, g: Geometry) -> list[tuple[float, float]]:
-    u0 = tangent_basis(center, g)[0]
-    pts = []
-    for k in range(ARC_SAMPLES + 1):
-        a = TWO_PI * k / ARC_SAMPLES
-        pts.append(_project(exp_map(center, rotate_tangent(center, u0, a, g), rho, g), g))
     return pts
 
 
@@ -168,7 +157,7 @@ def render_svg(
     for inc in incircles:
         canvas.add(
             "line",
-            _circle_polyline(inc.center, inc.radius, g),
+            _arc_polyline(full_circle_arc(inc.center, inc.radius, g), g),
             stroke="#2a7f2a",
             width=1.2,
             dash="4 3",

@@ -3,9 +3,11 @@
 Nothing here calls into the package's measurement pipeline: areas come
 from integrating the polar exit distance of a region with mpmath,
 inradii from re-solving the defining contact equations by bisection,
-widths from brute-force support sampling, and the incircle from a
-refining grid search.  Tests compare package output against digits these
-routines produce (see the constants in the test modules).
+widths from brute-force support sampling or from enumerating double
+normals family by family with the package's geometry primitives, and the
+incircle from a refining grid search.  Tests compare package output
+against digits these routines produce (see the constants in the test
+modules).
 """
 
 from __future__ import annotations
@@ -174,6 +176,111 @@ def euclidean_width_reference(poly, directions=10000, arc_samples=4000):
         u = np.stack([np.cos(th), np.sin(th)], 1)
         proj = b @ u.T
         best = min(best, float(np.min(proj.max(0) - proj.min(0))))
+    return best
+
+
+# ---------------------------------------------------------------------------
+# double normals by family (package primitives)
+
+def double_normal_reference(poly):
+    """Shortest double normal of a disk polygon, enumerated family by family.
+
+    Vertex to arc, arc to arc, then vertex to vertex, each with its own
+    normal test: a vertex's outward normal cone is spanned from the normal
+    of its incoming arc to that of its outgoing arc, and an arc's normals
+    are the rays from its center through it.  Returns (value, kind, a, b)
+    of the first shortest chord found.
+    """
+    from spindle.geometry import (
+        ANGLE_EPS,
+        MERGE_EPS,
+        _negate,
+        det3,
+        distance,
+        exp_map,
+        frame_angle,
+        log_dir,
+        tangent_basis,
+        tangent_dot,
+        tangent_from_angle,
+    )
+    from spindle.regions import angle_in
+
+    g = poly.geometry
+    r = poly.r
+    arcs = poly.arcs
+    centers = poly.centers
+    if poly.is_full_disk or all(distance(c, centers[0], g) <= MERGE_EPS for c in centers):
+        c = centers[0]
+        u = tangent_basis(c, g)[0]
+        return 2.0 * r, "arc-arc", exp_map(c, u, r, g), exp_map(c, _negate(u), r, g)
+
+    verts = poly.vertices
+    cones = [
+        (_negate(log_dir(v, arcs[i - 1].center, g)), _negate(log_dir(v, arcs[i].center, g)))
+        for i, v in enumerate(verts)
+    ]
+
+    def in_cone(v, w, n1, n2):
+        if det3(v, n1, w) < -ANGLE_EPS or det3(v, w, n2) < -ANGLE_EPS:
+            return False
+        return tangent_dot(w, n1, g) + tangent_dot(w, n2, g) > 0.0
+
+    best = None
+
+    def consider(value, kind, a, b):
+        nonlocal best
+        if best is None or value < best[0]:
+            best = (value, kind, a, b)
+
+    for k, v in enumerate(verts):
+        for arc in arcs:
+            if distance(v, arc.start, g) <= MERGE_EPS or distance(v, arc.end, g) <= MERGE_EPS:
+                continue  # incident arcs give zero-length chords
+            c = arc.center
+            d_cv = distance(c, v, g)
+            if d_cv <= ANGLE_EPS:
+                # vertex at the arc's center: every chord to the arc is
+                # normal there; need one whose reverse lies in the cone
+                a0 = frame_angle(v, log_dir(c, arc.start, g), g)
+                n1, n2 = cones[k]
+                th1 = frame_angle(v, n1, g)
+                width_cone = (frame_angle(v, n2, g) - th1) % (2.0 * math.pi)
+                lo2 = (th1 + math.pi) % (2.0 * math.pi)
+                psi = lo2 if angle_in(lo2, a0, arc.extent) else (
+                    a0 if angle_in(a0, lo2, width_cone) else None)
+                if psi is not None:
+                    consider(r, "vertex-arc", v, exp_map(v, tangent_from_angle(v, psi, g), r, g))
+                continue
+            if not arc.contains_ray_angle(v) or not in_cone(v, log_dir(v, c, g), *cones[k]):
+                continue
+            consider(r - d_cv, "vertex-arc", v, exp_map(c, log_dir(c, v, g), r, g))
+
+    for i in range(len(arcs)):
+        for j in range(i + 1, len(arcs)):
+            ci, cj = centers[i], centers[j]
+            dij = distance(ci, cj, g)
+            if dij <= MERGE_EPS:
+                # same supporting circle on both sides: a diameter
+                m = arcs[i].midpoint()
+                anti = exp_map(ci, _negate(log_dir(ci, m, g)), r, g)
+                if arcs[j].contains_ray_angle(anti):
+                    consider(2.0 * r, "arc-arc", m, anti)
+                continue
+            xi = exp_map(ci, log_dir(ci, cj, g), r, g)
+            xj = exp_map(cj, log_dir(cj, ci, g), r, g)
+            if arcs[i].contains_ray_angle(xi) and arcs[j].contains_ray_angle(xj):
+                consider(2.0 * r - dij, "arc-arc", xj, xi)
+
+    for i in range(len(verts)):
+        for j in range(i + 1, len(verts)):
+            vi, vj = verts[i], verts[j]
+            if distance(vi, vj, g) <= MERGE_EPS:
+                continue
+            out_i = _negate(log_dir(vi, vj, g))
+            out_j = _negate(log_dir(vj, vi, g))
+            if in_cone(vi, out_i, *cones[i]) and in_cone(vj, out_j, *cones[j]):
+                consider(distance(vi, vj, g), "vertex-vertex", vi, vj)
     return best
 
 

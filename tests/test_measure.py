@@ -10,7 +10,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import euclidean_width_reference, incircle_grid_reference
+from oracles import (
+    double_normal_reference,
+    euclidean_width_reference,
+    incircle_grid_reference,
+)
 from spindle.extremal import regular_disk_hexagon, regular_disk_triangle
 from spindle.geometry import (
     ANGLE_EPS,
@@ -274,6 +278,54 @@ def test_thickness_witness_on_boundary():
                     abs(distance(c, p, g) - poly.r) < 1e-6 for c in poly.centers
                 ) or any(min(distance(p, v, g) for v in poly.vertices) < 1e-9
                          for _ in (0,))
+
+
+def width_reference_corpus(g, rng):
+    """Random hulls, regular triangles (w = r too), hexagons, lenses (up to
+    d = 2r) and cocircular hulls (on a circle of radius r too)."""
+    for n in range(2, 13):
+        yield random_polygon(g, rng, n=n)
+    for r in (0.5, 1.0, 1.4):
+        for w in (0.2 * r, 0.6 * r, r):
+            tri = regular_disk_triangle(w, r, g)
+            yield tri.region
+            for t in (0.3, 0.5, 1.0):
+                yield regular_disk_hexagon(w, r, tri.rho0 + t * (w - 2.0 * tri.rho0), g).region
+        for f in (0.01, 0.5, 0.999, 1.0):
+            yield lens_region(g, r, f * r)
+    c = from_polar(g, 0.3, 0.2)
+    for n in (3, 5, 8):
+        for rad in (0.45, 0.8):
+            pts = [exp_map(c, tangent_from_angle(c, 0.4 + TWO_PI * k / n, g), rad, g)
+                   for k in range(n)]
+            yield ball_hull(pts, 0.8, g)
+
+
+def test_thickness_matches_double_normal_reference():
+    # the family-by-family enumeration finds the same shortest chord
+    def gap(p, q):
+        return max(abs(x - y) for x, y in zip(p, q))
+
+    rng = np.random.default_rng(304)
+    for g in ALL:
+        for poly in width_reference_corpus(g, rng):
+            got = thickness(poly)
+            value, kind, a, b = double_normal_reference(poly)
+            assert (got.value, got.kind) == (value, kind)
+            assert min(max(gap(got.a, a), gap(got.b, b)),
+                       max(gap(got.a, b), gap(got.b, a))) <= 1e-12
+
+
+def test_thickness_ignores_where_the_arc_cycle_starts():
+    rng = np.random.default_rng(305)
+    for g in ALL:
+        for _ in range(8):
+            poly = random_polygon(g, rng, n=int(rng.integers(3, 13)))
+            want = thickness(poly).value
+            n = len(poly.arcs)
+            for k in range(1, n):
+                turned = DiskPolygon(g, poly.r, poly.arcs[k:] + poly.arcs[:k])
+                assert thickness(turned).value == pytest.approx(want, abs=1e-12)
 
 
 def test_full_disk_thickness():

@@ -23,6 +23,7 @@ from spindle.geometry import (
     origin,
     tangent_from_angle,
 )
+from spindle.measure import area, disk_area, incircle, thickness
 from spindle.regions import (
     CapDomain,
     DiskPolygon,
@@ -227,6 +228,25 @@ def test_ball_hull_near_circumradius_marks_degenerate():
     pts = [embed(g, math.cos(t), math.sin(t)) for t in (0.0, 2.1, 4.2)]
     hull = ball_hull(pts, 1.0 + 1e-13, g)
     assert hull.boundary_degenerate
+
+
+def test_ball_hull_on_a_circle_of_radius_r_is_that_disk():
+    # the smallest enclosing disk has radius r, so it is the only radius-r
+    # disk holding the points: the hull is the whole disk, every point a vertex
+    r = 0.8
+    for g in ALL:
+        c = from_polar(g, 0.3, 0.2)
+        for n in (3, 5, 8):
+            pts = [exp_map(c, tangent_from_angle(c, 0.4 + TWO_PI * k / n, g), r, g)
+                   for k in range(n)]
+            hull = ball_hull(pts, r, g)
+            assert hull.boundary_degenerate
+            assert len(hull.vertices) == n
+            assert all(hull.contains(p, tol=1e-7) for p in pts)
+            w = thickness(hull)
+            assert (w.value, w.kind) == (2.0 * r, "arc-arc")
+            assert incircle(hull).radius == pytest.approx(r, abs=1e-15)
+            assert area(hull) == pytest.approx(disk_area(g, r), abs=2e-15)
 
 
 def test_ball_hull_errors():
