@@ -15,7 +15,10 @@ Conventions used throughout the package:
   hyperboloid: Minkowski-orthogonal to the point);
 * `det3(a, b, z) > 0` means z lies on the left of the oriented geodesic
   a -> b, in every geometry (it is the 3x3 determinant of the embeddings);
-* `perp` rotates a tangent by +90 degrees, counterclockwise.
+* `perp` rotates a tangent by +90 degrees, counterclockwise;
+* `turn_toward(p, u, q)` is the signed turn from u to the direction p -> q,
+  taken on the chord q - p: code that needs only the angle of a direction
+  does not build it with `log_dir`.
 """
 
 from __future__ import annotations
@@ -296,6 +299,23 @@ def _negate(u: Tangent) -> Tangent:
 def turn_angle(p: Point, u: Tangent, v: Tangent, g: Geometry) -> float:
     """Signed counterclockwise angle from tangent u to tangent v at p."""
     return math.atan2(det3(p, u, v), tangent_dot(u, v, g))
+
+
+def turn_toward(p: Point, u: Tangent, q: Point, g: Geometry) -> float:
+    """Signed counterclockwise angle from tangent u to the direction p -> q:
+    turn_angle(p, u, log_dir(p, q, g), g) without building the direction.
+
+    log_dir(p, q) is a positive multiple of q - cs(d) p, and p drops out of
+    det3(p, u, .) and of the tangent form with u, so both are taken on the
+    chord q - p, which keeps its digits when q is close to p.
+    """
+    dx, dy, dz = q.x - p.x, q.y - p.y, q.z - p.z
+    # det3(p, u, q - p) and tangent_dot(u, q - p), written out: building the
+    # chord as a Point doubles the cost in the gift-wrap and width loops
+    return math.atan2(
+        p.x * (u.y * dz - u.z * dy) - p.y * (u.x * dz - u.z * dx) + p.z * (u.x * dy - u.y * dx),
+        u.x * dx + u.y * dy + g.kappa * u.z * dz,
+    )
 
 
 def tangent_basis(p: Point, g: Geometry) -> tuple[Tangent, Tangent]:

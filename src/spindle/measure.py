@@ -41,6 +41,7 @@ from .geometry import (
     tangent_basis,
     tangent_from_angle,
     turn_angle,
+    turn_toward,
 )
 from .regions import Arc, DiskPolygon, TWO_PI, angle_in
 
@@ -207,13 +208,15 @@ def thickness(poly: DiskPolygon) -> ThicknessWitness:
             nf = tangent_from_angle(cf, phi, g)
             ng = tangent_from_angle(cg, phi + math.pi, g)
         else:
+            # two vertices: each normal points away from the other vertex
+            flip = 0.0 if rf + rg else math.pi
+            if not angle_in(turn_toward(cf, uf, cg, g) + flip, 0.0, sf):
+                continue
+            if not angle_in(turn_toward(cg, ug, cf, g) + flip, 0.0, sg):
+                continue
             nf, ng = log_dir(cf, cg, g), log_dir(cg, cf, g)
-            if not rf + rg:
+            if flip:
                 nf, ng = _negate(nf), _negate(ng)
-            if not angle_in(turn_angle(cf, uf, nf, g), 0.0, sf):
-                continue
-            if not angle_in(turn_angle(cg, ug, ng, g), 0.0, sg):
-                continue
         kind = _KINDS[(rf > 0.0) + (rg > 0.0)]
         best = ThicknessWitness(length, kind, foot(cf, rf, nf), foot(cg, rg, ng))
 

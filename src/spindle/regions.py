@@ -41,10 +41,11 @@ from .geometry import (
     rotate_tangent,
     smallest_enclosing_disk,
     tangent_basis,
-    turn_angle,
+    turn_toward,
 )
 
 TWO_PI = 2.0 * math.pi
+_TIE = 1e-12  # ball_hull ranks wrap turns this close as equal
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,7 @@ class Arc:
         if self.extent >= TWO_PI - tol:
             return True
         u0 = log_dir(self.center, self.start, g)
-        ux = log_dir(self.center, x, g)
-        return angle_in(turn_angle(self.center, u0, ux, g), 0.0, self.extent, tol)
+        return angle_in(turn_toward(self.center, u0, x, g), 0.0, self.extent, tol)
 
 
 def angle_in(theta, lo: float, width: float, tol: float = ANGLE_EPS):
@@ -112,9 +112,7 @@ def make_arc(center: Point, radius: float, start: Point, end: Point, g: Geometry
     if chord < 1e-15:
         raise SpindleError("MALFORMED_BOUNDARY", "zero-extent arc")
     extent = _arc_extent_from_chord(chord, radius, g)
-    u0 = log_dir(center, start, g)
-    u1 = log_dir(center, end, g)
-    ccw = turn_angle(center, u0, u1, g) % TWO_PI
+    ccw = turn_toward(center, log_dir(center, start, g), end, g) % TWO_PI
     # the chord determines extent or 2*pi - extent; pick the CCW-consistent one
     if abs(ccw - extent) > abs(ccw - (TWO_PI - extent)):
         extent = TWO_PI - extent
@@ -290,10 +288,14 @@ def ball_hull(points: Sequence[Point], r: float, g: Geometry) -> DiskPolygon:
             beta = _intersection_angle(r, d_ax, r, g)
             if beta is None:
                 continue
-            ang = turn_angle(a, ref, rotate_tangent(a, log_dir(a, x, g), beta, g), g) % TWO_PI
-            if best is None or ang < best[0] - 1e-12:
+            # the left center lies at turn beta from the chord a -> x
+            ang = (turn_toward(a, ref, x, g) + beta) % TWO_PI
+            if ang >= TWO_PI - _TIE:
+                # a point on the current circle turns by -1e-16: no turn
+                ang = 0.0
+            if best is None or ang < best[0] - _TIE:
                 best = (ang, d_ax, x)
-            elif ang <= best[0] + 1e-12 and d_ax > best[1]:
+            elif ang <= best[0] + _TIE and d_ax > best[1]:
                 best = (min(ang, best[0]), d_ax, x)
         if best is None:
             raise SpindleError("MALFORMED_BOUNDARY", "hull wrap found no successor")

@@ -218,11 +218,15 @@ def test_area_decreases_in_r():
 
 
 def test_hexagon_at_rho0_is_the_triangle():
+    # each anchor lies on the triangle arc between two apexes: the wrap meets
+    # points on its current circle, which may turn by -1e-16 and must rank
+    # as no turn, not as 2 pi
     for g in ALL:
-        tri = regular_disk_triangle(0.8, 1.2, g)
-        hexa = regular_disk_hexagon(0.8, 1.2, tri.rho0, g)
-        assert area(hexa.region) == pytest.approx(area(tri.region), abs=1e-9)
-        assert thickness(hexa.region).value == pytest.approx(0.8, abs=1e-7)
+        for w, r in ((0.8, 1.2), (0.6, 0.6), (0.8, 0.8), (1.0, 1.0)):
+            tri = regular_disk_triangle(w, r, g)
+            hexa = regular_disk_hexagon(w, r, tri.rho0, g)
+            assert area(hexa.region) == pytest.approx(area(tri.region), abs=1e-9)
+            assert thickness(hexa.region).value == pytest.approx(w, abs=1e-7)
 
 
 def test_hexagon_symmetric_case():

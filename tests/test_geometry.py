@@ -41,6 +41,7 @@ from spindle.geometry import (
     tangent_basis,
     tangent_dot,
     tangent_from_angle,
+    turn_toward,
 )
 from spindle.regions import ball_hull
 from test_regions import jittered_ring
@@ -259,6 +260,42 @@ def test_avers_inverts_vers():
             assert g.avers(g.vers(x)) == pytest.approx(x, rel=1e-15)
     # the sphere's arcsine saturates instead of failing past the antipode
     assert SPHERICAL.avers(2.0 + 1e-15) == math.pi
+
+
+def turn_toward_reference(p, u, q, g):
+    # atan2(det3(p, u, v), form(u, v)) for the direction v = q - cs(d) p,
+    # with cs d = 1 - kappa vers d and form(q - p, q - p) = 2 vers d
+    with mp.workdps(50):
+        P, U, Q = ([mp.mpf(c) for c in x] for x in (p, u, q))
+        k = g.kappa
+        D = [b - a for a, b in zip(P, Q)]
+        cs = 1 - k * (D[0] ** 2 + D[1] ** 2 + k * D[2] ** 2) / 2
+        V = [b - cs * a for a, b in zip(P, Q)]
+        det = mp.det(mp.matrix([P, U, V]))
+        return mp.atan2(det, U[0] * V[0] + U[1] * V[1] + k * U[2] * V[2])
+
+
+@pytest.mark.parametrize("name, offset, tol", [
+    ("euclidean", 50.0, 1e-14),
+    ("spherical", 1.5, 1e-14),
+    ("hyperbolic", 1.0, 1e-14),
+    ("hyperbolic", 5.0, 1e-10),
+])
+def test_turn_toward_matches_reference(name, offset, tol):
+    # chords d from 1e-8 to 1.4, base points up to `offset` from the origin;
+    # turning to log_dir(p, q) instead loses 2.5e-9 on the sphere and
+    # 3.7e-6 at hyperbolic offset 5
+    g = GEOMETRIES[name]
+    rng = np.random.default_rng(113)
+    worst = 0.0
+    for _ in range(1000):
+        p = from_polar(g, rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, offset))
+        u = tangent_from_angle(p, rng.uniform(0.0, 2.0 * math.pi), g)
+        d = 10.0 ** rng.uniform(-8.0, math.log10(1.4))
+        q = exp_map(p, tangent_from_angle(p, rng.uniform(0.0, 2.0 * math.pi), g), d, g)
+        err = abs(turn_toward(p, u, q, g) - turn_toward_reference(p, u, q, g))
+        worst = max(worst, float(min(err, 2 * mp.pi - err)))
+    assert worst <= tol
 
 
 def cos_angle_reference(a, b, c, g):

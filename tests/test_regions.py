@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from spindle import measure, regions
 from spindle.geometry import (
     EUCLIDEAN,
     GEOMETRIES,
@@ -220,6 +221,30 @@ def test_ball_hull_jittered_rings_keep_every_point():
             assert len(hull.vertices) == n
             for a in hull.arcs:
                 assert all(distance(a.center, p, g) <= 1.0 + 1e-9 for p in pts)
+
+
+def test_hull_and_width_build_few_directions(monkeypatch):
+    # the gift-wrap and the width loop rank candidates by turn_toward on the
+    # chord, so log_dir runs O(h) times, not once per candidate
+    calls = {"n": 0}
+
+    def counted(p, q, g):
+        calls["n"] += 1
+        return log_dir(p, q, g)
+
+    monkeypatch.setattr(regions, "log_dir", counted)
+    monkeypatch.setattr(measure, "log_dir", counted)
+    rng = np.random.default_rng(208)
+    for g in ALL:
+        pts = jittered_ring(g, 48, 1.0, rng)
+        calls["n"] = 0
+        hull = ball_hull(pts, 1.0, g)
+        h = len(hull.vertices)
+        assert h == 48
+        assert calls["n"] <= 3 * h
+        calls["n"] = 0
+        thickness(hull)
+        assert calls["n"] <= 4 * h
 
 
 def test_ball_hull_near_circumradius_marks_degenerate():
