@@ -18,7 +18,11 @@ Conventions used throughout the package:
 * `perp` rotates a tangent by +90 degrees, counterclockwise;
 * `turn_toward(p, u, q)` is the signed turn from u to the direction p -> q,
   taken on the chord q - p: code that needs only the angle of a direction
-  does not build it with `log_dir`.
+  does not build it with `log_dir`;
+* `chord2(p, q) = form(q - p, q - p) = 2 vers d(p, q)`, where
+  form(a, b) = a.x b.x + a.y b.y + kappa a.z b.z is the form of
+  `tangent_dot`: a distance bound d <= t is tested as chord2 <= 2 vers t,
+  with no inverse trigonometry.
 """
 
 from __future__ import annotations
@@ -210,6 +214,13 @@ def distance(p: Point, q: Point, g: Geometry) -> float:
     return 2.0 * math.asinh(0.5 * math.sqrt(max(q2, 0.0)))
 
 
+def chord2(p: Point, q: Point, g: Geometry) -> float:
+    """form(q - p, q - p) = 2 vers d(p, q): a monotone stand-in for the
+    distance, for comparisons against 2 vers of a bound."""
+    dx, dy, dz = q.x - p.x, q.y - p.y, q.z - p.z
+    return dx * dx + dy * dy + g.kappa * dz * dz
+
+
 def _check_tangent(p: Point, u: Tangent, g: Geometry) -> None:
     if g.kappa == 0:
         unit = u.x * u.x + u.y * u.y
@@ -311,7 +322,7 @@ def turn_toward(p: Point, u: Tangent, q: Point, g: Geometry) -> float:
     """
     dx, dy, dz = q.x - p.x, q.y - p.y, q.z - p.z
     # det3(p, u, q - p) and tangent_dot(u, q - p), written out: building the
-    # chord as a Point doubles the cost in the gift-wrap and width loops
+    # chord as a Point doubles the cost in the width loop
     return math.atan2(
         p.x * (u.y * dz - u.z * dy) - p.y * (u.x * dz - u.z * dx) + p.z * (u.x * dy - u.y * dx),
         u.x * dx + u.y * dy + g.kappa * u.z * dz,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .geometry import (
     ANGLE_EPS,
@@ -29,10 +29,10 @@ from .geometry import (
     GEOMETRIES,
     Point,
     SpindleError,
-    Tangent,
     _intersection_angle,
     _points_off_axis,
     angle_coord,
+    chord2,
     circle_circle_intersection,
     distance,
     exp_map,
@@ -41,11 +41,11 @@ from .geometry import (
     rotate_tangent,
     smallest_enclosing_disk,
     tangent_basis,
+    tangent_dot,
     turn_toward,
 )
 
 TWO_PI = 2.0 * math.pi
-_TIE = 1e-12  # ball_hull ranks wrap turns this close as equal
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,9 @@ class DiskPolygon:
         return tuple(a.center for a in self.arcs)
 
     def contains(self, x: Point, tol: float = GEOM_EPS) -> bool:
-        return all(distance(c, x, self.geometry) <= self.r + tol for c in self.centers)
+        g = self.geometry
+        bound = 2.0 * g.vers(self.r + tol)
+        return all(chord2(c, x, g) <= bound for c in self.centers)
 
     def to_record(self) -> dict:
         return {
@@ -240,22 +242,28 @@ def r_segment(x: Point, y: Point, r: float, g: Geometry) -> DiskPolygon:
 def ball_hull(points: Sequence[Point], r: float, g: Geometry) -> DiskPolygon:
     """Smallest r-convex region containing the points.
 
-    Gift-wraps the boundary: at each vertex the successor is the input
-    point whose left supporting-circle center makes the least
-    counterclockwise turn from the reference direction, ties going to the
-    farthest point so collinear-on-circle interior points drop out.  When
-    the smallest enclosing disk has radius r (within 1e-9), it is the only
-    radius-r disk holding the points and so their hull, with its arcs split
-    at the points on its rim.  Raises NOT_ENCLOSABLE when no radius-r disk
-    covers the input.
+    When the smallest enclosing disk B(o, R) has radius r (within 1e-9), it
+    is the only radius-r disk holding the points and so their hull, split at
+    the points on its rim.  Otherwise, in O(n log n): in the chart x ->
+    form(x - o, e_i) / cs d(o, x) on the frame e_i at o (gnomonic on the
+    sphere, Beltrami-Klein on the hyperboloid) geodesics are straight, so
+    Andrew's monotone chain gives the extreme points, counterclockwise.
+    The one farthest from o is a hull vertex (the radius-r disk internally
+    tangent to B(o, R) there holds every point); from it round the chain, a
+    stack pops its top while that lies in the radius-r disk whose circle
+    runs through the entry below and the next point, center on the left.
+    The cycle starts after the vertex farthest from the first point (the
+    earliest such in input order).  Raises NOT_ENCLOSABLE when no radius-r
+    disk covers the input.
     """
     g.check_radius(r)
     pts = list(points)
     if not pts:
         raise SpindleError("EMPTY", "need at least one point")
+    merge = 2.0 * g.vers(MERGE_EPS)
     kept: list[Point] = []
     for p in pts:
-        if all(distance(p, q, g) > MERGE_EPS for q in kept):
+        if all(chord2(p, q, g) > merge for q in kept):
             kept.append(p)
     if len(kept) == 1:
         raise SpindleError("DEGENERATE_POINT", "all points coincide")
@@ -276,62 +284,63 @@ def ball_hull(points: Sequence[Point], r: float, g: Geometry) -> DiskPolygon:
         arcs = tuple(make_arc(o, r, a, b, g) for a, b in zip(rim, rim[1:] + rim[:1]))
         return DiskPolygon(g, r, arcs, boundary_degenerate=True)
 
-    def wrap_step(a: Point, ref: Tangent) -> tuple[Point, Point]:
-        # successor of vertex a, given the inward reference direction there;
-        # candidates are ranked by the direction of their left supporting-
-        # circle center, and only the winner's center is built
-        best: Optional[tuple[float, float, Point]] = None
-        for x in kept:
-            d_ax = distance(a, x, g)
-            if d_ax <= MERGE_EPS:
-                continue
-            beta = _intersection_angle(r, d_ax, r, g)
-            if beta is None:
-                continue
-            # the left center lies at turn beta from the chord a -> x
-            ang = (turn_toward(a, ref, x, g) + beta) % TWO_PI
-            if ang >= TWO_PI - _TIE:
-                # a point on the current circle turns by -1e-16: no turn
-                ang = 0.0
-            if best is None or ang < best[0] - _TIE:
-                best = (ang, d_ax, x)
-            elif ang <= best[0] + _TIE and d_ax > best[1]:
-                best = (min(ang, best[0]), d_ax, x)
-        if best is None:
-            raise SpindleError("MALFORMED_BOUNDARY", "hull wrap found no successor")
-        return best[2], circle_circle_intersection(Circle(a, r), Circle(best[2], r), g)[0]
+    # chart at o, then the counterclockwise extreme points as kept indices
+    e1, e2 = tangent_basis(o, g)
+    reach2 = [chord2(o, x, g) for x in kept]
+    chart = []
+    for i, x in enumerate(kept):
+        d = Point(x.x - o.x, x.y - o.y, x.z - o.z)
+        cs = 1.0 - 0.5 * g.kappa * reach2[i]
+        chart.append((tangent_dot(d, e1, g) / cs, tangent_dot(d, e2, g) / cs, i))
+    chain = _monotone_chain(chart)
 
-    # start point: farthest from kept[0]; its supporting disk center sits
-    # beyond it on the geodesic toward kept[0], so it is on the hull
+    # r-scan from the chain point farthest from o round the chain and back to
+    # it; the top is popped when within 1e-12 of the disk, so points on a
+    # supporting circle drop out; centers[j] is the center of the arc
+    # stack[j] -> stack[j + 1]
+    k = max(range(len(chain)), key=lambda j: reach2[chain[j]])
+    inside = 2.0 * g.vers(r + 1e-12)
+    stack, centers = [chain[k]], []
+    for p in chain[k + 1:] + chain[:k + 1]:
+        while len(stack) > 1 and stack[-2] != p:
+            c = circle_circle_intersection(Circle(kept[stack[-2]], r), Circle(kept[p], r), g)[0]
+            if chord2(c, kept[stack[-1]], g) > inside:
+                break
+            stack.pop()
+            centers.pop()
+        centers.append(circle_circle_intersection(Circle(kept[stack[-1]], r), Circle(kept[p], r), g)[0])
+        stack.append(p)
+    stack.pop()  # the anchor again, closing the cycle
+
     z0 = kept[0]
-    start = max(kept, key=lambda p: distance(z0, p, g))
-    c0 = exp_map(start, log_dir(start, z0, g), r, g)
-    first, c_first = wrap_step(start, log_dir(start, c0, g))
-
-    verts: list[Point] = [first]
-    arc_centers: list[Point] = []
-    current, ref = first, log_dir(first, c_first, g)
-    for _ in range(len(kept) + 2):
-        nxt, c = wrap_step(current, ref)
-        arc_centers.append(c)
-        if distance(nxt, first, g) <= MERGE_EPS:
-            break
-        verts.append(nxt)
-        current, ref = nxt, log_dir(nxt, c, g)
-    else:
-        raise SpindleError("MALFORMED_BOUNDARY", "hull wrap failed to close")
-
+    s = stack.index(max(sorted(stack), key=lambda i: distance(z0, kept[i], g))) + 1
+    verts = [kept[i] for i in stack[s:] + stack[:s]]
+    centers = centers[s:] + centers[:s]
     n = len(verts)
-    if n == 1:
-        raise SpindleError("MALFORMED_BOUNDARY", "hull wrap degenerated")
-    arcs = tuple(
-        make_arc(arc_centers[i], r, verts[i], verts[(i + 1) % n], g) for i in range(n)
-    )
+    arcs = tuple(make_arc(centers[i], r, verts[i], verts[(i + 1) % n], g) for i in range(n))
     poly = DiskPolygon(g, r, arcs, boundary_degenerate=degenerate)
     for p in kept:
         if not poly.contains(p, tol=1e-7):
             raise SpindleError("MALFORMED_BOUNDARY", "hull does not cover its input")
     return poly
+
+
+def _monotone_chain(chart: list[tuple[float, float, int]]) -> list[int]:
+    """Labels of the extreme points of (x, y, label) chart points, in
+    counterclockwise order: Andrew's monotone chain (Inf. Process. Lett. 9,
+    1979).  Only a strict right turn pops, so points on a hull edge stay;
+    collinear input comes back out and in again."""
+    ordered = sorted(chart)
+    chain: list[tuple[float, float, int]] = []
+    for half in (ordered, ordered[::-1]):
+        out: list[tuple[float, float, int]] = []
+        for p in half:
+            while len(out) > 1 and ((out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                                    < (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])):
+                out.pop()
+            out.append(p)
+        chain += out[:-1]
+    return [p[2] for p in chain]
 
 
 # --------------------------------------------------------------------------

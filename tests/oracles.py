@@ -4,10 +4,10 @@ Nothing here calls into the package's measurement pipeline: areas come
 from integrating the polar exit distance of a region with mpmath,
 inradii from re-solving the defining contact equations by bisection,
 widths from brute-force support sampling or from enumerating double
-normals family by family with the package's geometry primitives, and the
-incircle from a refining grid search.  Tests compare package output
-against digits these routines produce (see the constants in the test
-modules).
+normals family by family with the package's geometry primitives, r-hulls
+by gift-wrapping, and the incircle from a refining grid search.  Tests
+compare package output against digits these routines produce (see the
+constants in the test modules).
 """
 
 from __future__ import annotations
@@ -282,6 +282,90 @@ def double_normal_reference(poly):
             if in_cone(vi, out_i, *cones[i]) and in_cone(vj, out_j, *cones[j]):
                 consider(distance(vi, vj, g), "vertex-vertex", vi, vj)
     return best
+
+
+# ---------------------------------------------------------------------------
+# r-hull by gift-wrapping (package primitives)
+
+def gift_wrap_reference(points, r, g):
+    """The r-hull vertex cycle by gift-wrapping, O(n h).
+
+    At each vertex the successor is the point whose left supporting-circle
+    center makes the least counterclockwise turn from the reference
+    direction; turns within 1e-12 rank equal and go to the farthest point,
+    so points on a supporting circle drop out.  The wrap starts at the point
+    farthest from the smallest enclosing disk's center o, whose supporting
+    disk is the radius-r disk internally tangent there.  Returns (vertices,
+    arc centers), arc i running from vertex i to vertex i + 1, or None for
+    inputs the wrap does not handle: two points, or an enclosing radius
+    within 1e-9 of r.  Raises ball_hull's error codes otherwise.
+    """
+    from spindle.geometry import (
+        MERGE_EPS,
+        Circle,
+        SpindleError,
+        _intersection_angle,
+        circle_circle_intersection,
+        distance,
+        log_dir,
+        smallest_enclosing_disk,
+        turn_toward,
+    )
+
+    two_pi, tie = 2.0 * math.pi, 1e-12
+    g.check_radius(r)
+    kept = []
+    for p in points:
+        if all(distance(p, q, g) > MERGE_EPS for q in kept):
+            kept.append(p)
+    if not kept:
+        raise SpindleError("EMPTY", "need at least one point")
+    if len(kept) == 1:
+        raise SpindleError("DEGENERATE_POINT", "all points coincide")
+    o, radius, _ = smallest_enclosing_disk(kept, g)
+    if radius > r + 1e-9:
+        raise SpindleError("NOT_ENCLOSABLE", "points do not fit in any radius-r disk")
+    if len(kept) == 2 or radius > r - 1e-9:
+        return None
+
+    def wrap_step(a, ref):
+        best = None
+        for x in kept:
+            d_ax = distance(a, x, g)
+            if d_ax <= MERGE_EPS:
+                continue
+            beta = _intersection_angle(r, d_ax, r, g)
+            if beta is None:
+                continue
+            ang = (turn_toward(a, ref, x, g) + beta) % two_pi
+            if ang >= two_pi - tie:
+                ang = 0.0  # a point on the current circle: no turn
+            if best is None or ang < best[0] - tie:
+                best = (ang, d_ax, x)
+            elif ang <= best[0] + tie and d_ax > best[1]:
+                best = (min(ang, best[0]), d_ax, x)
+        if best is None:
+            raise SpindleError("MALFORMED_BOUNDARY", "hull wrap found no successor")
+        return best[2], circle_circle_intersection(Circle(a, r), Circle(best[2], r), g)[0]
+
+    start = max(kept, key=lambda p: distance(o, p, g))
+    first, c_first = wrap_step(start, log_dir(start, o, g))
+    verts, centers = [first], []
+    current, ref = first, log_dir(first, c_first, g)
+    for _ in range(len(kept) + 2):
+        nxt, c = wrap_step(current, ref)
+        centers.append(c)
+        if distance(nxt, first, g) <= MERGE_EPS:
+            break
+        verts.append(nxt)
+        current, ref = nxt, log_dir(nxt, c, g)
+    else:
+        raise SpindleError("MALFORMED_BOUNDARY", "hull wrap failed to close")
+    if len(verts) == 1:
+        raise SpindleError("MALFORMED_BOUNDARY", "hull wrap degenerated")
+    if any(distance(c, p, g) > r + 1e-7 for c in centers for p in kept):
+        raise SpindleError("MALFORMED_BOUNDARY", "hull does not cover its input")
+    return verts, centers
 
 
 # ---------------------------------------------------------------------------

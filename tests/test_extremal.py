@@ -218,9 +218,8 @@ def test_area_decreases_in_r():
 
 
 def test_hexagon_at_rho0_is_the_triangle():
-    # each anchor lies on the triangle arc between two apexes: the wrap meets
-    # points on its current circle, which may turn by -1e-16 and must rank
-    # as no turn, not as 2 pi
+    # each anchor lies on the triangle arc between two apexes, so on the
+    # circle through its hull neighbours up to rounding: it must drop out
     for g in ALL:
         for w, r in ((0.8, 1.2), (0.6, 0.6), (0.8, 0.8), (1.0, 1.0)):
             tri = regular_disk_triangle(w, r, g)

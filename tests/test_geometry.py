@@ -22,6 +22,7 @@ from spindle.geometry import (
     Tangent,
     angle_at,
     angle_coord,
+    chord2,
     circle_circle_intersection,
     circumcenter,
     cos_angle,
@@ -296,6 +297,23 @@ def test_turn_toward_matches_reference(name, offset, tol):
         err = abs(turn_toward(p, u, q, g) - turn_toward_reference(p, u, q, g))
         worst = max(worst, float(min(err, 2 * mp.pi - err)))
     assert worst <= tol
+
+
+@pytest.mark.parametrize("name, offset", [
+    ("euclidean", 50.0),
+    ("spherical", 1.5),
+    ("hyperbolic", 1.0),
+    ("hyperbolic", 5.0),
+])
+def test_chord2_is_twice_the_versine_of_the_distance(name, offset):
+    # chords d from 1e-4 to 1.4, base points up to `offset` from the origin
+    g = GEOMETRIES[name]
+    rng = np.random.default_rng(114)
+    for _ in range(1000):
+        p = from_polar(g, rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, offset))
+        d = 10.0 ** rng.uniform(-4.0, math.log10(1.4))
+        q = exp_map(p, tangent_from_angle(p, rng.uniform(0.0, 2.0 * math.pi), g), d, g)
+        assert chord2(p, q, g) == pytest.approx(2.0 * g.vers(distance(p, q, g)), rel=1e-14)
 
 
 def cos_angle_reference(a, b, c, g):

@@ -7,11 +7,15 @@ import os
 import numpy as np
 import pytest
 
+from oracles import gift_wrap_reference
 from spindle import measure, regions
+from spindle.extremal import regular_disk_hexagon, triangle_inradius
 from spindle.geometry import (
     EUCLIDEAN,
     GEOMETRIES,
     HYPERBOLIC,
+    MERGE_EPS,
+    SPHERICAL,
     Circle,
     Point,
     SpindleError,
@@ -224,27 +228,104 @@ def test_ball_hull_jittered_rings_keep_every_point():
 
 
 def test_hull_and_width_build_few_directions(monkeypatch):
-    # the gift-wrap and the width loop rank candidates by turn_toward on the
-    # chord, so log_dir runs O(h) times, not once per candidate
-    calls = {"n": 0}
+    # the r-scan builds one direction per arc (in make_arc) and pays O(h)
+    # distances, and the width loop ranks candidates by turn_toward on the
+    # chord: log_dir and distance run O(h) times, not once per candidate
+    calls = {"log_dir": 0, "distance": 0}
 
-    def counted(p, q, g):
-        calls["n"] += 1
-        return log_dir(p, q, g)
+    def counted(fn):
+        def spy(p, q, g):
+            calls[fn.__name__] += 1
+            return fn(p, q, g)
+        return spy
 
-    monkeypatch.setattr(regions, "log_dir", counted)
-    monkeypatch.setattr(measure, "log_dir", counted)
+    monkeypatch.setattr(regions, "log_dir", counted(log_dir))
+    monkeypatch.setattr(regions, "distance", counted(distance))
+    monkeypatch.setattr(measure, "log_dir", counted(log_dir))
     rng = np.random.default_rng(208)
     for g in ALL:
         pts = jittered_ring(g, 48, 1.0, rng)
-        calls["n"] = 0
+        calls.update(log_dir=0, distance=0)
         hull = ball_hull(pts, 1.0, g)
         h = len(hull.vertices)
         assert h == 48
-        assert calls["n"] <= 3 * h
-        calls["n"] = 0
+        assert calls["log_dir"] <= 3 * h
+        assert calls["distance"] <= 5 * h
+        calls["log_dir"] = 0
         thickness(hull)
-        assert calls["n"] <= 4 * h
+        assert calls["log_dir"] <= 4 * h
+
+
+# the point farthest from the first one lies more than r from it, so it is
+# no hull vertex: a wrap started there went round without closing
+FAR_START = {
+    EUCLIDEAN: [(0.185, -0.935), (-0.935, -0.733), (-0.195, -0.756), (0.341, 0.214)],
+    HYPERBOLIC: [(0.272, -0.946), (-1.022, -0.004), (-0.052, 0.389), (0.218, -0.499),
+                 (0.787, 0.708)],
+    SPHERICAL: [(0.205, -0.712), (-0.76, -0.003), (-0.045, 0.339), (0.185, -0.423),
+                (0.579, 0.52)],
+}
+
+
+def test_ball_hull_builds_when_no_vertex_is_farthest_from_the_first_point():
+    for g, xy in FAR_START.items():
+        pts = [embed(g, x, y) for x, y in xy]
+        assert max(distance(pts[0], p, g) for p in pts) > 1.0
+        hull = ball_hull(pts, 1.0, g)
+        assert all(hull.contains(p, tol=1e-9) for p in pts)
+        if g is EUCLIDEAN:
+            assert len(hull.vertices) == 3
+        assert_matches_gift_wrap(pts, 1.0, g)
+
+
+def hull_or_code(build, pts, r, g):
+    try:
+        return build(pts, r, g)
+    except SpindleError as e:
+        return e.code
+
+
+def assert_matches_gift_wrap(pts, r, g):
+    """ball_hull gives the gift-wrap's vertex cycle up to rotation, with the
+    same arc centers, or the same error code."""
+    got = hull_or_code(ball_hull, pts, r, g)
+    ref = hull_or_code(gift_wrap_reference, pts, r, g)
+    if ref is None:  # two points, or a tight enclosing disk: no wrap
+        assert isinstance(got, DiskPolygon)
+        return
+    if isinstance(ref, str) or isinstance(got, str):
+        assert got == ref
+        return
+    verts, centers = ref
+    got_verts, got_centers = list(got.vertices), list(got.centers)
+    assert verts[0] in got_verts
+    s = got_verts.index(verts[0])
+    assert got_verts[s:] + got_verts[:s] == verts
+    assert got_centers[s:] + got_centers[:s] == centers
+
+
+def test_ball_hull_matches_the_gift_wrap_reference():
+    rng = np.random.default_rng(209)
+    for g in ALL:
+        for _ in range(150):  # uniform sets, some of them not enclosable
+            n, spread = int(rng.integers(3, 43)), rng.uniform(0.3, 1.25)
+            r = float(rng.choice((0.7, 1.0, 1.4)))
+            pts = [Point(*row) for row in
+                   measure.sample_in_disk(origin(g), spread * r, n, rng, g)]
+            assert_matches_gift_wrap(pts, r, g)
+        for _ in range(2):
+            assert_matches_gift_wrap(jittered_ring(g, 48, 1.0, rng), 1.0, g)
+        for k in range(3, 9):  # regular k-gons, each point twice and once nudged
+            c = from_polar(g, rng.uniform(0.0, TWO_PI), 0.2)
+            for share in (0.3, 0.65, 1.0):
+                ring = [exp_map(c, tangent_from_angle(c, 0.4 + TWO_PI * i / k, g), share, g)
+                        for i in range(k)]
+                nudged = [exp_map(p, tangent_from_angle(p, 1.0, g), 0.1 * MERGE_EPS, g)
+                          for p in ring]
+                assert_matches_gift_wrap(ring + ring[::-1] + nudged, 1.0, g)
+        for w, r in ((0.8, 1.2), (0.6, 0.6), (0.8, 0.8), (1.0, 1.0)):
+            hexa = regular_disk_hexagon(w, r, triangle_inradius(w, r, g), g)
+            assert_matches_gift_wrap(list(hexa.apexes) + list(hexa.anchors), r, g)
 
 
 def test_ball_hull_near_circumradius_marks_degenerate():
