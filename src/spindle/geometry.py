@@ -138,8 +138,9 @@ class Circle(NamedTuple):
 
 
 # --------------------------------------------------------------------------
-# basic vector helpers (plain floats; the kernel avoids numpy on purpose,
-# 3-vectors are too small for array overhead to pay off)
+# basic vector helpers (plain floats: single 3-vectors are too small for
+# array overhead to pay off; numpy serves only all-pairs screens, as the
+# width screen in measure does)
 
 def _dot3(a, b) -> float:
     return a.x * b.x + a.y * b.y + a.z * b.z
@@ -219,6 +220,19 @@ def chord2(p: Point, q: Point, g: Geometry) -> float:
     distance, for comparisons against 2 vers of a bound."""
     dx, dy, dz = q.x - p.x, q.y - p.y, q.z - p.z
     return dx * dx + dy * dy + g.kappa * dz * dz
+
+
+def _distinct(points: Sequence[Point], g: Geometry) -> list[int]:
+    """Indices of the points left when each one within MERGE_EPS of an
+    earlier kept point (chord2 <= 2 vers MERGE_EPS) merges into it."""
+    merge = 2.0 * g.vers(MERGE_EPS)
+    kept: list[int] = []
+    kept_points: list[Point] = []
+    for i, p in enumerate(points):
+        if all(chord2(p, q, g) > merge for q in kept_points):
+            kept.append(i)
+            kept_points.append(p)
+    return kept
 
 
 def _check_tangent(p: Point, u: Tangent, g: Geometry) -> None:

@@ -5,9 +5,12 @@ plus closed-form circular-segment corrections, one per arc.  Width
 (minimal double-normal length) treats every boundary piece as a circle
 with a span of outward normals, an arc as radius r and a vertex as radius
 0, and checks the one candidate chord of each pair of pieces, on the
-geodesic through their centers.  The inradius comes from a minimax
-reduction: the largest inscribed disk of an intersection of radius-r disks
-is centered at the center of the smallest disk enclosing their centers.
+geodesic through their centers: one numpy pass turns every center toward
+every other and drops the pairs whose normals miss a span by more than a
+rounding slack, and the scalar test runs on the few pairs left.  The
+inradius comes from a minimax reduction: the largest inscribed disk of an
+intersection of radius-r disks is centered at the center of the smallest
+disk enclosing their centers.
 
 The Monte Carlo area check is written once for all three planes: area-uniform
 disk samples have vers s uniform (sample_in_disk), and surface points satisfy
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,12 +33,14 @@ from .geometry import (
     Point,
     SpindleError,
     Tangent,
+    _distinct,
     _negate,
     _normalize_point,
     distance,
     exp_map,
     frame_angle,
     log_dir,
+    perp,
     smallest_enclosing_disk,
     tangent_basis,
     tangent_from_angle,
@@ -140,6 +144,83 @@ def _intervals_overlap(lo1: float, w1: float, lo2: float, w2: float) -> Optional
 
 _KINDS = ("vertex-vertex", "vertex-arc", "arc-arc")  # by the number of arc ends
 
+# span slack of the screen: its turns differ from turn_toward's by rounding, <= 2.4e-9 to D = 6 in H
+_SCREEN_EPS = 1e-6
+# centers closer than this pass the screen unjudged: the common-center branch stays scalar
+_SCREEN_NEAR = 1e-6
+_PAIR_BLOCK = 1 << 16  # pairs per array pass of the screen: its arrays stay a few MB at any h
+
+_Piece = tuple[Point, float, Tangent, float]  # (center, rho, u0, span)
+
+
+def _pieces(poly: DiskPolygon) -> list[_Piece]:
+    """The boundary pieces, vertices first, then arcs, both in arc order."""
+    g = poly.geometry
+    arcs = poly.arcs
+    vert_pieces = []
+    for k, arc in enumerate(arcs):
+        v = arc.start
+        n_in = _negate(log_dir(v, arcs[k - 1].center, g))
+        n_out = _negate(log_dir(v, arc.center, g))
+        # signed, not reduced mod 2 pi: a smooth vertex turning by -1e-17
+        # must not read as a full cone
+        vert_pieces.append((v, 0.0, n_in, turn_angle(v, n_in, n_out, g)))
+    arc_pieces = [(a.center, poly.r, log_dir(a.center, a.start, g), a.extent) for a in arcs]
+    return vert_pieces + arc_pieces
+
+
+def _screen(pieces: Sequence[_Piece], g: Geometry) -> np.ndarray:
+    """Which pairs of pieces may bound a double normal, as a symmetric
+    boolean matrix: a superset of the pairs _chord_normals accepts.
+
+    Array passes over blocks of rows (_PAIR_BLOCK) take turn_toward from
+    every center toward every other: the angle of the chord c_g - c_f in
+    the frame (u, perp u) at c_f, with the pi flip for two vertices.  A
+    pair survives when both turns fall in their spans within _SCREEN_EPS,
+    or when its centers lie within _SCREEN_NEAR.
+    """
+    a = np.array([(*c, *u, *perp(c, u, g), span) for c, _, u, span in pieces])
+    c, frame, span = a[:, :3], a[:, 3:9].reshape(-1, 2, 3), a[:, 9:]
+    w = _form_weights(g)
+    m = len(pieces)
+    h = m // 2  # the vertices, which _pieces puts first
+    hit = np.empty((m, m), dtype=bool)
+    near = np.empty((m, m), dtype=bool)
+    rows = max(1, _PAIR_BLOCK // m)
+    for s in range(0, m, rows):
+        f = slice(s, s + rows)
+        chord = c - c[f, None]  # [f, g] = c_g - c_f
+        along, left = np.einsum("fik,fgk->ifg", frame[f] * w, chord)
+        turn = np.arctan2(left, along)
+        turn[:max(h - s, 0), :h] += math.pi  # rows and columns that are vertices
+        hit[f] = angle_in(turn, 0.0, span[f], _SCREEN_EPS)
+        near[f] = (chord * chord) @ w <= 2.0 * g.vers(_SCREEN_NEAR)
+    return hit & hit.T | near
+
+
+def _chord_normals(pf: _Piece, pg: _Piece, common: bool, g: Geometry
+                   ) -> Optional[tuple[Tangent, Tangent]]:
+    """Outward normals at the two ends of the pair's candidate chord, or
+    None when it is not normal to both pieces; common: the centers merge."""
+    (cf, rf, uf, sf), (cg, rg, ug, sg) = pf, pg
+    if common:
+        # every chord through a common center is normal to both circles:
+        # take a direction in one span whose reverse is in the other
+        phi = _intervals_overlap(
+            frame_angle(cf, uf, g), sf, frame_angle(cg, ug, g) + math.pi, sg
+        )
+        if phi is None:
+            return None
+        return tangent_from_angle(cf, phi, g), tangent_from_angle(cg, phi + math.pi, g)
+    # two vertices: each normal points away from the other vertex
+    flip = 0.0 if rf + rg else math.pi
+    if not angle_in(turn_toward(cf, uf, cg, g) + flip, 0.0, sf):
+        return None
+    if not angle_in(turn_toward(cg, ug, cf, g) + flip, 0.0, sg):
+        return None
+    nf, ng = log_dir(cf, cg, g), log_dir(cg, cf, g)
+    return (_negate(nf), _negate(ng)) if flip else (nf, ng)
+
 
 def thickness(poly: DiskPolygon) -> ThicknessWitness:
     """Width of a disk polygon: the shortest double normal.
@@ -151,12 +232,15 @@ def thickness(poly: DiskPolygon) -> ThicknessWitness:
     A chord normal to two pieces lies on the geodesic through their centers,
     so each pair has one candidate, of length rho_F + rho_G - d (two
     vertices: d), kept when both end normals fall in their pieces' spans.
+    An array screen (_screen) first drops, in numpy passes over all ~2h^2
+    pairs, those whose normals certainly miss a span; only the survivors
+    get the scalar test.
     """
     if not isinstance(poly, DiskPolygon):
         raise SpindleError("BAD_RANGE", "width is defined for disk polygons")
     g = poly.geometry
     r = poly.r
-    arcs = poly.arcs
+    h = len(poly.arcs)
     centers = poly.centers
     if poly.is_full_disk or all(
         distance(c, centers[0], g) <= MERGE_EPS for c in centers
@@ -167,29 +251,25 @@ def thickness(poly: DiskPolygon) -> ThicknessWitness:
             2.0 * r, "arc-arc", exp_map(c, u, r, g), exp_map(c, _negate(u), r, g)
         )
 
-    vert_pieces = []
-    for k, arc in enumerate(arcs):
-        v = arc.start
-        n_in = _negate(log_dir(v, arcs[k - 1].center, g))
-        n_out = _negate(log_dir(v, arc.center, g))
-        # signed, not reduced mod 2 pi: a smooth vertex turning by -1e-17
-        # must not read as a full cone
-        vert_pieces.append((v, 0.0, n_in, turn_angle(v, n_in, n_out, g)))
-    arc_pieces = [(a.center, r, log_dir(a.center, a.start, g), a.extent) for a in arcs]
-    # vertex-arc pairs first, then arc-arc, then vertex-vertex: on an exact
-    # tie (at w = r one chord of the regular triangle is all three) the
-    # first family found is the one reported
-    pairs = chain(
-        product(vert_pieces, arc_pieces),
-        combinations(arc_pieces, 2),
-        combinations(vert_pieces, 2),
-    )
+    pieces = _pieces(poly)
+    keep = _screen(pieces, g)
+    # vertex-arc pairs first, then arc-arc, then vertex-vertex, each in
+    # product / combinations order: on an exact tie (at w = r one chord of
+    # the regular triangle is all three) the first family found is the one
+    # reported
+    i, j = np.nonzero(keep)
+    upper = i < j
+    i, j = i[upper], j[upper]
+    arc_ends = (i >= h).astype(int) + (j >= h)
+    order = np.argsort((arc_ends + 2) % 3, kind="stable")  # arc ends 1, 2, then 0
 
     def foot(c: Point, rho: float, u: Tangent) -> Point:
         return exp_map(c, u, rho, g) if rho else c
 
     best: Optional[ThicknessWitness] = None
-    for (cf, rf, uf, sf), (cg, rg, ug, sg) in pairs:
+    for f, k in zip(i[order].tolist(), j[order].tolist()):
+        pf, pg = pieces[f], pieces[k]
+        cf, rf, cg, rg = pf[0], pf[1], pg[0], pg[1]
         d = distance(cf, cg, g)
         common = d <= MERGE_EPS
         # with an arc end the chord runs toward the other center
@@ -197,28 +277,11 @@ def thickness(poly: DiskPolygon) -> ThicknessWitness:
         # zero length: a vertex on its own arc, or two merged vertices
         if length <= MERGE_EPS or (best is not None and length >= best.value):
             continue
-        if common:
-            # every chord through a common center is normal to both circles:
-            # take a direction in one span whose reverse is in the other
-            phi = _intervals_overlap(
-                frame_angle(cf, uf, g), sf, frame_angle(cg, ug, g) + math.pi, sg
-            )
-            if phi is None:
-                continue
-            nf = tangent_from_angle(cf, phi, g)
-            ng = tangent_from_angle(cg, phi + math.pi, g)
-        else:
-            # two vertices: each normal points away from the other vertex
-            flip = 0.0 if rf + rg else math.pi
-            if not angle_in(turn_toward(cf, uf, cg, g) + flip, 0.0, sf):
-                continue
-            if not angle_in(turn_toward(cg, ug, cf, g) + flip, 0.0, sg):
-                continue
-            nf, ng = log_dir(cf, cg, g), log_dir(cg, cf, g)
-            if flip:
-                nf, ng = _negate(nf), _negate(ng)
+        normals = _chord_normals(pf, pg, common, g)
+        if normals is None:
+            continue
         kind = _KINDS[(rf > 0.0) + (rg > 0.0)]
-        best = ThicknessWitness(length, kind, foot(cf, rf, nf), foot(cg, rg, ng))
+        best = ThicknessWitness(length, kind, foot(cf, rf, normals[0]), foot(cg, rg, normals[1]))
 
     if best is None:
         raise SpindleError("MALFORMED_BOUNDARY", "no double normal found")
@@ -247,10 +310,7 @@ def incircle(poly: DiskPolygon) -> Incircle:
     g = poly.geometry
     r = poly.r
     centers = poly.centers
-    distinct: list[Point] = []
-    for c in centers:
-        if all(distance(c, d, g) > MERGE_EPS for d in distinct):
-            distinct.append(c)
+    distinct = [centers[i] for i in _distinct(centers, g)]
     if len(distinct) == 1:
         return Incircle(distinct[0], r, (), (), (0,))
     x, big_r, _ = smallest_enclosing_disk(distinct, g)
@@ -258,12 +318,9 @@ def incircle(poly: DiskPolygon) -> Incircle:
     support = tuple(
         i for i, c in enumerate(centers) if abs(distance(c, x, g) - big_r) <= 1e-9
     )
-    contacts: dict[int, Point] = {}  # arc index -> contact, in support order
-    for i in support:
-        t = exp_map(centers[i], log_dir(centers[i], x, g), r, g)
-        if all(distance(t, s, g) > MERGE_EPS for s in contacts.values()):
-            contacts[i] = t
-    return Incircle(x, rho, tuple(contacts.values()), tuple(contacts), support)
+    touch = [exp_map(centers[i], log_dir(centers[i], x, g), r, g) for i in support]
+    keep = _distinct(touch, g)  # in support order
+    return Incircle(x, rho, tuple(touch[k] for k in keep), tuple(support[k] for k in keep), support)
 
 
 # --------------------------------------------------------------------------

@@ -23,12 +23,12 @@ from typing import Iterable, Sequence
 from .geometry import (
     ANGLE_EPS,
     GEOM_EPS,
-    MERGE_EPS,
     Circle,
     Geometry,
     GEOMETRIES,
     Point,
     SpindleError,
+    _distinct,
     _intersection_angle,
     _points_off_axis,
     angle_coord,
@@ -260,11 +260,7 @@ def ball_hull(points: Sequence[Point], r: float, g: Geometry) -> DiskPolygon:
     pts = list(points)
     if not pts:
         raise SpindleError("EMPTY", "need at least one point")
-    merge = 2.0 * g.vers(MERGE_EPS)
-    kept: list[Point] = []
-    for p in pts:
-        if all(chord2(p, q, g) > merge for q in kept):
-            kept.append(p)
+    kept = [pts[i] for i in _distinct(pts, g)]
     if len(kept) == 1:
         raise SpindleError("DEGENERATE_POINT", "all points coincide")
     o, radius, _ = smallest_enclosing_disk(kept, g)

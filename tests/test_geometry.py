@@ -20,6 +20,7 @@ from spindle.geometry import (
     Point,
     SpindleError,
     Tangent,
+    _distinct,
     angle_at,
     angle_coord,
     chord2,
@@ -314,6 +315,19 @@ def test_chord2_is_twice_the_versine_of_the_distance(name, offset):
         d = 10.0 ** rng.uniform(-4.0, math.log10(1.4))
         q = exp_map(p, tangent_from_angle(p, rng.uniform(0.0, 2.0 * math.pi), g), d, g)
         assert chord2(p, q, g) == pytest.approx(2.0 * g.vers(distance(p, q, g)), rel=1e-14)
+
+
+def test_distinct_merges_each_point_into_an_earlier_kept_one():
+    # steps of 0.6 MERGE_EPS along a geodesic: the second merges into the
+    # first, the third is kept (its only close neighbour was merged), the
+    # fourth merges into the third; a repeat merges into its first copy
+    for g in ALL:
+        p = from_polar(g, 0.4, 0.3)
+        u = tangent_from_angle(p, 1.0, g)
+        step = [exp_map(p, u, k * 0.6 * MERGE_EPS, g) for k in range(1, 5)]
+        far = from_polar(g, 2.0, 0.5)
+        pts = [step[0], far, step[1], step[2], step[3], far]
+        assert _distinct(pts, g) == [0, 1, 3]
 
 
 def cos_angle_reference(a, b, c, g):

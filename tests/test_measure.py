@@ -5,6 +5,7 @@ integral, everything at 40 significant digits.
 """
 
 import math
+from itertools import combinations
 
 import mpmath as mp
 import numpy as np
@@ -15,6 +16,7 @@ from oracles import (
     euclidean_width_reference,
     incircle_grid_reference,
 )
+from spindle import measure
 from spindle.extremal import regular_disk_hexagon, regular_disk_triangle
 from spindle.geometry import (
     ANGLE_EPS,
@@ -22,6 +24,7 @@ from spindle.geometry import (
     GEOM_EPS,
     GEOMETRIES,
     HYPERBOLIC,
+    MERGE_EPS,
     SPHERICAL,
     Circle,
     Point,
@@ -34,8 +37,11 @@ from spindle.geometry import (
     tangent_from_angle,
 )
 from spindle.measure import (
+    _chord_normals,
     _inside_cap_domain,
     _inside_disks,
+    _pieces,
+    _screen,
     area,
     area_monte_carlo,
     bounding_disk,
@@ -46,6 +52,7 @@ from spindle.measure import (
     thickness,
 )
 from spindle.regions import DiskPolygon, ball_hull, cap_domain, r_segment
+from test_regions import jittered_ring
 
 ALL = tuple(GEOMETRIES.values())
 TWO_PI = 2.0 * math.pi
@@ -282,7 +289,8 @@ def test_thickness_witness_on_boundary():
 
 def width_reference_corpus(g, rng):
     """Random hulls, regular triangles (w = r too), hexagons, lenses (up to
-    d = 2r) and cocircular hulls (on a circle of radius r too)."""
+    d = 2r), cocircular hulls (on a circle of radius r too) and 48-point
+    jittered rings (hyperbolic ones also centered 2, 4 and 6 from the origin)."""
     for n in range(2, 13):
         yield random_polygon(g, rng, n=n)
     for r in (0.5, 1.0, 1.4):
@@ -299,6 +307,11 @@ def width_reference_corpus(g, rng):
             pts = [exp_map(c, tangent_from_angle(c, 0.4 + TWO_PI * k / n, g), rad, g)
                    for k in range(n)]
             yield ball_hull(pts, 0.8, g)
+    rings = np.random.default_rng(48)  # its own stream: the polygons above keep theirs
+    yield ball_hull(jittered_ring(g, 48, 1.0, rings), 1.0, g)
+    if g is HYPERBOLIC:
+        for d in (2.0, 4.0, 6.0):
+            yield ball_hull(jittered_ring(g, 48, 1.0, rings, center=from_polar(g, 0.3, d)), 1.0, g)
 
 
 def test_thickness_matches_double_normal_reference():
@@ -314,6 +327,28 @@ def test_thickness_matches_double_normal_reference():
             assert (got.value, got.kind) == (value, kind)
             assert min(max(gap(got.a, a), gap(got.b, b)),
                        max(gap(got.a, b), gap(got.b, a))) <= 1e-12
+
+
+def test_width_screen_keeps_every_double_normal(monkeypatch):
+    # the array screen may only drop pairs the scalar normal test rejects:
+    # w = r triangles put normals exactly on cone edges, lenses reach d = 2r;
+    # blocks of 3 rows, some straddling vertices and arcs, change nothing
+    rng = np.random.default_rng(304)
+    for g in ALL:
+        for poly in width_reference_corpus(g, rng):
+            if poly.is_full_disk:
+                continue
+            pieces = _pieces(poly)
+            keep = _screen(pieces, g)
+            assert (keep == keep.T).all()
+            with monkeypatch.context() as m:
+                m.setattr(measure, "_PAIR_BLOCK", 3 * len(pieces))
+                assert (_screen(pieces, g) == keep).all()
+            for i, j in combinations(range(len(pieces)), 2):
+                pf, pg = pieces[i], pieces[j]
+                common = distance(pf[0], pg[0], g) <= MERGE_EPS
+                if _chord_normals(pf, pg, common, g) is not None:
+                    assert keep[i, j], (g.name, len(poly.arcs), i, j)
 
 
 def test_thickness_ignores_where_the_arc_cycle_starts():

@@ -27,6 +27,7 @@ from spindle.geometry import (
     midpoint,
     origin,
     tangent_from_angle,
+    turn_toward,
 )
 from spindle.measure import area, disk_area, incircle, thickness
 from spindle.regions import (
@@ -48,15 +49,17 @@ def random_point(g, rng, scale=1.0):
     return from_polar(g, rng.uniform(0.0, TWO_PI), scale * rng.uniform(0.0, 1.0))
 
 
-def jittered_ring(g, n, r, rng):
-    """n points about the circle of radius 0.49 r around the origin, one per
-    angular step, each moved by up to a quarter step and by 2e-5 relative in
-    radius: every point stays a hull vertex, and the arc centers are nearly
-    cocircular (the ring sets of the hull benchmark)."""
+def jittered_ring(g, n, r, rng, center=None):
+    """n points about the circle of radius 0.49 r around center (default the
+    origin), one per angular step, each moved by up to a quarter step and by
+    2e-5 relative in radius: every point stays a hull vertex, and the arc
+    centers are nearly cocircular (the ring sets of the hull benchmark)."""
+    c = origin(g) if center is None else center
     step = TWO_PI / n
     theta = rng.uniform(0.0, TWO_PI) + step * (np.arange(n) + 0.25 * rng.uniform(-1.0, 1.0, n))
     rad = 0.49 * r * (1.0 + 2e-5 * rng.uniform(-1.0, 1.0, n))
-    return [from_polar(g, float(t % TWO_PI), float(s)) for t, s in zip(theta, rad)]
+    return [exp_map(c, tangent_from_angle(c, float(t % TWO_PI), g), float(s), g)
+            for t, s in zip(theta, rad)]
 
 
 # --------------------------------------------------------------------------
@@ -229,19 +232,21 @@ def test_ball_hull_jittered_rings_keep_every_point():
 
 def test_hull_and_width_build_few_directions(monkeypatch):
     # the r-scan builds one direction per arc (in make_arc) and pays O(h)
-    # distances, and the width loop ranks candidates by turn_toward on the
-    # chord: log_dir and distance run O(h) times, not once per candidate
-    calls = {"log_dir": 0, "distance": 0}
+    # distances, and the width screens all piece pairs in one array pass:
+    # log_dir, distance and turn_toward run O(h) times, not once per pair
+    calls = {"log_dir": 0, "distance": 0, "turn_toward": 0}
 
     def counted(fn):
-        def spy(p, q, g):
+        def spy(*args):
             calls[fn.__name__] += 1
-            return fn(p, q, g)
+            return fn(*args)
         return spy
 
     monkeypatch.setattr(regions, "log_dir", counted(log_dir))
     monkeypatch.setattr(regions, "distance", counted(distance))
     monkeypatch.setattr(measure, "log_dir", counted(log_dir))
+    monkeypatch.setattr(measure, "distance", counted(distance))
+    monkeypatch.setattr(measure, "turn_toward", counted(turn_toward))
     rng = np.random.default_rng(208)
     for g in ALL:
         pts = jittered_ring(g, 48, 1.0, rng)
@@ -251,9 +256,11 @@ def test_hull_and_width_build_few_directions(monkeypatch):
         assert h == 48
         assert calls["log_dir"] <= 3 * h
         assert calls["distance"] <= 5 * h
-        calls["log_dir"] = 0
+        calls.update(log_dir=0, distance=0, turn_toward=0)
         thickness(hull)
         assert calls["log_dir"] <= 4 * h
+        assert calls["distance"] <= 2 * h
+        assert calls["turn_toward"] <= 2 * h
 
 
 # the point farthest from the first one lies more than r from it, so it is
