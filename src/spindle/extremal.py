@@ -3,7 +3,8 @@
 The regular disk triangle T(w, r) is the intersection of three radius-r
 disks arranged with threefold symmetry so that the body has width w; it
 minimizes both inradius and area among r-convex bodies of that width.  Its
-inradius has a closed form in each geometry, differentiable in (w, r); the
+inradius has a closed form in each geometry, differentiable in (w, r), and
+so has its area (triangle_area), with no triangle built; the
 six-arc family built by `regular_disk_hexagon` interpolates between the
 triangle and the single disk while keeping the width fixed.
 """
@@ -22,6 +23,7 @@ from .geometry import (
     origin,
     tangent_from_angle,
 )
+from .measure import _excess, segment_area
 from .regions import DiskPolygon, ball_hull, make_arc
 
 # beyond this the hyperbolic closed form would square numbers near the
@@ -29,6 +31,7 @@ from .regions import DiskPolygon, ball_hull, make_arc
 _LOG_FORM_R = 350.0
 
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
+_SIN_THIRD = math.sqrt(0.75)  # sin(2pi/3)
 
 
 def _check_width_radius(w: float, r: float, g: Geometry) -> None:
@@ -77,6 +80,27 @@ def triangle_inradius_partials(w: float, r: float, g: Geometry) -> tuple[float, 
     num_w = 0.5 * (math.exp(-w) - math.exp(w - 2.0 * r))
     num_r = 2.0 - 2.0 * em2r - 0.5 * (math.exp(-w) - math.exp(w - 2.0 * r))
     return 0.5 * (1.0 - num_w / den), 0.5 * (1.0 - num_r / den)
+
+
+def triangle_area(w: float, r: float, g: Geometry) -> float:
+    """Area of the regular disk triangle of width w and arc radius r, in
+    closed form: the equilateral geodesic triangle on its vertices plus
+    three circular segments.
+
+    The vertices lie at a = w - rho0 from the incenter, 2pi/3 apart.  Each
+    of the three isosceles pieces about the incenter has tan(kappa A / 2) =
+    kappa T sin(2pi/3) / (1 + kappa T cos(2pi/3)) with T = tn(a/2)^2, tn =
+    sn / cs (a^2 sin(2pi/3) / 2 when flat), with no cancellation on small
+    triangles.  A side s has vers s = 1.5 sn(a)^2, so each arc's central
+    angle phi (cos phi = cos_angle(r, r, s)) is taken in half-angle form,
+    sin(phi/2) = sn(s/2) / sn(r) = sqrt(3)/2 sn(a) / sn(r).
+    """
+    a = w - triangle_inradius(w, r, g)
+    tn = g.sn(0.5 * a) / g.cs(0.5 * a)
+    big_t = tn * tn
+    phi = 2.0 * math.asin(min(1.0, _SIN_THIRD * g.sn(a) / g.sn(r)))
+    return 3.0 * (_excess(_SIN_THIRD * big_t, 1.0 - 0.5 * g.kappa * big_t, g)
+                  + segment_area(phi, r, g))
 
 
 @dataclass(frozen=True)

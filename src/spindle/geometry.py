@@ -22,7 +22,10 @@ Conventions used throughout the package:
 * `chord2(p, q) = form(q - p, q - p) = 2 vers d(p, q)`, where
   form(a, b) = a.x b.x + a.y b.y + kappa a.z b.z is the form of
   `tangent_dot`: a distance bound d <= t is tested as chord2 <= 2 vers t,
-  with no inverse trigonometry.
+  with no inverse trigonometry;
+* so cs d = 1 - kappa chord2 / 2, and `log_dir` (the tangent part of
+  q - cs(d) p) takes no distance; `midpoint(p, q)` is
+  (p + q) / sqrt(4 - kappa chord2), as form(p + q, p + q) = 4 - kappa chord2.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 GEOM_EPS = 1e-10    # tolerance for geometric predicates
 ANGLE_EPS = 1e-9    # angular tolerance for cone / arc-span tests
 MERGE_EPS = 10 * GEOM_EPS  # boundary vertices closer than this are merged
+# log_dir's DEGENERATE cut-off d < 1e-12 on chord2 = 2 vers d = d^2 (1 + O(d^2))
+_DEGENERATE_CHORD2 = 1e-24
+# distance's ANTIPODAL cut-off p.q <= -1 + 1e-12 on the sphere's chord2 = 2 - 2 p.q
+_ANTIPODAL_CHORD2 = 4.0 - 2e-12
 
 
 class SpindleError(ValueError):
@@ -283,14 +290,18 @@ def exp_map(p: Point, u: Tangent, t: float, g: Geometry) -> Point:
 
 
 def log_dir(p: Point, q: Point, g: Geometry) -> Tangent:
-    """Initial unit direction of the geodesic from p to q."""
-    d = distance(p, q, g)
-    if d < 1e-12:
+    """Initial unit direction of the geodesic from p to q: the tangent part
+    of q - cs(d) p, with cs d = 1 - kappa chord2 / 2, so no distance is
+    taken (the chord form q - p + (kappa chord2 / 2) p keeps its digits
+    when q is close to p)."""
+    dx, dy, dz = q.x - p.x, q.y - p.y, q.z - p.z
+    c2 = dx * dx + dy * dy + g.kappa * dz * dz
+    if c2 < _DEGENERATE_CHORD2:
         raise SpindleError("DEGENERATE", "no direction between coincident points")
-    if g.kappa == 0:
-        return Tangent((q.x - p.x) / d, (q.y - p.y) / d, 0.0)
-    c = g.cs(d)
-    return _normalize_tangent(p, q.x - c * p.x, q.y - c * p.y, q.z - c * p.z, g)
+    if g.kappa > 0 and c2 >= _ANTIPODAL_CHORD2:
+        raise SpindleError("ANTIPODAL", "antipodal points have no unique geodesic")
+    h = 0.5 * g.kappa * c2
+    return _normalize_tangent(p, dx + h * p.x, dy + h * p.y, dz + h * p.z, g)
 
 
 def perp(p: Point, u: Tangent, g: Geometry) -> Tangent:
@@ -384,10 +395,16 @@ def angle_at(a: Point, b: Point, c: Point, g: Geometry) -> float:
 
 
 def midpoint(p: Point, q: Point, g: Geometry) -> Point:
-    d = distance(p, q, g)
-    if d < 1e-12:
-        return p
-    return exp_map(p, log_dir(p, q, g), 0.5 * d, g)
+    """Midpoint of the geodesic segment p q: (p + q) / sqrt(4 - kappa chord2),
+    as form(p + q, p + q) = 4 - kappa chord2 on every surface.  Past a right
+    angle on the sphere 4 - chord2 cancels, and the norm of p + q is taken
+    instead (as distance switches to |q + p| there)."""
+    c2 = chord2(p, q, g)
+    if g.kappa > 0 and c2 >= _ANTIPODAL_CHORD2:
+        raise SpindleError("ANTIPODAL", "antipodal points have no unique geodesic")
+    x, y, z = p.x + q.x, p.y + q.y, p.z + q.z
+    s = 1.0 / math.sqrt(4.0 - g.kappa * c2 if g.kappa * c2 <= 2.0 else x * x + y * y + z * z)
+    return Point(x * s, y * s, z * s)
 
 
 # --------------------------------------------------------------------------
@@ -435,14 +452,20 @@ def _intersection_angle(r1: float, d: float, r2: float, g: Geometry) -> Optional
     return math.acos(cosb)
 
 
-def _points_off_axis(p: Point, q: Point, t: float, beta: float, g: Geometry) -> tuple[Point, ...]:
+def _points_off_axis(p: Point, u: Tangent, t: float, beta: float, g: Geometry) -> tuple[Point, ...]:
     """Points at distance t from p in the directions turned by +beta (left)
-    and -beta (right) from the direction p -> q; one point if beta is 0 or pi."""
-    u = log_dir(p, q, g)
-    left = exp_map(p, rotate_tangent(p, u, beta, g), t, g)
+    and -beta (right) from the unit tangent u; one point if beta is 0 or pi.
+
+    Each is cs t p + sn t (cos beta u +- sin beta perp u), normalized once.
+    """
+    v = perp(p, u, g)
+    c, s = g.cs(t), g.sn(t)
+    a, b = s * math.cos(beta), s * math.sin(beta)
+    ax, ay, az = c * p.x + a * u.x, c * p.y + a * u.y, c * p.z + a * u.z
+    left = _normalize_point(g, ax + b * v.x, ay + b * v.y, az + b * v.z)
     if beta in (0.0, math.pi):
         return (left,)
-    return (left, exp_map(p, rotate_tangent(p, u, -beta, g), t, g))
+    return (left, _normalize_point(g, ax - b * v.x, ay - b * v.y, az - b * v.z))
 
 
 def circle_circle_intersection(
@@ -465,7 +488,7 @@ def circle_circle_intersection(
     beta = _intersection_angle(r1, d, r2, g)
     if beta is None:
         return ()
-    return _points_off_axis(c1.center, c2.center, r1, beta, g)
+    return _points_off_axis(c1.center, log_dir(c1.center, c2.center, g), r1, beta, g)
 
 
 def circumcenter(a: Point, b: Point, c: Point, g: Geometry) -> Optional[tuple[Point, float]]:
@@ -529,22 +552,30 @@ def smallest_enclosing_disk(
     most three support points.  Valid in every plane since disks are convex
     (spherical radii stay below pi/2).  Points are visited in an order
     shuffled with the fixed seed len(points): expected cost O(n), and the
-    output is deterministic.  Containment allows 1e-9 slack.  Returns
-    (center, radius, support indices into points).
+    output is deterministic.  Containment allows 1e-9 slack.  A disk is
+    kept as its reach chord2 = 2 vers R and the bound 2 vers(R + 1e-9), so a
+    containment test is one chord2 and no disk takes an inverse-trigonometric
+    distance until the last.  Returns (center, radius, support indices into
+    points).
     """
     if not points:
         raise SpindleError("BAD_RANGE", "need at least one point")
     order = list(range(len(points)))
     random.Random(len(points)).shuffle(order)
+    v_eps, s_eps = g.vers(1e-9), g.sn(1e-9)
 
-    def covers(disk, k: int) -> bool:
-        return distance(disk[0], points[k], g) <= disk[1] + 1e-9
+    def shifted(c2: float, sign: float) -> float:
+        # 2 vers(R + sign 1e-9) for c2 = 2 vers R: vers(a + b) = vers a + vers b
+        # - kappa vers a vers b + sn a sn b, with sn R = sqrt(v (2 - kappa v))
+        v = 0.5 * c2
+        sn = math.sqrt(max(v * (2.0 - g.kappa * v), 0.0))
+        return 2.0 * (v + v_eps - g.kappa * v * v_eps + sign * sn * s_eps)
 
     def disk_about(center: Point, idx: tuple[int, ...]):
-        # smallest disk about center holding points idx; support: those on its rim
-        reach = [distance(center, points[k], g) for k in idx]
-        radius = max(reach)
-        return center, radius, tuple(k for k, d in zip(idx, reach) if d >= radius - 1e-9)
+        # smallest disk about center holding points idx, as
+        # (center, reach chord2, idx, bound)
+        reach2 = max([chord2(center, points[k], g) for k in idx])
+        return center, reach2, idx, shifted(reach2, 1.0)
 
     def triple(i: int, j: int, k: int):
         cc = circumcenter(points[i], points[j], points[k], g)
@@ -555,19 +586,24 @@ def smallest_enclosing_disk(
         return min((disk_about(midpoint(points[a], points[b], g), (a, b, c))
                     for a, b, c in ((i, j, k), (i, k, j), (j, k, i))), key=lambda d: d[1])
 
-    disk = (points[order[0]], 0.0, (order[0],))
+    point_bound = shifted(0.0, 1.0)
+    disk = (points[order[0]], 0.0, (order[0],), point_bound)
     for a, i in enumerate(order):
-        if covers(disk, i):
+        if chord2(disk[0], points[i], g) <= disk[3]:
             continue
-        disk = (points[i], 0.0, (i,))
+        disk = (points[i], 0.0, (i,), point_bound)
         for b, j in enumerate(order[:a]):
-            if covers(disk, j):
+            if chord2(disk[0], points[j], g) <= disk[3]:
                 continue
             disk = disk_about(midpoint(points[i], points[j], g), (i, j))
             for k in order[:b]:
-                if not covers(disk, k):
+                if chord2(disk[0], points[k], g) > disk[3]:
                     disk = triple(i, j, k)
-    return disk
+    # radius and support (the points on the rim) of the last disk only
+    center, reach2, idx, _ = disk
+    radius = max(distance(center, points[k], g) for k in idx)
+    rim = shifted(reach2, -1.0) if reach2 > 2.0 * v_eps else -math.inf
+    return center, radius, tuple(k for k in idx if chord2(center, points[k], g) >= rim)
 
 
 def signed_distance_to_geodesic(x: Point, base: Point, u: Tangent, g: Geometry) -> float:

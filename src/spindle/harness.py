@@ -30,6 +30,7 @@ from .geometry import (
     _normalize_tangent,
     angle_coord,
     circle_circle_intersection,
+    det3,
     distance,
     exp_map,
     log_dir,
@@ -37,12 +38,14 @@ from .geometry import (
     perp,
     signed_distance_to_geodesic,
     tangent_from_angle,
+    turn_angle,
 )
 from .measure import area, incircle, sample_in_disk, thickness
-from .regions import CapDomain, DiskPolygon, ball_hull, cap_domain
+from .regions import CapDomain, DiskPolygon, angle_in, ball_hull, cap_domain
 from .extremal import (
     regular_disk_hexagon,
     regular_disk_triangle,
+    triangle_area,
     triangle_inradius,
     triangle_inradius_partials,
 )
@@ -107,10 +110,9 @@ def check_extremal_bounds(poly: DiskPolygon) -> dict:
         raise SpindleError("OUT_OF_RANGE", "width exceeds the arc radius")
     w_eff = min(w, r)
     inc = incircle(poly)
-    tri = regular_disk_triangle(w_eff, r, g)
-    rho_bound = tri.rho0
+    rho_bound = triangle_inradius(w_eff, r, g)
     a = area(poly)
-    a_bound = area(tri.region)
+    a_bound = triangle_area(w_eff, r, g)
     margin_rho = inc.radius - rho_bound
     margin_area = a - a_bound
     violations = []
@@ -119,7 +121,7 @@ def check_extremal_bounds(poly: DiskPolygon) -> dict:
     if margin_area < -MARGIN_SLACK:
         violations.append("area-bound")
     near = margin_rho < NEAR_EQUALITY and margin_area < NEAR_EQUALITY
-    match = triangle_match_distance(poly, tri) if near else None
+    match = triangle_match_distance(poly, regular_disk_triangle(w_eff, r, g)) if near else None
     return {
         "width": w,
         "incircle": inc,
@@ -157,32 +159,25 @@ def _farthest_from_support_line(
     poly: DiskPolygon, base: Point, u: Tangent
 ) -> tuple[Point, float]:
     """Region point with the largest signed distance from the geodesic
-    through base with direction u (region on the positive side)."""
+    through base with direction u (region on the positive side).
+
+    det3(base, u, x) is sn of that distance, so candidates are ranked on it
+    and the distance is taken once, for the winner."""
     g = poly.geometry
     pole = perp(base, u, g)
-    best_x: Optional[Point] = None
-    best_d = -math.inf
-    for v in poly.vertices:
-        d = signed_distance_to_geodesic(v, base, u, g)
-        if d > best_d:
-            best_x, best_d = v, d
+    candidates = list(poly.vertices)
     for arc in poly.arcs:
         # interior critical points of the distance lie on the geodesic
-        # through the arc center normal to the line: walk the gradient
+        # through the arc center normal to the line; the one against the
+        # gradient is the circle's nearest point, never the farthest
         try:
             grad = _normalize_tangent(arc.center, pole.x, pole.y, pole.z, g)
         except SpindleError:
             continue
-        for sign in (1.0, -1.0):
-            direction = Tangent(sign * grad.x, sign * grad.y, sign * grad.z)
-            y = exp_map(arc.center, direction, arc.radius, g)
-            if not arc.contains_ray_angle(y):
-                continue
-            d = signed_distance_to_geodesic(y, base, u, g)
-            if d > best_d:
-                best_x, best_d = y, d
-    assert best_x is not None
-    return best_x, best_d
+        if angle_in(turn_angle(arc.center, arc.u0, grad, g), 0.0, arc.extent):
+            candidates.append(exp_map(arc.center, grad, arc.radius, g))
+    best_x = max(candidates, key=lambda x: det3(base, u, x))
+    return best_x, signed_distance_to_geodesic(best_x, base, u, g)
 
 
 def inscribed_cap_domain(
@@ -347,7 +342,7 @@ def hexagon_margins(
     area comparison is meaningful.  Returns [(rho, margin), ...].
     """
     rho0 = triangle_inradius(w, r, g)
-    a_tri = area(regular_disk_triangle(w, r, g).region)
+    a_tri = triangle_area(w, r, g)
     out = []
     for f in fractions:
         rho = rho0 + f * (0.5 * w - rho0)

@@ -36,6 +36,7 @@ from .geometry import (
     _distinct,
     _negate,
     _normalize_point,
+    chord2,
     distance,
     exp_map,
     frame_angle,
@@ -80,31 +81,37 @@ def segment_area(phi: float, rho: float, g: Geometry) -> float:
     return _segment_minor(phi, rho, g)
 
 
+def _excess(y: float, x: float, g: Geometry) -> float:
+    # area 2 atan2(y, x) of a geodesic triangle given by its half-angle
+    # tangent y / x (x > 0), or the flat limit 2 y / x
+    return 2.0 * math.atan2(y, x) if g.kappa else 2.0 * y / x
+
+
 def _polygon_area(verts: Sequence[Point], g: Geometry) -> float:
     """Signed area of the geodesic polygon with the given CCW vertex cycle.
 
-    Uses the total turning: interior angles may be reflex (the cap-domain
-    vertex cycles are star-shaped but not convex), so the angle at each
-    vertex is pi minus the signed exterior turn there.
+    Sums the signed areas of the fan of triangles (a, b, c) = (v_0, v_i,
+    v_i+1), so reflex vertices (the star-shaped cap-domain cycles) need no
+    care.  Each has tan(kappa A / 2) = kappa det(a, b, c) / (1 + cs ab +
+    cs bc + cs ca) (Van Oosterom and Strackee on the sphere; det / 2 when
+    flat), with cs = 1 - kappa chord2 / 2 and det(a, b - a, c - a) taken on
+    the chords: unlike Gauss-Bonnet, 2 pi minus the total turning, it keeps
+    its digits on small polygons.
     """
-    n = len(verts)
-    if n <= 2:
+    if len(verts) <= 2:
         return 0.0
-    if g.kappa == 0:
-        s = 0.0
-        for i in range(n):
-            a, b = verts[i], verts[(i + 1) % n]
-            s += a.x * b.y - b.x * a.y
-        return 0.5 * s
-    turn_sum = 0.0
-    for i in range(n):
-        v = verts[i]
-        prev_v = verts[i - 1]
-        next_v = verts[(i + 1) % n]
-        w_in = _negate(log_dir(v, prev_v, g))  # arrival direction, continuing forward
-        turn_sum += turn_angle(v, w_in, log_dir(v, next_v, g), g)
-    # Gauss-Bonnet: kappa * area = 2*pi - total turning
-    return g.kappa * (TWO_PI - turn_sum)
+    a = verts[0]
+    half = 0.5 * g.kappa
+    ab = chord2(a, verts[1], g)
+    total = 0.0
+    for b, c in zip(verts[1:], verts[2:]):
+        ac = chord2(a, c, g)
+        ux, uy, uz = b.x - a.x, b.y - a.y, b.z - a.z
+        vx, vy, vz = c.x - a.x, c.y - a.y, c.z - a.z
+        det = a.x * (uy * vz - uz * vy) - a.y * (ux * vz - uz * vx) + a.z * (ux * vy - uy * vx)
+        total += _excess(det, 4.0 - half * (ab + ac + chord2(b, c, g)), g)
+        ab = ac
+    return total
 
 
 def area(region) -> float:
@@ -165,7 +172,7 @@ def _pieces(poly: DiskPolygon) -> list[_Piece]:
         # signed, not reduced mod 2 pi: a smooth vertex turning by -1e-17
         # must not read as a full cone
         vert_pieces.append((v, 0.0, n_in, turn_angle(v, n_in, n_out, g)))
-    arc_pieces = [(a.center, poly.r, log_dir(a.center, a.start, g), a.extent) for a in arcs]
+    arc_pieces = [(a.center, poly.r, a.u0, a.extent) for a in arcs]
     return vert_pieces + arc_pieces
 
 

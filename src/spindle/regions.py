@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .geometry import (
@@ -28,6 +29,7 @@ from .geometry import (
     GEOMETRIES,
     Point,
     SpindleError,
+    Tangent,
     _distinct,
     _intersection_angle,
     _points_off_axis,
@@ -36,6 +38,7 @@ from .geometry import (
     circle_circle_intersection,
     distance,
     exp_map,
+    frame_angle,
     log_dir,
     midpoint,
     rotate_tangent,
@@ -55,7 +58,7 @@ class Arc:
     The region an arc bounds lies on the center side, so the center stays
     on the left while walking the boundary.  `extent` is the central angle
     of the traversal, in (0, 2*pi]; start == end with extent 2*pi encodes
-    a full circle.
+    a full circle.  `u0` is the unit direction from the center to start.
     """
 
     center: Point
@@ -64,12 +67,12 @@ class Arc:
     end: Point
     extent: float
     geometry: Geometry
+    u0: Tangent = field(repr=False, compare=False)
 
     def point_at(self, s: float) -> Point:
         """Point reached after central angle s of counterclockwise travel."""
         g = self.geometry
-        u = log_dir(self.center, self.start, g)
-        return exp_map(self.center, rotate_tangent(self.center, u, s, g), self.radius, g)
+        return exp_map(self.center, rotate_tangent(self.center, self.u0, s, g), self.radius, g)
 
     def midpoint(self) -> Point:
         return self.point_at(0.5 * self.extent)
@@ -79,8 +82,7 @@ class Arc:
         g = self.geometry
         if self.extent >= TWO_PI - tol:
             return True
-        u0 = log_dir(self.center, self.start, g)
-        return angle_in(turn_toward(self.center, u0, x, g), 0.0, self.extent, tol)
+        return angle_in(turn_toward(self.center, self.u0, x, g), 0.0, self.extent, tol)
 
 
 def angle_in(theta, lo: float, width: float, tol: float = ANGLE_EPS):
@@ -112,16 +114,18 @@ def make_arc(center: Point, radius: float, start: Point, end: Point, g: Geometry
     if chord < 1e-15:
         raise SpindleError("MALFORMED_BOUNDARY", "zero-extent arc")
     extent = _arc_extent_from_chord(chord, radius, g)
-    ccw = turn_toward(center, log_dir(center, start, g), end, g) % TWO_PI
+    u0 = log_dir(center, start, g)
+    ccw = turn_toward(center, u0, end, g) % TWO_PI
     # the chord determines extent or 2*pi - extent; pick the CCW-consistent one
     if abs(ccw - extent) > abs(ccw - (TWO_PI - extent)):
         extent = TWO_PI - extent
-    return Arc(center, radius, start, end, extent, g)
+    return Arc(center, radius, start, end, extent, g, u0)
 
 
 def full_circle_arc(center: Point, radius: float, g: Geometry) -> Arc:
-    start = exp_map(center, tangent_basis(center, g)[0], radius, g)
-    return Arc(center, radius, start, start, TWO_PI, g)
+    u0 = tangent_basis(center, g)[0]
+    start = exp_map(center, u0, radius, g)
+    return Arc(center, radius, start, start, TWO_PI, g, u0)
 
 
 # --------------------------------------------------------------------------
@@ -134,7 +138,8 @@ class DiskPolygon:
     arcs[i] runs from vertex i to vertex i+1 (cyclically); one arc of
     extent 2*pi encodes a full disk.  `boundary_degenerate` marks inputs
     whose smallest enclosing disk radius sits within tolerance of r, where
-    the radius-r disks holding them shrink to that one disk.
+    the radius-r disks holding them shrink to that one disk.  The
+    properties derived from arcs are built once, on first use.
     """
 
     geometry: Geometry
@@ -142,17 +147,17 @@ class DiskPolygon:
     arcs: tuple[Arc, ...]
     boundary_degenerate: bool = False
 
-    @property
+    @cached_property
     def is_full_disk(self) -> bool:
         return len(self.arcs) == 1 and self.arcs[0].extent >= TWO_PI - ANGLE_EPS
 
-    @property
+    @cached_property
     def vertices(self) -> tuple[Point, ...]:
         if self.is_full_disk:
             return ()
         return tuple(a.start for a in self.arcs)
 
-    @property
+    @cached_property
     def centers(self) -> tuple[Point, ...]:
         return tuple(a.center for a in self.arcs)
 
@@ -426,14 +431,16 @@ def cap_domain(disk: Circle, apexes: Iterable[Point], r: float, g: Geometry) -> 
         beta = _intersection_angle(r - rho, d, r, g)
         if beta is None:
             raise SpindleError("APEX_TOO_FAR", "no tangent arc pair for this apex")
-        hits = _points_off_axis(p, q, r - rho, beta, g)
+        u = log_dir(p, q, g)
+        hits = _points_off_axis(p, u, r - rho, beta, g)
         c_left, c_right = hits[0], hits[-1]
         # tangency points sit diametrically opposite the arc centers through
-        # the disk center, so the footprint half width seen from p is
-        # pi - beta; the left center touches at the clockwise end
-        t_in = exp_map(c_left, log_dir(c_left, p, g), r, g)
-        t_out = exp_map(c_right, log_dir(c_right, p, g), r, g)
-        caps.append((angle_coord(p, q, g), q, c_left, c_right, t_in, t_out, math.pi - beta))
+        # the disk center, at distance rho turned by -+(pi - beta), so the
+        # footprint half width seen from p is pi - beta; the left center
+        # touches at the clockwise end
+        touch = _points_off_axis(p, u, rho, math.pi - beta, g)
+        t_out, t_in = touch[0], touch[-1]
+        caps.append((frame_angle(p, u, g), q, c_left, c_right, t_in, t_out, math.pi - beta))
     caps.sort(key=lambda cap: cap[0])
 
     m = len(caps)
@@ -459,5 +466,5 @@ def cap_domain(disk: Circle, apexes: Iterable[Point], r: float, g: Geometry) -> 
         t_in_next = caps[(i + 1) % m][4]
         span = (th_next - half_next - th - half) % TWO_PI if m > 1 else TWO_PI - 2.0 * half
         if span > ANGLE_EPS:
-            arcs.append(Arc(p, rho, t_out, t_in_next, span, g))
+            arcs.append(Arc(p, rho, t_out, t_in_next, span, g, log_dir(p, t_out, g)))
     return CapDomain(g, r, p, rho, tuple(c[1] for c in caps), tuple(arcs), tuple(pairs), tuple(wedges))

@@ -5,7 +5,8 @@ from integrating the polar exit distance of a region with mpmath,
 inradii from re-solving the defining contact equations by bisection,
 widths from brute-force support sampling or from enumerating double
 normals family by family with the package's geometry primitives, r-hulls
-by gift-wrapping, and the incircle from a refining grid search.  Tests
+by gift-wrapping, the incircle from a refining grid search, and geodesic
+directions and midpoints by way of the inverse-trigonometric distance.  Tests
 compare package output against digits these routines produce (see the
 constants in the test modules).
 """
@@ -477,3 +478,28 @@ def incircle_grid_reference(poly, levels=8, grid=17):
             if val > best_val:
                 best_val, best_x = val, x
     return best_val, best_x
+
+
+# ---------------------------------------------------------------------------
+# direction and midpoint through the distance (the forms the chord2 ones
+# replaced)
+
+def log_dir_reference(p, q, g):
+    """Direction p -> q as the tangent part of q - cs(d) p, with d taken
+    by the package's inverse-trigonometric distance."""
+    from spindle.geometry import SpindleError, Tangent, _normalize_tangent, distance
+
+    d = distance(p, q, g)
+    if d < 1e-12:
+        raise SpindleError("DEGENERATE", "no direction between coincident points")
+    if g.kappa == 0:
+        return Tangent((q.x - p.x) / d, (q.y - p.y) / d, 0.0)
+    c = g.cs(d)
+    return _normalize_tangent(p, q.x - c * p.x, q.y - c * p.y, q.z - c * p.z, g)
+
+
+def midpoint_reference(p, q, g):
+    """Midpoint as the point half the distance along log_dir_reference."""
+    from spindle.geometry import distance, exp_map
+
+    return exp_map(p, log_dir_reference(p, q, g), 0.5 * distance(p, q, g), g)

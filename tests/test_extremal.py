@@ -6,13 +6,15 @@ root solving at 40 digits, partials via central differences at h = 1e-12).
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import triangle_inradius_reference
+from oracles import disk_intersection_exit, polar_area, triangle_inradius_reference
 from spindle.extremal import (
     regular_disk_hexagon,
     regular_disk_triangle,
+    triangle_area,
     triangle_inradius,
     triangle_inradius_partials,
 )
@@ -215,6 +217,44 @@ def test_area_decreases_in_r():
                 for r in np.linspace(max(w, 0.95), 1.5, 6)
             ]
             assert all(a > b for a, b in zip(areas, areas[1:]))
+
+
+AREA_GRID = [
+    (g, f * r, r)
+    for g in ALL
+    for r in ((0.1, 0.3, 0.7, 1.0, 1.4) + ((3.0,) if g.kappa <= 0 else (1.5,)))
+    for f in (0.05, 0.3, 0.6, 1.0)
+]
+
+
+def test_triangle_area_matches_the_built_triangle():
+    worst = max(
+        abs(triangle_area(w, r, g) / area(regular_disk_triangle(w, r, g).region) - 1.0)
+        for g, w, r in AREA_GRID
+    )
+    assert worst <= 1e-12
+
+
+def test_triangle_area_euclidean_limits():
+    # Reuleaux triangle at w = r; Pal's equilateral triangle w^2 / sqrt 3 as
+    # r -> inf, at the tolerance of acceptance criterion 3
+    for w in (0.25, 1.0, 3.0):
+        reuleaux = (math.pi - math.sqrt(3.0)) * w * w / 2.0
+        assert triangle_area(w, w, EUCLIDEAN) == pytest.approx(reuleaux, rel=1e-14)
+    assert triangle_area(1.0, 1e6, EUCLIDEAN) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-4)
+
+
+@pytest.mark.parametrize("g", [HYPERBOLIC, SPHERICAL], ids=lambda g: g.name)
+def test_triangle_area_matches_polar_integration(g):
+    # 40-digit inradius by bisection and area by mpmath quadrature of the
+    # polar exit distance; the residue, up to 4e-14, is segment_area's
+    # cancellation at small central angles
+    for r in (0.3, 1.0, 1.4):
+        for w in (0.05 * r, r):
+            rho0 = triangle_inradius_reference(g.kappa, w, r)
+            arcs = [(k * 2 * mp.pi / 3, mp.mpf(r) - rho0, mp.mpf(r)) for k in range(3)]
+            ref = polar_area(g.kappa, disk_intersection_exit(g.kappa, arcs), [a[0] for a in arcs])
+            assert abs(triangle_area(w, r, g) / ref - 1) <= 1e-13
 
 
 def test_hexagon_at_rho0_is_the_triangle():

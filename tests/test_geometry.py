@@ -45,6 +45,7 @@ from spindle.geometry import (
     tangent_from_angle,
     turn_toward,
 )
+from oracles import log_dir_reference, midpoint_reference
 from spindle.regions import ball_hull
 from test_regions import jittered_ring
 
@@ -191,6 +192,91 @@ def test_midpoint_bisects():
             m = midpoint(p, q, g)
             assert distance(p, m, g) == pytest.approx(0.5 * d, abs=1e-12)
             assert distance(m, q, g) == pytest.approx(0.5 * d, abs=1e-12)
+
+
+def direction_and_midpoint_reference(p, q, g):
+    """50-digit values, for the float inputs as given, of the direction
+    p -> q (the tangent part of q - cs(d) p, normalized) and of the
+    midpoint (p + q normalized on the surface; (p + q) / 2 when flat)."""
+    with mp.workdps(50):
+        k = g.kappa
+        P, Q = ([mp.mpf(c) for c in x] for x in (p, q))
+        w = (1, 1, k)
+
+        def form(a, b):
+            return sum(c * x * y for c, x, y in zip(w, a, b))
+
+        D = [b - a for a, b in zip(P, Q)]
+        U = [d + k * form(D, D) / 2 * a for d, a in zip(D, P)]
+        if k:
+            U = [u - form(P, U) / form(P, P) * a for u, a in zip(U, P)]
+            n = mp.sqrt(abs(form(U, U)))
+        else:
+            n = mp.sqrt(form(U, U))
+        S = [a + b for a, b in zip(P, Q)]
+        s = mp.sqrt(abs(form(S, S))) if k else 2
+        return [u / n for u in U], [x / s for x in S]
+
+
+def relative_gap(a, b):
+    return float(max(abs(x - y) for x, y in zip(a, b)) / max(abs(x) for x in b))
+
+
+@pytest.mark.parametrize("name, offset, d_max", [
+    ("euclidean", 50.0, 1.4),
+    ("spherical", 0.0, math.pi - 1.5e-6),
+    ("spherical", 1.5, 1.4),
+    ("hyperbolic", 1.0, 1.4),
+    ("hyperbolic", 5.0, 1.4),
+])
+def test_log_dir_and_midpoint_match_the_distance_forms(name, offset, d_max):
+    # chords d from 1e-10 to d_max, a quarter of them at exactly 1e-10 and,
+    # on the sphere, another quarter at d_max (pi - 1.5e-6 is just short of
+    # the ANTIPODAL cut-off at pi - 1.4e-6); base points up to `offset` from
+    # the origin.  The forms
+    # through chord2 are checked against 50-digit values and against the
+    # forms through distance (tests/oracles.py), within tol up to the old
+    # forms' own error, which reaches 2.3e-9 on the sphere, 8.5e-9 at
+    # hyperbolic offset 1 and 6.8e-6 at offset 5.  tol is 1e-14 times the
+    # coordinate scale cosh^2 D on the hyperboloid and times 1 / cos(d/2) on
+    # the sphere, where the direction p -> q is ill-conditioned like 1 / (pi - d)
+    g = GEOMETRIES[name]
+    rng = np.random.default_rng(115)
+    for i in range(400):
+        p = from_polar(g, rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, offset))
+        d = 10.0 ** rng.uniform(-10.0, math.log10(d_max))
+        if i % 4 == 0:
+            d = 1e-10
+        elif i % 4 == 1 and g.kappa > 0:
+            d = d_max
+        q = exp_map(p, tangent_from_angle(p, rng.uniform(0.0, 2.0 * math.pi), g), d, g)
+        tol = 1e-14 * (1.0 / math.cos(0.5 * d) if g.kappa > 0 else math.cosh(offset) ** 2)
+        ref_dir, ref_mid = direction_and_midpoint_reference(p, q, g)
+        for new, old, ref in ((log_dir(p, q, g), log_dir_reference(p, q, g), ref_dir),
+                              (midpoint(p, q, g), midpoint_reference(p, q, g), ref_mid)):
+            assert relative_gap(new, ref) <= tol
+            assert relative_gap(new, old) <= tol + relative_gap(old, ref)
+        m = midpoint(p, q, g)
+        assert abs(distance(p, m, g) - distance(m, q, g)) <= tol
+
+
+def test_log_dir_and_midpoint_keep_the_distance_cut_offs():
+    # DEGENERATE below d = 1e-12, ANTIPODAL past p.q = -1 + 1e-12 (d > pi - 1.41e-6)
+    for g in ALL:
+        p = from_polar(g, 0.3, 0.2)
+        u = tangent_from_angle(p, 1.0, g)
+        for f in (log_dir, log_dir_reference):
+            f(p, exp_map(p, u, 1.1e-12, g), g)
+            with pytest.raises(SpindleError) as err:
+                f(p, exp_map(p, u, 0.9e-12, g), g)
+            assert err.value.code == "DEGENERATE"
+    p = from_polar(SPHERICAL, 0.3, 0.2)
+    u = tangent_from_angle(p, 1.0, SPHERICAL)
+    for f in (log_dir, log_dir_reference, midpoint, midpoint_reference):
+        f(p, exp_map(p, u, math.pi - 1.5e-6, SPHERICAL), SPHERICAL)
+        with pytest.raises(SpindleError) as err:
+            f(p, exp_map(p, u, math.pi - 1e-6, SPHERICAL), SPHERICAL)
+        assert err.value.code == "ANTIPODAL"
 
 
 def equilateral_angle(s, g):
@@ -537,6 +623,27 @@ def test_smallest_enclosing_disk_of_ring_hull_centers():
             assert len(centers) == n
             first = check_enclosing_disk(centers, g)
             assert smallest_enclosing_disk(centers, g) == first  # same bits
+
+
+def test_smallest_enclosing_disk_takes_few_distances(monkeypatch):
+    # containment is tested on chord2 against 2 vers(R + 1e-9): the
+    # inverse-trigonometric distance runs only in circumcenter and for the
+    # last disk's radius, not once per covers test (which made 866-1141
+    # calls here)
+    calls = 0
+
+    def counted(p, q, g):
+        nonlocal calls
+        calls += 1
+        return distance(p, q, g)
+
+    monkeypatch.setattr(geometry, "distance", counted)
+    rng = np.random.default_rng(209)
+    for g in ALL:
+        pts = jittered_ring(g, 48, 1.0, rng)
+        calls = 0
+        smallest_enclosing_disk(pts, g)
+        assert calls <= 3 * len(pts)
 
 
 def test_smallest_enclosing_disk_near_duplicates():

@@ -84,6 +84,24 @@ def test_triangle_itself_sits_on_both_bounds():
         assert rep["violations"] == []
 
 
+def test_bounds_build_the_triangle_only_near_equality(monkeypatch):
+    # the area bound has a closed form (triangle_area); the triangle itself
+    # is built only for triangle_match_distance
+    calls = Counter()
+
+    def counted(*args, _original=harness.regular_disk_triangle):
+        calls["regular_disk_triangle"] += 1
+        return _original(*args)
+
+    monkeypatch.setattr(harness, "regular_disk_triangle", counted)
+    rng = np.random.default_rng(403)
+    for g in ALL:
+        rep = check_extremal_bounds(sample_disk_polygon(g, 8, 1.0, rng))
+        assert not rep["near_equality"] and not calls
+        rep = check_extremal_bounds(regular_disk_triangle(0.8, 1.2, g).region)
+        assert rep["near_equality"] and calls.pop("regular_disk_triangle") == 1
+
+
 def test_near_disk_hull_has_comfortable_margins():
     # a hull of many cocircular points is close to a disk: far from extremal
     from spindle.geometry import from_polar
