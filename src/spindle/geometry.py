@@ -26,6 +26,8 @@ Conventions used throughout the package:
 * so cs d = 1 - kappa chord2 / 2, and `log_dir` (the tangent part of
   q - cs(d) p) takes no distance; `midpoint(p, q)` is
   (p + q) / sqrt(4 - kappa chord2), as form(p + q, p + q) = 4 - kappa chord2.
+  Past a right angle on the sphere both work from p + q instead, whose
+  size keeps the digits that 4 - chord2 and q - cs(d) p cancel away.
 """
 
 from __future__ import annotations
@@ -293,7 +295,7 @@ def log_dir(p: Point, q: Point, g: Geometry) -> Tangent:
     """Initial unit direction of the geodesic from p to q: the tangent part
     of q - cs(d) p, with cs d = 1 - kappa chord2 / 2, so no distance is
     taken (the chord form q - p + (kappa chord2 / 2) p keeps its digits
-    when q is close to p)."""
+    when q is close to p, the form on p + q when q is near the antipode)."""
     dx, dy, dz = q.x - p.x, q.y - p.y, q.z - p.z
     c2 = dx * dx + dy * dy + g.kappa * dz * dz
     if c2 < _DEGENERATE_CHORD2:
@@ -301,6 +303,12 @@ def log_dir(p: Point, q: Point, g: Geometry) -> Tangent:
     if g.kappa > 0 and c2 >= _ANTIPODAL_CHORD2:
         raise SpindleError("ANTIPODAL", "antipodal points have no unique geodesic")
     h = 0.5 * g.kappa * c2
+    if h > 1.0:
+        # past a right angle on the sphere q - p + h p cancels down to the
+        # size of p + q; the same vector is (p + q) - (|p + q|^2 / 2) p
+        sx, sy, sz = p.x + q.x, p.y + q.y, p.z + q.z
+        h = 0.5 * (sx * sx + sy * sy + sz * sz)
+        return _normalize_tangent(p, sx - h * p.x, sy - h * p.y, sz - h * p.z, g)
     return _normalize_tangent(p, dx + h * p.x, dy + h * p.y, dz + h * p.z, g)
 
 
@@ -456,16 +464,15 @@ def _points_off_axis(p: Point, u: Tangent, t: float, beta: float, g: Geometry) -
     """Points at distance t from p in the directions turned by +beta (left)
     and -beta (right) from the unit tangent u; one point if beta is 0 or pi.
 
-    Each is cs t p + sn t (cos beta u +- sin beta perp u), normalized once.
+    Each is cs t p + sn t v for the turned unit tangent v, normalized once
+    (exp_map's walk, without its tangent check).
     """
-    v = perp(p, u, g)
     c, s = g.cs(t), g.sn(t)
-    a, b = s * math.cos(beta), s * math.sin(beta)
-    ax, ay, az = c * p.x + a * u.x, c * p.y + a * u.y, c * p.z + a * u.z
-    left = _normalize_point(g, ax + b * v.x, ay + b * v.y, az + b * v.z)
-    if beta in (0.0, math.pi):
-        return (left,)
-    return (left, _normalize_point(g, ax - b * v.x, ay - b * v.y, az - b * v.z))
+    points = []
+    for angle in (beta,) if beta in (0.0, math.pi) else (beta, -beta):
+        v = rotate_tangent(p, u, angle, g)
+        points.append(_normalize_point(g, c * p.x + s * v.x, c * p.y + s * v.y, c * p.z + s * v.z))
+    return tuple(points)
 
 
 def circle_circle_intersection(
@@ -564,18 +571,18 @@ def smallest_enclosing_disk(
     random.Random(len(points)).shuffle(order)
     v_eps, s_eps = g.vers(1e-9), g.sn(1e-9)
 
-    def shifted(c2: float, sign: float) -> float:
-        # 2 vers(R + sign 1e-9) for c2 = 2 vers R: vers(a + b) = vers a + vers b
+    def shifted(c2: float) -> float:
+        # 2 vers(R + 1e-9) for c2 = 2 vers R: vers(a + b) = vers a + vers b
         # - kappa vers a vers b + sn a sn b, with sn R = sqrt(v (2 - kappa v))
         v = 0.5 * c2
         sn = math.sqrt(max(v * (2.0 - g.kappa * v), 0.0))
-        return 2.0 * (v + v_eps - g.kappa * v * v_eps + sign * sn * s_eps)
+        return 2.0 * (v + v_eps - g.kappa * v * v_eps + sn * s_eps)
 
     def disk_about(center: Point, idx: tuple[int, ...]):
         # smallest disk about center holding points idx, as
         # (center, reach chord2, idx, bound)
         reach2 = max([chord2(center, points[k], g) for k in idx])
-        return center, reach2, idx, shifted(reach2, 1.0)
+        return center, reach2, idx, shifted(reach2)
 
     def triple(i: int, j: int, k: int):
         cc = circumcenter(points[i], points[j], points[k], g)
@@ -586,7 +593,7 @@ def smallest_enclosing_disk(
         return min((disk_about(midpoint(points[a], points[b], g), (a, b, c))
                     for a, b, c in ((i, j, k), (i, k, j), (j, k, i))), key=lambda d: d[1])
 
-    point_bound = shifted(0.0, 1.0)
+    point_bound = shifted(0.0)
     disk = (points[order[0]], 0.0, (order[0],), point_bound)
     for a, i in enumerate(order):
         if chord2(disk[0], points[i], g) <= disk[3]:
@@ -600,10 +607,10 @@ def smallest_enclosing_disk(
                 if chord2(disk[0], points[k], g) > disk[3]:
                     disk = triple(i, j, k)
     # radius and support (the points on the rim) of the last disk only
-    center, reach2, idx, _ = disk
-    radius = max(distance(center, points[k], g) for k in idx)
-    rim = shifted(reach2, -1.0) if reach2 > 2.0 * v_eps else -math.inf
-    return center, radius, tuple(k for k in idx if chord2(center, points[k], g) >= rim)
+    center, _, idx, _ = disk
+    reach = [distance(center, points[k], g) for k in idx]
+    radius = max(reach)
+    return center, radius, tuple(k for k, d in zip(idx, reach) if d >= radius - 1e-9)
 
 
 def signed_distance_to_geodesic(x: Point, base: Point, u: Tangent, g: Geometry) -> float:

@@ -11,6 +11,7 @@ from spindle.extremal import regular_disk_triangle, triangle_inradius
 from spindle.geometry import GEOMETRIES, EUCLIDEAN, SpindleError, distance
 from spindle.harness import (
     HEX_FRACTIONS,
+    MARGIN_SLACK,
     VerifyConfig,
     cap_rotation_check,
     check_extremal_bounds,
@@ -100,6 +101,32 @@ def test_bounds_build_the_triangle_only_near_equality(monkeypatch):
         assert not rep["near_equality"] and not calls
         rep = check_extremal_bounds(regular_disk_triangle(0.8, 1.2, g).region)
         assert rep["near_equality"] and calls.pop("regular_disk_triangle") == 1
+
+
+def test_battery_measures_one_triangle_per_plane(monkeypatch):
+    # the closed-form area bound is held against a built triangle once per
+    # plane, at the trial with the least area margin; a bound off by more
+    # than MARGIN_SLACK there is a violation
+    calls = Counter()
+
+    def counted(*args, _original=harness.regular_disk_triangle):
+        calls["regular_disk_triangle"] += 1
+        return _original(*args)
+
+    monkeypatch.setattr(harness, "regular_disk_triangle", counted)
+    cfg = VerifyConfig(trials=6, seed=5)
+    clean = run_verification(cfg)
+    near = sum(rep["near_equality"] for rep in clean["geometries"].values())
+    assert clean["violations_total"] == 0
+    assert calls["regular_disk_triangle"] == len(ALL) + near
+
+    def drifted(w, r, g, _original=harness.triangle_area):
+        return _original(w, r, g) + 2.0 * MARGIN_SLACK
+
+    monkeypatch.setattr(harness, "triangle_area", drifted)
+    for rep in run_verification(cfg)["geometries"].values():
+        assert [v["kind"] for v in rep["violations"]] == ["area-bound-closed-form"]
+        assert rep["violations"][0]["margin_area"] == rep["min_margin_area"]
 
 
 def test_near_disk_hull_has_comfortable_margins():
