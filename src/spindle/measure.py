@@ -15,6 +15,10 @@ disk enclosing their centers.
 The Monte Carlo area check is written once for all three planes: area-uniform
 disk samples have vers s uniform (sample_in_disk), and surface points satisfy
 form(x - c, x - c) = 2 vers d(x, c) for the form of tangent_dot (_inside_disks).
+Sample directions come from the half-angle tangent t = tan(theta / 2), as
+((1 - t^2), 2 t) / (1 + t^2), and both the sampler and the hit count run in
+blocks of _BLOCK rows, so that each numpy pass works on a few MB in cache
+rather than streaming 1e6-row temporaries through memory.
 """
 
 from __future__ import annotations
@@ -51,20 +55,49 @@ from .geometry import (
 from .regions import Arc, DiskPolygon, TWO_PI, angle_in
 
 
+# rows per numpy pass (screen pairs, Monte Carlo samples), so that its
+# temporaries stay a few MB, in cache, at any problem size
+_BLOCK = 1 << 16
+
+
 def disk_area(g: Geometry, rho: float) -> float:
     return TWO_PI * g.vers(rho)
 
 
+# max(1, cs^2) tan^2(phi / 2) up to which _segment_minor sums its series
+_SEGMENT_SERIES = 0.25
+
+
 def _segment_minor(phi: float, rho: float, g: Geometry) -> float:
-    # area between a chord and its arc, central angle phi <= pi
-    if g.kappa == 0:
-        if phi < 1e-2:
-            # phi - sin(phi) loses everything below ~1e-2; series instead
-            p2 = phi * phi
-            return 0.5 * rho * rho * (phi * p2 / 6.0) * (1.0 - p2 / 20.0 * (1.0 - p2 / 42.0))
-        return 0.5 * rho * rho * (phi - math.sin(phi))
-    c = g.cs(rho)  # the two curved forms differ only in sign
-    return g.kappa * (2.0 * math.atan(c * math.tan(0.5 * phi)) - phi * c)
+    """Area between a chord and its arc, central angle phi <= pi.
+
+    With t = tan(phi / 2), V = vers rho and c = cs rho = 1 - kappa V the
+    area is 2 kappa (atan(c t) - c atan t) (flat: rho^2 (phi - sin phi) / 2),
+    which cancels when phi or rho is small.  Two forms keep the digits,
+    written once for the three planes: for small t the series
+    2 c sn^2 sum_k (-1)^(k+1) P_k t^(2k+1) / (2k+1), P_k = 1 + c^2 + ... +
+    c^(2k-2), with sn^2 = V (1 + c); else, with atan(c t) - atan t = -atan q,
+    2 V (atan t - t / (1 + c t^2)) - 2 kappa (atan q - q), q = kappa V t /
+    (1 + c t^2).  That form cancels in turn as c falls to 1/3 and below,
+    where the plain one is good again: it stays for c < 1/2 (spherical
+    rho > pi/3).
+    """
+    v, c = g.vers(rho), g.cs(rho)
+    t = math.tan(0.5 * phi)
+    x = t * t
+    if x * max(1.0, c * c) <= _SEGMENT_SERIES:
+        total, p, tk, n = 0.0, 1.0, t * x, 3
+        while True:
+            term = p * tk / n
+            total += term
+            if abs(term) <= 1e-17 * total:
+                return 2.0 * c * v * (1.0 + c) * total
+            p, tk, n = p * c * c + 1.0, -tk * x, n + 2
+    if c < 0.5:
+        return g.kappa * (2.0 * math.atan(c * t) - phi * c)
+    d = 1.0 + c * x
+    q = g.kappa * v * t / d
+    return 2.0 * v * (math.atan(t) - t / d) - 2.0 * g.kappa * (math.atan(q) - q)
 
 
 def segment_area(phi: float, rho: float, g: Geometry) -> float:
@@ -155,7 +188,6 @@ _KINDS = ("vertex-vertex", "vertex-arc", "arc-arc")  # by the number of arc ends
 _SCREEN_EPS = 1e-6
 # centers closer than this pass the screen unjudged: the common-center branch stays scalar
 _SCREEN_NEAR = 1e-6
-_PAIR_BLOCK = 1 << 16  # pairs per array pass of the screen: its arrays stay a few MB at any h
 
 _Piece = tuple[Point, float, Tangent, float]  # (center, rho, u0, span)
 
@@ -180,7 +212,7 @@ def _screen(pieces: Sequence[_Piece], g: Geometry) -> np.ndarray:
     """Which pairs of pieces may bound a double normal, as a symmetric
     boolean matrix: a superset of the pairs _chord_normals accepts.
 
-    Array passes over blocks of rows (_PAIR_BLOCK) take turn_toward from
+    Array passes over blocks of rows (_BLOCK pairs each) take turn_toward from
     every center toward every other: the angle of the chord c_g - c_f in
     the frame (u, perp u) at c_f, with the pi flip for two vertices.  A
     pair survives when both turns fall in their spans within _SCREEN_EPS,
@@ -193,7 +225,7 @@ def _screen(pieces: Sequence[_Piece], g: Geometry) -> np.ndarray:
     h = m // 2  # the vertices, which _pieces puts first
     hit = np.empty((m, m), dtype=bool)
     near = np.empty((m, m), dtype=bool)
-    rows = max(1, _PAIR_BLOCK // m)
+    rows = max(1, _BLOCK // m)
     for s in range(0, m, rows):
         f = slice(s, s + rows)
         chord = c - c[f, None]  # [f, g] = c_g - c_f
@@ -363,13 +395,24 @@ def sample_in_disk(
 
     The disk of radius s has area 2 pi vers s, so v = vers s is uniform on
     [0, vers big_r]; then cs s = 1 - kappa v and sn s = sqrt(v (2 - kappa v)),
-    and the sample is cs s o + sn s (cos theta t1 + sin theta t2).
+    and the sample is cs s o + sn s (cos theta t1 + sin theta t2).  The
+    direction takes t = tan(theta / 2), cos theta = (1 - t^2) / (1 + t^2)
+    and sin theta = 2 t / (1 + t^2): one vectorized tan in place of cos and
+    sin, which numpy evaluates by scalar libm calls.  All theta are drawn
+    first, then all v; the points are built _BLOCK rows per pass.
     """
     theta = rng.uniform(0.0, TWO_PI, count)
     v = g.vers(big_r) * rng.uniform(0.0, 1.0, count)
-    sn = np.sqrt(v * (2.0 - g.kappa * v))
     frame = np.array([o, *tangent_basis(o, g)])
-    return np.stack([1.0 - g.kappa * v, sn * np.cos(theta), sn * np.sin(theta)], axis=1) @ frame
+    out = np.empty((count, 3))
+    for s in range(0, count, _BLOCK):
+        b = slice(s, s + _BLOCK)
+        vb, t = v[b], np.tan(0.5 * theta[b])
+        t2 = t * t
+        sn = np.sqrt(vb * (2.0 - g.kappa * vb)) / (1.0 + t2)
+        coef = np.stack([1.0 - g.kappa * vb, sn * (1.0 - t2), sn * (2.0 * t)], axis=1)
+        np.matmul(coef, frame, out=out[b])
+    return out
 
 
 def _form_weights(g: Geometry) -> np.ndarray:
@@ -385,7 +428,7 @@ def _inside_disks(pts: np.ndarray, centers: Sequence[Point], radius: float, g: G
     form(x, x) per row, when the caller has it already."""
     w = _form_weights(g)
     if xx is None:
-        xx = np.einsum("ij,ij,j->i", pts, pts, w)
+        xx = (pts * pts) @ w
     bound = 2.0 * g.vers(radius + GEOM_EPS)
     inside = np.ones(len(pts), dtype=bool)
     for c in centers:
@@ -396,17 +439,22 @@ def _inside_disks(pts: np.ndarray, centers: Sequence[Point], radius: float, g: G
 
 def _inside_cap_domain(pts: np.ndarray, dom, g: Geometry) -> np.ndarray:
     """CapDomain.contains over a point batch: the wedge angle about the
-    center p is atan2(form(x - p, e2), form(x - p, e1))."""
+    center p is atan2(form(x - p, e2), form(x - p, e1)), taken, with the
+    cap tests, only for the points off the disk B(p, rho)."""
     p = dom.center
     w = _form_weights(g)
-    xx = np.einsum("ij,ij,j->i", pts, pts, w)
+    xx = (pts * pts) @ w
     inside = _inside_disks(pts, [p], dom.rho, g, xx)
+    off = np.flatnonzero(~inside)
+    pts, xx = pts[off], xx[off]
     e1, e2 = (w * e for e in tangent_basis(p, g))
     theta = np.arctan2(pts @ e2 - e2 @ p, pts @ e1 - e1 @ p)
+    capped = np.zeros(len(off), dtype=bool)
     for (cl, cr), (lo, width) in zip(dom.cap_disks, dom.cap_wedges):
         wedge = angle_in(theta, lo, width)
         if wedge.any():
-            inside |= wedge & _inside_disks(pts, [cl.center, cr.center], dom.r, g, xx)
+            capped |= wedge & _inside_disks(pts, [cl.center, cr.center], dom.r, g, xx)
+    inside[off[capped]] = True
     return inside
 
 
@@ -416,17 +464,19 @@ def area_monte_carlo(
     """Monte Carlo area estimate and its standard error.
 
     Samples area-uniformly in a bounding disk (sample_in_disk) and counts
-    hits with the batch forms of DiskPolygon.contains and CapDomain.contains.
+    hits with the batch forms of DiskPolygon.contains and
+    CapDomain.contains, _BLOCK samples per pass.
     """
     if samples <= 0:
         raise SpindleError("BAD_RANGE", "need a positive sample count")
     g = region.geometry
     o, big_r = bounding_disk(region)
     pts = sample_in_disk(o, big_r, samples, rng, g)
+    blocks = (pts[s:s + _BLOCK] for s in range(0, samples, _BLOCK))
     if isinstance(region, DiskPolygon):
-        hits = int(_inside_disks(pts, region.centers, region.r, g).sum())
+        hits = sum(int(_inside_disks(b, region.centers, region.r, g).sum()) for b in blocks)
     else:
-        hits = int(_inside_cap_domain(pts, region, g).sum())
+        hits = sum(int(_inside_cap_domain(b, region, g).sum()) for b in blocks)
     p_hat = hits / samples
     a_bound = disk_area(g, big_r)
     estimate = a_bound * p_hat

@@ -91,11 +91,11 @@ CAP_AREA = {
 }
 
 # circular segment, phi = 1e-3, rho = 0.2; oracles.py.  The curved closed
-# forms cancel to ~7 good digits at this phi (absolute error ~1e-19)
+# forms cancel to ~7 good digits at this phi; segment_area sums a series
 SEGMENT_TINY = {
-    "euclidean": (3.333333166666670634921e-12, 1e-12),
-    "hyperbolic": (3.44580111140782553037e-12, 1e-6),
-    "spherical": (3.223561585647674994134e-12, 1e-6),
+    "euclidean": (3.333333166666670634921e-12, 1e-14),
+    "hyperbolic": (3.44580111140782553037e-12, 1e-14),
+    "spherical": (3.223561585647674994134e-12, 1e-14),
 }
 
 
@@ -200,6 +200,25 @@ def test_segment_area_tiny_angle():
     for g in ALL:
         want, rel = SEGMENT_TINY[g.name]
         assert segment_area(1e-3, 0.2, g) == pytest.approx(want, rel=rel)
+
+
+def test_segment_area_keeps_its_digits():
+    # against 2 kappa (atan(c tan(phi/2)) - c phi/2) at 50 digits, from
+    # phi = 1e-6 to the half disk and from rho = 1e-3 to a hemisphere: the
+    # closed form in doubles cancels at small phi or rho (to 1e-3 relative)
+    def reference(phi, rho, kappa):
+        with mp.workdps(50):
+            phi, rho = mp.mpf(phi), mp.mpf(rho)
+            if kappa == 0:
+                return rho * rho * (phi - mp.sin(phi)) / 2
+            c = mp.cos(rho) if kappa > 0 else mp.cosh(rho)
+            return kappa * (2 * mp.atan(c * mp.tan(phi / 2)) - phi * c)
+
+    for g in ALL:
+        for rho in (1e-3, 0.1, 0.3, 1.0, 1.2, 1.5 if g.kappa > 0 else 3.0):
+            for phi in np.geomspace(1e-6, 3.1, 40).tolist() + [math.pi - 1e-8]:
+                rel = segment_area(phi, rho, g) / reference(phi, rho, g.kappa) - 1
+                assert abs(rel) <= 4e-15, (g.name, rho, phi)
 
 
 def test_segment_area_degenerate_ends():
@@ -342,7 +361,7 @@ def test_width_screen_keeps_every_double_normal(monkeypatch):
             keep = _screen(pieces, g)
             assert (keep == keep.T).all()
             with monkeypatch.context() as m:
-                m.setattr(measure, "_PAIR_BLOCK", 3 * len(pieces))
+                m.setattr(measure, "_BLOCK", 3 * len(pieces))
                 assert (_screen(pieces, g) == keep).all()
             for i, j in combinations(range(len(pieces)), 2):
                 pf, pg = pieces[i], pieces[j]
@@ -484,6 +503,59 @@ def test_samples_are_area_uniform():
             share = g.vers(s) / g.vers(big_r)
             se = math.sqrt(share * (1.0 - share) / n)
             assert abs(np.mean(d <= s) - share) <= 4.0 * se
+
+
+class ChosenDraws:
+    """A stand-in generator whose uniform draws are given in advance."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def uniform(self, lo, hi, count):
+        out = np.asarray(self.draws.pop(0), dtype=float)
+        assert len(out) == count
+        return out
+
+
+def test_sample_directions_at_the_half_angle_poles():
+    # t = tan(theta / 2) runs to 1.6e16 next to theta = pi: the half-angle
+    # direction must stay finite, unit and at angle theta there too
+    thetas = [0.0, 0.5 * math.pi, math.pi, np.nextafter(math.pi, 0.0),
+              np.nextafter(math.pi, 4.0), 1.5 * math.pi, np.nextafter(TWO_PI, 0.0)]
+    for g in ALL:
+        o = from_polar(g, 0.7, 0.4)
+        big_r, u = 0.3, 0.6
+        pts = sample_in_disk(o, big_r, len(thetas), ChosenDraws(thetas, [u] * len(thetas)), g)
+        assert np.isfinite(pts).all()
+        form = pts[:, 0] ** 2 + pts[:, 1] ** 2 + g.kappa * pts[:, 2] ** 2
+        if g is EUCLIDEAN:
+            assert np.all(pts[:, 2] == 1.0)
+        else:
+            assert np.all(np.abs(form - g.kappa) <= 1e-12)
+        s = g.avers(u * g.vers(big_r))
+        for theta, row in zip(thetas, pts):
+            x = Point(*row)
+            assert abs(distance(o, x, g) / s - 1.0) <= 1e-14
+            turn = (angle_coord(o, x, g) - theta) % TWO_PI
+            assert min(turn, TWO_PI - turn) <= 1e-14, (g.name, theta)
+
+
+def test_monte_carlo_blocks_change_nothing(monkeypatch):
+    # samples and estimates are bit-identical whatever the rows per pass,
+    # with counts that end a block early, on it and one row past it
+    for g in ALL:
+        o = from_polar(g, 0.7, 0.4)
+        regions = (lens_region(g), build_cap_domain(g))
+        for block in (7, 1000):
+            for count in (1, block - 1, block, block + 1):
+                want_pts = sample_in_disk(o, 0.8, count, np.random.default_rng(count), g)
+                want = [area_monte_carlo(x, count, np.random.default_rng(count)) for x in regions]
+                with monkeypatch.context() as m:
+                    m.setattr(measure, "_BLOCK", block)
+                    pts = sample_in_disk(o, 0.8, count, np.random.default_rng(count), g)
+                    got = [area_monte_carlo(x, count, np.random.default_rng(count)) for x in regions]
+                assert np.array_equal(pts, want_pts)
+                assert got == want
 
 
 def disk_polygon_margin(poly, x):
