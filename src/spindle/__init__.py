@@ -10,7 +10,6 @@ from .geometry import (
     Point,
     SpindleError,
     Tangent,
-    angle_at,
     circle_circle_intersection,
     distance,
     embed,
@@ -21,7 +20,6 @@ from .geometry import (
     origin,
     perp,
     rotate_tangent,
-    side_from_cosine_law,
     signed_distance_to_geodesic,
     smallest_enclosing_disk,
 )
@@ -55,15 +53,12 @@ from .extremal import (
 )
 from .harness import (
     VerifyConfig,
-    cap_rotation_check,
     check_extremal_bounds,
-    distance_monotonicity_check,
     hexagon_margins,
     inscribed_cap_domain,
     monotonicity_sweep,
     run_verification,
     sample_disk_polygon,
-    symmetric_cap_domain,
 )
 from .render import render_svg
 

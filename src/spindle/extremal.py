@@ -42,10 +42,10 @@ def _check_width_radius(w: float, r: float, g: Geometry) -> None:
 
 def triangle_inradius(w: float, r: float, g: Geometry) -> float:
     """Inradius of the regular disk triangle of width w and arc radius r:
-    (r + w - avers((4 vers r - vers(r - w)) / 3)) / 2 in every plane."""
+    (w - x) / 2, where r + x = avers((4 vers r - vers(r - w)) / 3)."""
     _check_width_radius(w, r, g)
     if g.kappa >= 0 or r <= _LOG_FORM_R:
-        return 0.5 * (r + w - _side_sum(w, r, g))
+        return 0.5 * (w - _excess_side(w, r, g))
     # y = (4 cosh r - cosh(r-w)) / 3 = e^r * q / 3 with q of order one;
     # acosh(y) = log(y) + log(1 + sqrt(1 - 1/y^2)) and 1/y^2 underflows to 0
     q = 2.0 + 2.0 * math.exp(-2.0 * r) - 0.5 * (math.exp(-w) + math.exp(w - 2.0 * r))
@@ -55,10 +55,15 @@ def triangle_inradius(w: float, r: float, g: Geometry) -> float:
     return 0.5 * (r + w - acosh_y)
 
 
-def _side_sum(w: float, r: float, g: Geometry) -> float:
-    # r + w - 2 rho0, the sum of the vertex and arc-center distances from the
-    # incenter, by the law of cosines at the incenter (angle 2pi/3)
-    return g.avers((4.0 * g.vers(r) - g.vers(r - w)) / 3.0)
+def _excess_side(w: float, r: float, g: Geometry) -> float:
+    # r + x, the sum of the vertex and arc-center distances from the incenter,
+    # has vers(r + x) - vers r = sn r sn x + cs r vers x = delta by the law of
+    # cosines there; in tau = tn(x/2), (2 cs r - kappa delta) tau^2 + 2 sn r
+    # tau = delta, whose rationalized root cancels nothing at small w
+    delta = 2.0 * g.sn(0.5 * w) * g.sn(r - 0.5 * w) / 3.0
+    sn_r = g.sn(r)
+    tau = delta / (sn_r + math.sqrt(sn_r * sn_r + delta * (2.0 * g.cs(r) - g.kappa * delta)))
+    return g.asn(2.0 * tau / (1.0 + g.kappa * tau * tau))  # sn x from tn(x/2)
 
 
 def triangle_inradius_partials(w: float, r: float, g: Geometry) -> tuple[float, float]:
@@ -68,7 +73,7 @@ def triangle_inradius_partials(w: float, r: float, g: Geometry) -> tuple[float, 
     _check_width_radius(w, r, g)
     if g.kappa >= 0 or r <= _LOG_FORM_R:
         # vers' = sn, so d avers(y) = dy / sn(avers y)
-        root = 3.0 * g.sn(_side_sum(w, r, g))
+        root = 3.0 * g.sn(r + _excess_side(w, r, g))
         return (
             0.5 * (1.0 - g.sn(r - w) / root),
             0.5 * (1.0 - (4.0 * g.sn(r) - g.sn(r - w)) / root),

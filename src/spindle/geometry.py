@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -233,14 +234,27 @@ def chord2(p: Point, q: Point, g: Geometry) -> float:
 
 def _distinct(points: Sequence[Point], g: Geometry) -> list[int]:
     """Indices of the points left when each one within MERGE_EPS of an
-    earlier kept point (chord2 <= 2 vers MERGE_EPS) merges into it."""
+    earlier kept point (chord2 <= 2 vers MERGE_EPS) merges into it.
+
+    A point meets only the kept points whose x lies within a window, found
+    by bisection: O(n log n) when few points share one.  For Z = max(1, |z|)
+    over the input, chord2 >= dx^2 / Z^2 on every surface (in E and S the
+    other terms are squares; on the hyperboloid z is tanh-Lipschitz in (x, y),
+    so chord2 >= |d(x, y)|^2 / max(z_p, z_q)^2), so a merge needs |dx| <=
+    sqrt(merge) Z.  The window adds 64 eps Z^3 for the rounding of chord2 on
+    the hyperboloid, and spans all points once 64 eps Z^2 >= 1 (16.6 out).
+    """
     merge = 2.0 * g.vers(MERGE_EPS)
-    kept: list[int] = []
-    kept_points: list[Point] = []
+    z = max([1.0] + [abs(p.z) for p in points])
+    win = math.sqrt(merge) * z + 2.0 ** -46 * z ** 3 if 2.0 ** -46 * z * z < 1.0 else math.inf
+    xs, near, kept = [], [], []  # kept x-coordinates ascending, their points, indices
     for i, p in enumerate(points):
-        if all(chord2(p, q, g) > merge for q in kept_points):
+        lo, hi = bisect_left(xs, p.x - win), bisect_right(xs, p.x + win)
+        if all(chord2(p, q, g) > merge for q in near[lo:hi]):
+            k = bisect_left(xs, p.x)
+            xs.insert(k, p.x)
+            near.insert(k, p)
             kept.append(i)
-            kept_points.append(p)
     return kept
 
 
@@ -397,11 +411,6 @@ def angle_coord(o: Point, x: Point, g: Geometry) -> float:
     return frame_angle(o, log_dir(o, x, g), g)
 
 
-def angle_at(a: Point, b: Point, c: Point, g: Geometry) -> float:
-    """Interior angle at b of the geodesic wedge a-b-c, in [0, pi]."""
-    return abs(turn_angle(b, log_dir(b, a, g), log_dir(b, c, g), g))
-
-
 def midpoint(p: Point, q: Point, g: Geometry) -> Point:
     """Midpoint of the geodesic segment p q: (p + q) / sqrt(4 - kappa chord2),
     as form(p + q, p + q) = 4 - kappa chord2 on every surface.  Past a right
@@ -422,30 +431,6 @@ def cos_angle(a: float, b: float, c: float, g: Geometry) -> float:
     """Cosine of the angle between sides a and b of a triangle whose third
     side is c: (vers a - vers c + cs a vers b) / (sn a sn b)."""
     return (g.vers(a) - g.vers(c) + g.cs(a) * g.vers(b)) / (g.sn(a) * g.sn(b))
-
-
-def side_from_cosine_law(b: float, c: float, alpha: float, g: Geometry) -> float:
-    """Side opposite the angle alpha enclosed by sides b and c.
-
-    Uses the versine form vers a = vers(b - c) + 2 sn b sn c sin^2(alpha/2),
-    so tiny sides lose no precision (hyperbolic b = c = 1e-4, alpha = pi/3
-    comes out to 1e-4 within 1e-10).
-    """
-    if b <= 0.0 or c <= 0.0:
-        raise SpindleError("BAD_RANGE", "sides must be positive")
-    if not (0.0 < alpha < math.pi):
-        raise SpindleError("BAD_RANGE", "angle must lie strictly between 0 and pi")
-    if b >= g.radius_limit or c >= g.radius_limit:
-        raise SpindleError("BAD_RANGE", "spherical sides must stay below pi/2")
-    sh = math.sin(0.5 * alpha)
-    v = g.vers(b - c) + 2.0 * g.sn(b) * g.sn(c) * sh * sh
-    if g.kappa > 0:
-        if v > 2.0 + 2e-12:
-            raise SpindleError("OUT_OF_RANGE", "no spherical triangle with these data")
-        if v > 1.0:
-            # the arcsine form of avers loses digits past a right angle
-            return math.acos(max(-1.0, 1.0 - v))
-    return g.avers(v)
 
 
 def _intersection_angle(r1: float, d: float, r2: float, g: Geometry) -> Optional[float]:

@@ -28,8 +28,6 @@ from .geometry import (
     Tangent,
     _negate,
     _normalize_tangent,
-    angle_coord,
-    circle_circle_intersection,
     det3,
     distance,
     exp_map,
@@ -37,7 +35,6 @@ from .geometry import (
     origin,
     perp,
     signed_distance_to_geodesic,
-    tangent_from_angle,
     turn_angle,
 )
 from .measure import area, incircle, sample_in_disk, thickness
@@ -460,123 +457,3 @@ def triangle_inradius_partials_checked(
                 f"r-partial mismatch at w={w} r={r}: {dr} vs {num_r}"
             )
     return dw, dr
-
-
-# --------------------------------------------------------------------------
-# proof-step reproductions
-
-def symmetric_cap_domain(dom: CapDomain) -> Optional[CapDomain]:
-    """Rebuild a three-cap domain with its caps rotated to directions
-    2pi/3 apart (the first apex keeps its direction, all apex distances
-    are preserved).  Returns None when the rotated caps would overlap,
-    which cannot happen for three congruent caps that fit disjointly."""
-    if len(dom.apexes) != 3:
-        return None
-    g = dom.geometry
-    p = dom.center
-    base = angle_coord(p, dom.apexes[0], g)
-    apexes = []
-    for k, q in enumerate(dom.apexes):
-        d = distance(p, q, g)
-        u = tangent_from_angle(p, base + 2.0 * math.pi * k / 3.0, g)
-        apexes.append(exp_map(p, u, d, g))
-    try:
-        return cap_domain(Circle(p, dom.rho), apexes, dom.r, g)
-    except SpindleError:
-        return None
-
-
-def cap_rotation_check(
-    g: Geometry, trials: int, seed: int = 0, r: float = 1.0
-) -> dict:
-    """Random admissible three-cap domains, rotated to the symmetric
-    position: the area must not move.
-
-    The caps sit over disjoint stretches of the disk boundary in both
-    configurations, so each contributes its area independently of where
-    around the disk it sits.  Returns max |area difference| and any
-    violations beyond 1e-9.
-    """
-    gi = list(GEOMETRIES).index(g.name)
-    violations = []
-    worst = 0.0
-    built = 0
-    attempt = 0
-    while built < trials and attempt < 50 * trials:
-        rng = np.random.default_rng((seed, gi, attempt))
-        attempt += 1
-        rho = r * rng.uniform(0.15, 0.4)
-        # keep each cap footprint under ~pi/4 so three caps have room:
-        # beyond d_slim the tangent points spread too far around the disk
-        # (Euclidean bound, a serviceable proxy at these curvatures)
-        m = r - rho
-        d_slim = 0.5 * (math.sqrt(max(4 * r * r - 2 * m * m, 0.0)) - math.sqrt(2) * m)
-        if d_slim <= rho:
-            continue
-        dists = rho + (d_slim - rho) * rng.uniform(0.1, 0.9, 3)
-        angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, 3))
-        gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * math.pi]]))
-        if np.min(gaps) < 1.65:
-            continue  # crowded directions rarely admit disjoint caps
-        p = origin(g)
-        apexes = [
-            exp_map(p, tangent_from_angle(p, float(t), g), float(d), g)
-            for t, d in zip(angles, dists)
-        ]
-        try:
-            dom = cap_domain(Circle(p, rho), apexes, r, g)
-        except SpindleError:
-            continue
-        sym = symmetric_cap_domain(dom)
-        if sym is None:
-            continue
-        built += 1
-        diff = abs(area(dom) - area(sym))
-        worst = max(worst, diff)
-        if diff > 1e-9:
-            violations.append(f"attempt {attempt - 1}: area moved by {diff}")
-    return {"built": built, "max_diff": worst, "violations": violations}
-
-
-def distance_monotonicity_check(
-    g: Geometry, pairs: int, seed: int = 0, steps: int = 8
-) -> dict:
-    """Two overlapping circles of equal radius: walking the boundary of
-    the first from an intersection point toward the point diametrically
-    away from the second center, the gap to the second disk must grow
-    strictly.
-
-    Checks the gap d(c2, x) - r at `steps` stations along that quarter
-    of boundary for `pairs` random configurations.  Any non-increasing
-    consecutive pair is a violation.
-    """
-    gi = list(GEOMETRIES).index(g.name)
-    violations = []
-    for k in range(pairs):
-        rng = np.random.default_rng((seed, gi, k))
-        r = float(rng.uniform(0.5, 1.2))
-        c1 = origin(g)
-        sep = r * float(rng.uniform(0.1, 0.9))
-        direction = tangent_from_angle(c1, float(rng.uniform(0, 2 * math.pi)), g)
-        c2 = exp_map(c1, direction, sep, g)
-        hits = circle_circle_intersection(Circle(c1, r), Circle(c2, r), g)
-        if len(hits) != 2:
-            continue
-        f = hits[0]
-        v = exp_map(c1, _negate(log_dir(c1, c2, g)), r, g)
-        phi_f = angle_coord(c1, f, g)
-        phi_v = angle_coord(c1, v, g)
-        delta = (phi_v - phi_f) % (2.0 * math.pi)
-        if delta > math.pi:
-            delta -= 2.0 * math.pi
-        gaps = []
-        for s in np.linspace(0.0, 1.0, steps):
-            x = exp_map(
-                c1, tangent_from_angle(c1, phi_f + float(s) * delta, g), r, g
-            )
-            gaps.append(distance(c2, x, g) - r)
-        for a, b in zip(gaps, gaps[1:]):
-            if not b > a:
-                violations.append(f"pair {k}: gap step {a} -> {b}")
-                break
-    return {"pairs": pairs, "violations": violations}

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .geometry import (
     ANGLE_EPS,
     GEOM_EPS,
@@ -49,6 +51,9 @@ from .geometry import (
 )
 
 TWO_PI = 2.0 * math.pi
+_TIGHT_EPS = 1e-9     # an enclosing radius this close to r makes the hull that one disk
+_POP_SLACK = 1e-12    # the r-scan pops a point this close to the disk through its neighbours
+_COVER_SLACK = 1e-7   # every input point lies this close to each arc's disk
 
 
 @dataclass(frozen=True)
@@ -247,19 +252,26 @@ def r_segment(x: Point, y: Point, r: float, g: Geometry) -> DiskPolygon:
 def ball_hull(points: Sequence[Point], r: float, g: Geometry) -> DiskPolygon:
     """Smallest r-convex region containing the points.
 
-    When the smallest enclosing disk B(o, R) has radius r (within 1e-9), it
-    is the only radius-r disk holding the points and so their hull, split at
-    the points on its rim.  Otherwise, in O(n log n): in the chart x ->
-    form(x - o, e_i) / cs d(o, x) on the frame e_i at o (gnomonic on the
-    sphere, Beltrami-Klein on the hyperboloid) geodesics are straight, so
-    Andrew's monotone chain gives the extreme points, counterclockwise.
-    The one farthest from o is a hull vertex (the radius-r disk internally
-    tangent to B(o, R) there holds every point); from it round the chain, a
-    stack pops its top while that lies in the radius-r disk whose circle
-    runs through the entry below and the next point, center on the left.
-    The cycle starts after the vertex farthest from the first point (the
-    earliest such in input order).  Raises NOT_ENCLOSABLE when no radius-r
-    disk covers the input.
+    When the smallest enclosing disk B(o, R) has radius r (within
+    _TIGHT_EPS), it is the only radius-r disk holding the points and so
+    their hull, split at the points on its rim.  Otherwise, in O(n log n):
+    in the chart x -> form(x - o, e_i) / cs d(o, x) on the frame e_i at o
+    (gnomonic on the sphere, Beltrami-Klein on the hyperboloid) geodesics
+    are straight, so Andrew's monotone chain gives the extreme points,
+    counterclockwise.  The one farthest from o is a hull vertex (the
+    radius-r disk internally tangent to B(o, R) there holds every point);
+    from it round the chain, a stack pops its top while that lies in the
+    radius-r disk whose circle runs through the entry below and the next
+    point, center on the left.  The cycle starts after the vertex farthest
+    from the first point (the earliest such in input order).
+
+    Last, one array pass checks that each arc's disk grown by _COVER_SLACK
+    holds every point (MALFORMED_BOUNDARY otherwise): each popped point, and
+    each vertex against the other arcs.  The chain points suffice, as the
+    chart maps geodesics to lines, so the rest lie in the chain's geodesic
+    convex hull, and the grown disks are convex while r + _COVER_SLACK <
+    radius_limit; past that (the sphere, r near pi/2) every point is tested.
+    Raises NOT_ENCLOSABLE when no radius-r disk covers the input.
     """
     g.check_radius(r)
     pts = list(points)
@@ -269,9 +281,9 @@ def ball_hull(points: Sequence[Point], r: float, g: Geometry) -> DiskPolygon:
     if len(kept) == 1:
         raise SpindleError("DEGENERATE_POINT", "all points coincide")
     o, radius, _ = smallest_enclosing_disk(kept, g)
-    if radius > r + 1e-9:
+    if radius > r + _TIGHT_EPS:
         raise SpindleError("NOT_ENCLOSABLE", "points do not fit in any radius-r disk")
-    degenerate = radius > r - 1e-9  # critically tight
+    degenerate = radius > r - _TIGHT_EPS  # critically tight
     if len(kept) == 2:
         seg = r_segment(kept[0], kept[1], r, g)
         if degenerate and not seg.boundary_degenerate:
@@ -279,7 +291,7 @@ def ball_hull(points: Sequence[Point], r: float, g: Geometry) -> DiskPolygon:
         return seg
     if degenerate:
         rim = sorted(
-            (p for p in kept if abs(distance(o, p, g) - radius) <= 1e-9),
+            (p for p in kept if abs(distance(o, p, g) - radius) <= _TIGHT_EPS),
             key=lambda p: angle_coord(o, p, g),
         )
         arcs = tuple(make_arc(o, r, a, b, g) for a, b in zip(rim, rim[1:] + rim[:1]))
@@ -296,11 +308,10 @@ def ball_hull(points: Sequence[Point], r: float, g: Geometry) -> DiskPolygon:
     chain = _monotone_chain(chart)
 
     # r-scan from the chain point farthest from o round the chain and back to
-    # it; the top is popped when within 1e-12 of the disk, so points on a
-    # supporting circle drop out; centers[j] is the center of the arc
-    # stack[j] -> stack[j + 1]
+    # it, so points on a supporting circle drop out; centers[j] is the center
+    # of the arc stack[j] -> stack[j + 1]
     k = max(range(len(chain)), key=lambda j: reach2[chain[j]])
-    inside = 2.0 * g.vers(r + 1e-12)
+    inside = 2.0 * g.vers(r + _POP_SLACK)
     stack, centers = [chain[k]], []
     for p in chain[k + 1:] + chain[:k + 1]:
         while len(stack) > 1 and stack[-2] != p:
@@ -319,11 +330,17 @@ def ball_hull(points: Sequence[Point], r: float, g: Geometry) -> DiskPolygon:
     centers = centers[s:] + centers[:s]
     n = len(verts)
     arcs = tuple(make_arc(centers[i], r, verts[i], verts[(i + 1) % n], g) for i in range(n))
-    poly = DiskPolygon(g, r, arcs, boundary_degenerate=degenerate)
-    for p in kept:
-        if not poly.contains(p, tol=1e-7):
-            raise SpindleError("MALFORMED_BOUNDARY", "hull does not cover its input")
-    return poly
+    tested = kept if r + _COVER_SLACK >= g.radius_limit else [kept[i] for i in chain]
+    if not _covered(tested, centers, 2.0 * g.vers(r + _COVER_SLACK), g):
+        raise SpindleError("MALFORMED_BOUNDARY", "hull does not cover its input")
+    return DiskPolygon(g, r, arcs, boundary_degenerate=degenerate)
+
+
+def _covered(points: Sequence[Point], centers: Sequence[Point], bound: float, g: Geometry) -> bool:
+    """Whether chord2(c, x) <= bound for every center c and point x, in one
+    array pass with chord2's own arithmetic."""
+    dx, dy, dz = (np.array(points)[:, None, :] - np.array(centers)[None, :, :]).transpose(2, 0, 1)
+    return bool((dx * dx + dy * dy + g.kappa * dz * dz <= bound).all())
 
 
 def _monotone_chain(chart: list[tuple[float, float, int]]) -> list[int]:

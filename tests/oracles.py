@@ -5,10 +5,14 @@ from integrating the polar exit distance of a region with mpmath,
 inradii from re-solving the defining contact equations by bisection,
 widths from brute-force support sampling or from enumerating double
 normals family by family with the package's geometry primitives, r-hulls
-by gift-wrapping, the incircle from a refining grid search, and geodesic
-directions and midpoints by way of the inverse-trigonometric distance.  Tests
-compare package output against digits these routines produce (see the
-constants in the test modules).
+by gift-wrapping, the incircle from a refining grid search, the MERGE_EPS
+dedup by comparing every pair, and geodesic directions and midpoints by
+way of the inverse-trigonometric distance.  Tests compare package output
+against digits these routines produce (see the constants in the test
+modules).  The last sections hold helpers that only tests call: the wedge
+angle and the law of cosines on package primitives, and the proof-step
+reproductions of acceptance criterion 10, which build cap domains and
+take their areas with the package.
 """
 
 from __future__ import annotations
@@ -503,3 +507,197 @@ def midpoint_reference(p, q, g):
     from spindle.geometry import distance, exp_map
 
     return exp_map(p, log_dir_reference(p, q, g), 0.5 * distance(p, q, g), g)
+
+
+# ---------------------------------------------------------------------------
+# MERGE_EPS dedup, every pair (package chord2)
+
+def distinct_reference(points, g):
+    """Indices of the points left when each one within MERGE_EPS of an
+    earlier kept point merges into it, comparing every point with every
+    kept one: the O(n^2) loop the windowed dedup replaced."""
+    from spindle.geometry import MERGE_EPS, chord2
+
+    merge = 2.0 * g.vers(MERGE_EPS)
+    kept, kept_points = [], []
+    for i, p in enumerate(points):
+        if all(chord2(p, q, g) > merge for q in kept_points):
+            kept.append(i)
+            kept_points.append(p)
+    return kept
+
+
+# ---------------------------------------------------------------------------
+# angles and sides (package primitives)
+
+def angle_at(a, b, c, g):
+    """Interior angle at b of the geodesic wedge a-b-c, in [0, pi]."""
+    from spindle.geometry import log_dir, turn_angle
+
+    return abs(turn_angle(b, log_dir(b, a, g), log_dir(b, c, g), g))
+
+
+def side_from_cosine_law(b, c, alpha, g):
+    """Side opposite the angle alpha enclosed by sides b and c.
+
+    Uses the versine form vers a = vers(b - c) + 2 sn b sn c sin^2(alpha/2),
+    so tiny sides lose no precision (hyperbolic b = c = 1e-4, alpha = pi/3
+    comes out to 1e-4 within 1e-10).
+    """
+    from spindle.geometry import SpindleError
+
+    if b <= 0.0 or c <= 0.0:
+        raise SpindleError("BAD_RANGE", "sides must be positive")
+    if not (0.0 < alpha < math.pi):
+        raise SpindleError("BAD_RANGE", "angle must lie strictly between 0 and pi")
+    if b >= g.radius_limit or c >= g.radius_limit:
+        raise SpindleError("BAD_RANGE", "spherical sides must stay below pi/2")
+    sh = math.sin(0.5 * alpha)
+    v = g.vers(b - c) + 2.0 * g.sn(b) * g.sn(c) * sh * sh
+    if g.kappa > 0:
+        if v > 2.0 + 2e-12:
+            raise SpindleError("OUT_OF_RANGE", "no spherical triangle with these data")
+        if v > 1.0:
+            # the arcsine form of avers loses digits past a right angle
+            return math.acos(max(-1.0, 1.0 - v))
+    return g.avers(v)
+
+
+# ---------------------------------------------------------------------------
+# proof-step reproductions (package regions and areas)
+
+def symmetric_cap_domain(dom):
+    """Rebuild a three-cap domain with its caps rotated to directions
+    2pi/3 apart (the first apex keeps its direction, all apex distances
+    are preserved).  Returns None when the rotated caps would overlap,
+    which cannot happen for three congruent caps that fit disjointly."""
+    from spindle.geometry import (
+        Circle, SpindleError, angle_coord, distance, exp_map, tangent_from_angle,
+    )
+    from spindle.regions import cap_domain
+
+    if len(dom.apexes) != 3:
+        return None
+    g = dom.geometry
+    p = dom.center
+    base = angle_coord(p, dom.apexes[0], g)
+    apexes = []
+    for k, q in enumerate(dom.apexes):
+        d = distance(p, q, g)
+        u = tangent_from_angle(p, base + 2.0 * math.pi * k / 3.0, g)
+        apexes.append(exp_map(p, u, d, g))
+    try:
+        return cap_domain(Circle(p, dom.rho), apexes, dom.r, g)
+    except SpindleError:
+        return None
+
+
+def cap_rotation_check(g, trials, seed=0, r=1.0):
+    """Random admissible three-cap domains, rotated to the symmetric
+    position: the area must not move.
+
+    The caps sit over disjoint stretches of the disk boundary in both
+    configurations, so each contributes its area independently of where
+    around the disk it sits.  Returns max |area difference| and any
+    violations beyond 1e-9.
+    """
+    from spindle.geometry import (
+        GEOMETRIES, Circle, SpindleError, exp_map, origin, tangent_from_angle,
+    )
+    from spindle.measure import area
+    from spindle.regions import cap_domain
+
+    gi = list(GEOMETRIES).index(g.name)
+    violations = []
+    worst = 0.0
+    built = 0
+    attempt = 0
+    while built < trials and attempt < 50 * trials:
+        rng = np.random.default_rng((seed, gi, attempt))
+        attempt += 1
+        rho = r * rng.uniform(0.15, 0.4)
+        # keep each cap footprint under ~pi/4 so three caps have room:
+        # beyond d_slim the tangent points spread too far around the disk
+        # (Euclidean bound, a serviceable proxy at these curvatures)
+        m = r - rho
+        d_slim = 0.5 * (math.sqrt(max(4 * r * r - 2 * m * m, 0.0)) - math.sqrt(2) * m)
+        if d_slim <= rho:
+            continue
+        dists = rho + (d_slim - rho) * rng.uniform(0.1, 0.9, 3)
+        angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, 3))
+        gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * math.pi]]))
+        if np.min(gaps) < 1.65:
+            continue  # crowded directions rarely admit disjoint caps
+        p = origin(g)
+        apexes = [
+            exp_map(p, tangent_from_angle(p, float(t), g), float(d), g)
+            for t, d in zip(angles, dists)
+        ]
+        try:
+            dom = cap_domain(Circle(p, rho), apexes, r, g)
+        except SpindleError:
+            continue
+        sym = symmetric_cap_domain(dom)
+        if sym is None:
+            continue
+        built += 1
+        diff = abs(area(dom) - area(sym))
+        worst = max(worst, diff)
+        if diff > 1e-9:
+            violations.append(f"attempt {attempt - 1}: area moved by {diff}")
+    return {"built": built, "max_diff": worst, "violations": violations}
+
+
+def distance_monotonicity_check(g, pairs, seed=0, steps=8):
+    """Two overlapping circles of equal radius: walking the boundary of
+    the first from an intersection point toward the point diametrically
+    away from the second center, the gap to the second disk must grow
+    strictly.
+
+    Checks the gap d(c2, x) - r at `steps` stations along that quarter
+    of boundary for `pairs` random configurations.  Any non-increasing
+    consecutive pair is a violation.
+    """
+    from spindle.geometry import (
+        GEOMETRIES,
+        Circle,
+        _negate,
+        angle_coord,
+        circle_circle_intersection,
+        distance,
+        exp_map,
+        log_dir,
+        origin,
+        tangent_from_angle,
+    )
+
+    gi = list(GEOMETRIES).index(g.name)
+    violations = []
+    for k in range(pairs):
+        rng = np.random.default_rng((seed, gi, k))
+        r = float(rng.uniform(0.5, 1.2))
+        c1 = origin(g)
+        sep = r * float(rng.uniform(0.1, 0.9))
+        direction = tangent_from_angle(c1, float(rng.uniform(0, 2 * math.pi)), g)
+        c2 = exp_map(c1, direction, sep, g)
+        hits = circle_circle_intersection(Circle(c1, r), Circle(c2, r), g)
+        if len(hits) != 2:
+            continue
+        f = hits[0]
+        v = exp_map(c1, _negate(log_dir(c1, c2, g)), r, g)
+        phi_f = angle_coord(c1, f, g)
+        phi_v = angle_coord(c1, v, g)
+        delta = (phi_v - phi_f) % (2.0 * math.pi)
+        if delta > math.pi:
+            delta -= 2.0 * math.pi
+        gaps = []
+        for s in np.linspace(0.0, 1.0, steps):
+            x = exp_map(
+                c1, tangent_from_angle(c1, phi_f + float(s) * delta, g), r, g
+            )
+            gaps.append(distance(c2, x, g) - r)
+        for a, b in zip(gaps, gaps[1:]):
+            if not b > a:
+                violations.append(f"pair {k}: gap step {a} -> {b}")
+                break
+    return {"pairs": pairs, "violations": violations}

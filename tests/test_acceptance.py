@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import incircle_grid_reference
+from oracles import cap_rotation_check, distance_monotonicity_check, incircle_grid_reference
 from spindle.geometry import GEOMETRIES, origin, from_polar
 from spindle.regions import Circle, cap_domain, r_segment
 from spindle.extremal import (
@@ -28,9 +28,7 @@ from spindle.extremal import (
 )
 from spindle.measure import area, area_monte_carlo, incircle, thickness
 from spindle.harness import (
-    cap_rotation_check,
     check_extremal_bounds,
-    distance_monotonicity_check,
     hexagon_margins,
     inscribed_cap_domain,
     sample_disk_polygon,

@@ -14,6 +14,7 @@ from spindle import geometry
 from spindle.geometry import (
     EUCLIDEAN,
     GEOMETRIES,
+    HYPERBOLIC,
     MERGE_EPS,
     SPHERICAL,
     Circle,
@@ -21,7 +22,6 @@ from spindle.geometry import (
     SpindleError,
     Tangent,
     _distinct,
-    angle_at,
     angle_coord,
     chord2,
     circle_circle_intersection,
@@ -37,7 +37,6 @@ from spindle.geometry import (
     origin,
     perp,
     rotate_tangent,
-    side_from_cosine_law,
     signed_distance_to_geodesic,
     smallest_enclosing_disk,
     tangent_basis,
@@ -45,7 +44,13 @@ from spindle.geometry import (
     tangent_from_angle,
     turn_toward,
 )
-from oracles import log_dir_reference, midpoint_reference
+from oracles import (
+    angle_at,
+    distinct_reference,
+    log_dir_reference,
+    midpoint_reference,
+    side_from_cosine_law,
+)
 from spindle.regions import ball_hull
 from test_regions import jittered_ring
 
@@ -419,6 +424,72 @@ def test_distinct_merges_each_point_into_an_earlier_kept_one():
         far = from_polar(g, 2.0, 0.5)
         pts = [step[0], far, step[1], step[2], step[3], far]
         assert _distinct(pts, g) == [0, 1, 3]
+
+
+def planted_twins(g, base, rng, shares=(0.5, 0.99)):
+    """base plus, for each point, a twin MERGE_EPS * share away in a random
+    direction, for each share, all in a seeded random order."""
+    pts = list(base)
+    for share in shares:
+        pts += [exp_map(p, tangent_from_angle(p, rng.uniform(0.0, 2.0 * math.pi), g),
+                        share * MERGE_EPS, g) for p in base]
+    return [pts[i] for i in rng.permutation(len(pts))]
+
+
+def test_distinct_matches_every_pair_reference():
+    rng = np.random.default_rng(311)
+    for g in ALL:
+        for n in (1, 2, 12, 48, 200):
+            base = [random_point(g, rng, scale=0.6) for _ in range(n)]
+            pts = planted_twins(g, base, rng)
+            assert _distinct(pts, g) == distinct_reference(pts, g)
+            assert len(_distinct(pts, g)) < len(pts)
+            # chains of steps of 0.6 MERGE_EPS, interleaved: which link is
+            # kept depends on which came first
+            chains = []
+            for p in base[:max(1, n // 4)]:
+                u = tangent_from_angle(p, rng.uniform(0.0, 2.0 * math.pi), g)
+                chains += [exp_map(p, u, k * 0.6 * MERGE_EPS, g) for k in range(1, 6)]
+            pts = [chains[i] for i in rng.permutation(len(chains))] + base
+            assert _distinct(pts, g) == distinct_reference(pts, g)
+    for n in (1, 2, 12, 48, 200):
+        # one shared x, steps of 0.4 MERGE_EPS in y: every point in the window
+        column = [Point(0.3, 0.1 + k * 0.4 * MERGE_EPS, 1.0) for k in range(n)]
+        assert _distinct(column, EUCLIDEAN) == distinct_reference(column, EUCLIDEAN)
+
+
+def sheet_point(theta, t):
+    """Hyperboloid point t from the origin at angle theta, from (sinh t,
+    cosh t): exp_map's normalization fails far out."""
+    return Point(math.sinh(t) * math.cos(theta), math.sinh(t) * math.sin(theta), math.cosh(t))
+
+
+def test_distinct_matches_reference_far_out_and_on_the_equator():
+    rng = np.random.default_rng(313)
+    for n in (1, 2, 12, 48, 200):
+        # hyperbolic points up to 20 from the origin, where the window grows
+        # like cosh^3; twins off them radially and sideways
+        base = [(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 20.0)) for _ in range(n)]
+        pts = [sheet_point(th, t) for th, t in base]
+        for share in (0.5, 0.99):
+            d = share * MERGE_EPS
+            pts += [sheet_point(th, t + d) for th, t in base]
+            pts += [sheet_point(th + d / max(math.sinh(t), d), t) for th, t in base]
+        pts = [pts[i] for i in rng.permutation(len(pts))]
+        assert _distinct(pts, HYPERBOLIC) == distinct_reference(pts, HYPERBOLIC)
+        # radial neighbours 1e-9 to 1e-5 apart, 5 to 16 out: their rounded
+        # chord2 can fall to zero or below, and the rounding term of the
+        # window must reach them
+        base = [(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(5.0, 16.0)) for _ in range(n)]
+        pts = [sheet_point(th, t + d) for th, t in base for d in (0.0, 10 ** rng.uniform(-9, -5))]
+        pts = [pts[i] for i in rng.permutation(len(pts))]
+        assert _distinct(pts, HYPERBOLIC) == distinct_reference(pts, HYPERBOLIC)
+        # spherical points on the equator, z = 0
+        base = [Point(math.cos(th), math.sin(th), 0.0)
+                for th in rng.uniform(0.0, 2.0 * math.pi, n)]
+        pts = planted_twins(SPHERICAL, base, rng)
+        assert _distinct(pts, SPHERICAL) == distinct_reference(pts, SPHERICAL)
+        assert len(_distinct(pts, SPHERICAL)) < len(pts)
 
 
 def cos_angle_reference(a, b, c, g):

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from oracles import cap_rotation_check, distance_monotonicity_check, symmetric_cap_domain
 from spindle import harness
 from spindle.extremal import regular_disk_triangle, triangle_inradius
 from spindle.geometry import GEOMETRIES, EUCLIDEAN, SpindleError, distance
@@ -13,16 +14,13 @@ from spindle.harness import (
     HEX_FRACTIONS,
     MARGIN_SLACK,
     VerifyConfig,
-    cap_rotation_check,
     check_extremal_bounds,
-    distance_monotonicity_check,
     hexagon_margins,
     inscribed_cap_domain,
     monotonicity_sweep,
     run_trial,
     run_verification,
     sample_disk_polygon,
-    symmetric_cap_domain,
 )
 from spindle.measure import area, incircle, thickness
 from spindle.regions import CapDomain

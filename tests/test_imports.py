@@ -5,10 +5,14 @@ No linter is a dependency of the package, so this parses each module under
 src/spindle and tests with ast and reports imported names that are never
 read.  Package __init__ modules are exempt: their imports are re-exports.
 A module-level private name (one leading underscore) in src/spindle must
-be read by some src/spindle module; tests do not count as readers.
+be read by some src/spindle module; tests do not count as readers.  A
+module-level public function in src/spindle must be called by the package
+or the benchmark, or be named in README's Library section: one that only
+tests call belongs in tests/oracles.py.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,3 +98,49 @@ def test_unread_private_name_check_flags_and_accepts():
         "b": ast.parse("from .a import _used\nimport a\nY = _used(1) + a._LIMIT\n"),
     }
     assert unread_private_names(trees) == ["a._Box (line 7)", "a._dead (line 5)"]
+
+
+def called_only_by_tests(trees: dict, library: str) -> list[str]:
+    """Public module-level functions of the package modules in trees that no
+    tree reads, other than in the function's own body, and that library
+    does not name.  A tree named with a leading '-' reads but defines
+    nothing counted (the benchmark)."""
+    defined = {}
+    read = set()
+    for module, tree in trees.items():
+        own = set()
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                if not module.startswith("-"):
+                    defined[node.name] = f"{module}.{node.name} (line {node.lineno})"
+                own |= {id(n) for n in ast.walk(node)
+                        if isinstance(n, ast.Name) and n.id == node.name}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and id(n) not in own:
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return sorted(where for name, where in defined.items()
+                  if name not in read and not re.search(rf"\b{name}\b", library))
+
+
+def test_no_test_only_functions():
+    package = [p for p in SOURCES if p.parent.name == "spindle" and p.name != "__init__.py"]
+    bench = [p for p in sorted((ROOT / "bench").glob("*.py"))
+             if not p.name.startswith("test_") and p.name != "conftest.py"]
+    assert package and bench
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in package}
+    trees |= {"-" + p.stem: ast.parse(p.read_text(), filename=str(p)) for p in bench}
+    readme = (ROOT / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    assert called_only_by_tests(trees, library) == []
+
+
+def test_test_only_function_check_flags_and_accepts():
+    trees = {
+        "a": ast.parse("def used(x):\n    return x\ndef named(x):\n    return x\n"
+                       "def lonely(n):\n    return lonely(n - 1) if n else 0\n"
+                       "def benched():\n    return used(1)\n"),
+        "-run": ast.parse("import a\nY = a.benched()\n"),
+    }
+    assert called_only_by_tests(trees, "call `named` for x") == ["a.lonely (line 5)"]

@@ -19,6 +19,7 @@ from spindle.geometry import (
     Circle,
     Point,
     SpindleError,
+    _negate,
     distance,
     embed,
     exp_map,
@@ -374,6 +375,94 @@ def test_ball_hull_errors():
     with pytest.raises(SpindleError) as err:
         ball_hull([origin(g), embed(g, 3.0, 0.0), embed(g, 0.0, 3.0)], 1.0, g)
     assert err.value.code == "NOT_ENCLOSABLE"
+
+
+def nudged_centers(monkeypatch, pick, shift):
+    """Patch the r-scan's circle_circle_intersection so that a call for which
+    pick(c1, c2, k) holds, k counting the earlier calls for the same pair,
+    returns its left point moved by shift(point)."""
+    real = regions.circle_circle_intersection
+    seen = []
+
+    def fake(c1, c2, g):
+        out = real(c1, c2, g)
+        k = seen.count((c1.center, c2.center))
+        seen.append((c1.center, c2.center))
+        return (shift(out[0]),) + out[1:] if pick(c1.center, c2.center, k) else out
+
+    monkeypatch.setattr(regions, "circle_circle_intersection", fake)
+
+
+def away_from(q, t, g):
+    """Move a point a distance t straight away from q."""
+    return lambda c: exp_map(c, _negate(log_dir(c, q, g)), t, g)
+
+
+def assert_uncovered(pts, r, g):
+    with pytest.raises(SpindleError) as err:
+        ball_hull(pts, r, g)
+    assert str(err.value) == "MALFORMED_BOUNDARY: hull does not cover its input"
+
+
+def test_ball_hull_cover_check_catches_an_uncovered_popped_point(monkeypatch):
+    # 30, 90 and 150 degrees on a circle of radius r: the middle point sits
+    # on the arc through the other two and is popped; the stored center of
+    # that arc (the second call for the pair, after the pop test) is moved
+    # 1.5e-7 away from it, which keeps the arc's endpoints within 0.75e-7
+    # of their circle and leaves the popped point 1.5e-7 outside
+    g, r = EUCLIDEAN, 1.0
+    a, q, b = (embed(g, math.cos(t), math.sin(t))
+               for t in (math.pi / 6, math.pi / 2, 5 * math.pi / 6))
+    assert len(ball_hull([a, q, b], r, g).vertices) == 2
+    nudged_centers(monkeypatch, lambda c1, c2, k: {c1, c2} == {a, b} and k == 1,
+                   away_from(q, 1.5e-7, g))
+    assert_uncovered([a, q, b], r, g)
+
+
+def test_ball_hull_cover_check_catches_a_vertex_outside_another_arc(monkeypatch):
+    # b, 5 degrees past a and 1e-9 outside the circle through a and v, stays
+    # a vertex; the center of the short arc a -> b moves 1e-6 across its
+    # bisector, away from v: a and b move by 4.4e-8 against their circle,
+    # the vertex v by 8.9e-7
+    g, r = EUCLIDEAN, 1.0
+    a = embed(g, math.cos(math.pi / 6), math.sin(math.pi / 6))
+    b = embed(g, (1.0 + 1e-9) * math.cos(7 * math.pi / 36),
+              (1.0 + 1e-9) * math.sin(7 * math.pi / 36))
+    v = embed(g, math.cos(5 * math.pi / 6), math.sin(5 * math.pi / 6))
+    assert len(ball_hull([a, b, v], r, g).vertices) == 3
+    t = -23 * math.pi / 72  # -57.5 degrees, normal to the bisector of a b
+    nudged_centers(monkeypatch, lambda c1, c2, k: (c1, c2) == (a, b),
+                   lambda c: Point(c.x + 1e-6 * math.cos(t), c.y + 1e-6 * math.sin(t), 1.0))
+    assert_uncovered([a, b, v], r, g)
+
+
+def test_ball_hull_cover_check_tests_every_point_near_a_right_angle(monkeypatch):
+    # on the sphere with r + 1e-7 >= pi/2 the grown disks need not be
+    # convex, so every kept point is tested, the two inside ones too; at
+    # r = 1.4 only the chain is
+    g = SPHERICAL
+    ring = [from_polar(g, t, 1.2) for t in (math.pi / 6, math.pi / 2, 5 * math.pi / 6)]
+    pts = ring + [from_polar(g, 1.5, 1.0), from_polar(g, 1.7, 1.05)]
+    tested = []
+    real = regions._covered
+
+    def spy(points, centers, bound, g):
+        tested.append(len(points))
+        return real(points, centers, bound, g)
+
+    monkeypatch.setattr(regions, "_covered", spy)
+    r = 0.5 * math.pi - 5e-8
+    assert r + 1e-7 >= g.radius_limit
+    ball_hull(pts, r, g)
+    ball_hull(pts, 1.4, g)
+    assert tested == [5, 3]
+    # and the popped middle ring point, moved out of the stored disk, is found
+    on_circle = [from_polar(g, t, r) for t in (math.pi / 6, math.pi / 2, 5 * math.pi / 6)]
+    assert len(ball_hull(on_circle, r, g).vertices) == 2
+    a, q, b = on_circle
+    nudged_centers(monkeypatch, lambda c1, c2, k: {c1, c2} == {a, b} and k == 1,
+                   away_from(q, 1.5e-7, g))
+    assert_uncovered(on_circle, r, g)
 
 
 def test_arc_point_at_endpoints_and_midpoint():
