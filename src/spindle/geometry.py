@@ -27,7 +27,11 @@ Conventions used throughout the package:
   q - cs(d) p) takes no distance; `midpoint(p, q)` is
   (p + q) / sqrt(4 - kappa chord2), as form(p + q, p + q) = 4 - kappa chord2.
   Past a right angle on the sphere both work from p + q instead, whose
-  size keeps the digits that 4 - chord2 and q - cs(d) p cancel away.
+  size keeps the digits that 4 - chord2 and q - cs(d) p cancel away;
+* arrays enter the scalar kernel once, as floats, at `ball_hull`, which
+  passes its input through `as_point`: a numpy float64 scalar costs about
+  three times a float per operation, and every point derived from one
+  stays one.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 GEOM_EPS = 1e-10    # tolerance for geometric predicates
 ANGLE_EPS = 1e-9    # angular tolerance for cone / arc-span tests
 MERGE_EPS = 10 * GEOM_EPS  # boundary vertices closer than this are merged
+# relative residual of the surface equation an input point may carry
+ON_SURFACE_EPS = 1e-9
 # log_dir's DEGENERATE cut-off d < 1e-12 on chord2 = 2 vers d = d^2 (1 + O(d^2))
 _DEGENERATE_CHORD2 = 1e-24
 # distance's ANTIPODAL cut-off p.q <= -1 + 1e-12 on the sphere's chord2 = 2 - 2 p.q
@@ -172,7 +178,7 @@ def det3(a, b, c) -> float:
 
 def _normalize_point(g: Geometry, x: float, y: float, z: float) -> Point:
     if g.kappa == 0:
-        if abs(z - 1.0) > 1e-9:
+        if abs(z - 1.0) > ON_SURFACE_EPS:
             raise SpindleError("BAD_RANGE", f"euclidean points need z = 1, got {z}")
         return Point(x, y, 1.0)
     if g.kappa > 0:
@@ -185,6 +191,26 @@ def _normalize_point(g: Geometry, x: float, y: float, z: float) -> Point:
         raise SpindleError("BAD_RANGE", "not a point of the upper hyperboloid sheet")
     n = math.sqrt(q)
     return Point(x / n, y / n, z / n)
+
+
+def as_point(p: Sequence[float], g: Geometry, index: int = 0) -> Point:
+    """The 3-sequence p (a Point, a list, a numpy row) as a Point of Python
+    floats, checked to be a finite point of g's surface: z = 1 within
+    ON_SURFACE_EPS in the plane, else x^2 + y^2 + kappa z^2 = kappa within
+    ON_SURFACE_EPS (x^2 + y^2 + z^2), with z > 0 on the hyperboloid.
+    BAD_RANGE names the point by index otherwise."""
+    x, y, z = map(float, p)
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise SpindleError("BAD_RANGE", f"point {index} is not finite: ({x}, {y}, {z})")
+    if g.kappa == 0:
+        on = abs(z - 1.0) <= ON_SURFACE_EPS
+    else:
+        xy = x * x + y * y
+        on = abs(xy + g.kappa * z * z - g.kappa) <= ON_SURFACE_EPS * (xy + z * z)
+        on = on and (g.kappa > 0 or z > 0.0)
+    if not on:
+        raise SpindleError("BAD_RANGE", f"point {index} is off the {g.name} surface: ({x}, {y}, {z})")
+    return Point(x, y, z)
 
 
 def origin(g: Geometry) -> Point:

@@ -36,6 +36,7 @@ from .geometry import (
     _intersection_angle,
     _points_off_axis,
     angle_coord,
+    as_point,
     chord2,
     circle_circle_intersection,
     distance,
@@ -185,8 +186,8 @@ class DiskPolygon:
         try:
             g = GEOMETRIES[rec["geometry"]]
             r = float(rec["r"])
-            centers = [Point(*map(float, c)) for c in rec["centers"]]
-            verts = [Point(*map(float, v)) for v in rec["vertices"]]
+            centers = [as_point(c, g, i) for i, c in enumerate(rec["centers"])]
+            verts = [as_point(v, g, i) for i, v in enumerate(rec["vertices"])]
         except (KeyError, TypeError, ValueError) as e:
             raise SpindleError("MALFORMED_BOUNDARY", f"bad disk_polygon record: {e}")
         g.check_radius(r)
@@ -271,10 +272,12 @@ def ball_hull(points: Sequence[Point], r: float, g: Geometry) -> DiskPolygon:
     chart maps geodesics to lines, so the rest lie in the chain's geodesic
     convex hull, and the grown disks are convex while r + _COVER_SLACK <
     radius_limit; past that (the sphere, r near pi/2) every point is tested.
-    Raises NOT_ENCLOSABLE when no radius-r disk covers the input.
+    Raises NOT_ENCLOSABLE when no radius-r disk covers the input, and
+    BAD_RANGE on a non-finite or off-surface point.  Points enter as Python
+    floats (as_point), so numpy rows pay numpy-scalar arithmetic nowhere.
     """
     g.check_radius(r)
-    pts = list(points)
+    pts = [as_point(p, g, i) for i, p in enumerate(points)]
     if not pts:
         raise SpindleError("EMPTY", "need at least one point")
     kept = [pts[i] for i in _distinct(pts, g)]
@@ -414,9 +417,9 @@ class CapDomain:
         try:
             g = GEOMETRIES[rec["geometry"]]
             r = float(rec["r"])
-            center = Point(*map(float, rec["center"]))
+            center = as_point(rec["center"], g)
             rho = float(rec["rho"])
-            apexes = [Point(*map(float, q)) for q in rec["apexes"]]
+            apexes = [as_point(q, g, i) for i, q in enumerate(rec["apexes"])]
         except (KeyError, TypeError, ValueError) as e:
             raise SpindleError("MALFORMED_BOUNDARY", f"bad cap_domain record: {e}")
         return cap_domain(Circle(center, rho), apexes, r, g)

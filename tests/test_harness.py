@@ -1,5 +1,6 @@
 """Randomized verification harness: sampling, bounds, sweeps, proof probes."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -9,7 +10,7 @@ import pytest
 from oracles import cap_rotation_check, distance_monotonicity_check, symmetric_cap_domain
 from spindle import harness
 from spindle.extremal import regular_disk_triangle, triangle_inradius
-from spindle.geometry import GEOMETRIES, EUCLIDEAN, SpindleError, distance
+from spindle.geometry import GEOMETRIES, EUCLIDEAN, Geometry, SpindleError, distance, origin
 from spindle.harness import (
     HEX_FRACTIONS,
     MARGIN_SLACK,
@@ -22,8 +23,8 @@ from spindle.harness import (
     run_verification,
     sample_disk_polygon,
 )
-from spindle.measure import area, incircle, thickness
-from spindle.regions import CapDomain
+from spindle.measure import area, incircle, sample_in_disk, thickness
+from spindle.regions import CapDomain, DiskPolygon, ball_hull
 
 ALL = tuple(GEOMETRIES.values())
 
@@ -200,6 +201,46 @@ def test_inscribed_cap_domain_battery():
             assert details["area_margin"] >= -1e-9
             assert area(dom) <= area(poly) + 1e-9
     assert oks > 30
+
+
+def numpy_floats(obj, path="") -> list[str]:
+    """Paths of the numpy floating scalars anywhere inside obj: dataclass
+    fields (a DiskPolygon's cached vertices and centers too), named-tuple
+    fields, sequence items and dict values."""
+    if isinstance(obj, np.floating):
+        return [path]
+    if obj is None or isinstance(obj, (bool, int, float, str, Geometry)):
+        return []
+    if dataclasses.is_dataclass(obj):
+        names = [f.name for f in dataclasses.fields(obj)]
+        if isinstance(obj, DiskPolygon):
+            names += ["vertices", "centers"]
+        items = [(n, getattr(obj, n)) for n in names]
+    elif isinstance(obj, dict):
+        items = list(obj.items())
+    elif isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        items = list(zip(obj._fields, obj))
+    elif isinstance(obj, (tuple, list)):
+        items = list(enumerate(obj))
+    else:
+        raise TypeError(f"{path}: cannot walk a {type(obj).__name__}")
+    return [p for k, v in items for p in numpy_floats(v, f"{path}.{k}")]
+
+
+def test_no_numpy_scalar_reaches_a_hull_or_a_report():
+    rng = np.random.default_rng(17)
+    for g in ALL:
+        caps = 0
+        for n in range(3, 13):
+            rows = sample_in_disk(origin(g), 0.5, n, rng, g)  # raw numpy rows in
+            poly = ball_hull(list(rows), 1.0, g)
+            bounds = check_extremal_bounds(poly)
+            dom, status, details = inscribed_cap_domain(poly, bounds)
+            caps += status == "ok"
+            found = numpy_floats((poly, thickness(poly), bounds, dom, details))
+            assert found == [], f"{g.name}, n = {n}: numpy floats at {found}"
+        assert caps > 0
+        assert numpy_floats(run_trial(g, 1, VerifyConfig(trials=1))) == []
 
 
 def test_run_trial_measures_each_hull_once(monkeypatch):

@@ -377,6 +377,40 @@ def test_ball_hull_errors():
     assert err.value.code == "NOT_ENCLOSABLE"
 
 
+def bad_point(kind, g):
+    """A point ball_hull must refuse: a NaN or infinite coordinate, or one off
+    the surface by 1e-6 relative (on the hyperboloid also its lower sheet)."""
+    p = from_polar(g, 0.7, 0.3)
+    if kind == "nan":
+        return [Point(p.x, math.nan, p.z)]
+    if kind == "inf":
+        return [Point(math.inf, p.y, p.z)]
+    off = [Point(p.x, p.y, p.z + 1e-6) if g.kappa == 0 else Point(*(1.000001 * c for c in p))]
+    return off + ([Point(-p.x, -p.y, -p.z)] if g.kappa < 0 else [])
+
+
+@pytest.mark.parametrize("kind", ("nan", "inf", "off-surface"))
+@pytest.mark.parametrize("g", ALL, ids=lambda g: g.name)
+def test_ball_hull_rejects_bad_points_by_index(g, kind):
+    good = [from_polar(g, 0.5 * k, 0.2) for k in range(4)]
+    for bad in bad_point(kind, g):
+        with pytest.raises(SpindleError) as err:
+            ball_hull(good[:2] + [bad] + good[2:], 1.0, g)
+        assert err.value.code == "BAD_RANGE"
+        assert "point 2 " in str(err.value)
+
+
+def test_ball_hull_takes_numpy_rows_as_floats():
+    rng = np.random.default_rng(13)
+    for g in ALL:
+        rows = measure.sample_in_disk(origin(g), 0.5, 9, rng, g)
+        want = json.dumps(ball_hull(rows.tolist(), 1.0, g).to_record())
+        for given in (list(rows), [Point(*row) for row in rows]):  # numpy float64 coordinates
+            poly = ball_hull(given, 1.0, g)
+            assert json.dumps(poly.to_record()) == want
+            assert all(type(c) is float for p in poly.vertices + poly.centers for c in p)
+
+
 def nudged_centers(monkeypatch, pick, shift):
     """Patch the r-scan's circle_circle_intersection so that a call for which
     pick(c1, c2, k) holds, k counting the earlier calls for the same pair,
