@@ -28,18 +28,18 @@ Conventions used throughout the package:
   (p + q) / sqrt(4 - kappa chord2), as form(p + q, p + q) = 4 - kappa chord2.
   Past a right angle on the sphere both work from p + q instead, whose
   size keeps the digits that 4 - chord2 and q - cs(d) p cancel away;
-* arrays enter the scalar kernel once, as floats, at `ball_hull`, which
-  passes its input through `as_point`: a numpy float64 scalar costs about
-  three times a float per operation, and every point derived from one
-  stays one.
+* arrays enter the scalar kernel once, as floats, at `ball_hull`,
+  `r_segment` and `cap_domain`, which pass their points through `as_point`:
+  a numpy float64 scalar costs about three times a float per operation,
+  and every point derived from one stays one.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, NamedTuple, Optional, Sequence
 
 GEOM_EPS = 1e-10    # tolerance for geometric predicates
@@ -47,6 +47,9 @@ ANGLE_EPS = 1e-9    # angular tolerance for cone / arc-span tests
 MERGE_EPS = 10 * GEOM_EPS  # boundary vertices closer than this are merged
 # relative residual of the surface equation an input point may carry
 ON_SURFACE_EPS = 1e-9
+# smallest_enclosing_disk: a point this far past a disk's rim counts as
+# inside it, and one this close to the rim of the last disk as support
+SED_SLACK = 1e-9
 # log_dir's DEGENERATE cut-off d < 1e-12 on chord2 = 2 vers d = d^2 (1 + O(d^2))
 _DEGENERATE_CHORD2 = 1e-24
 # distance's ANTIPODAL cut-off p.q <= -1 + 1e-12 on the sphere's chord2 = 2 - 2 p.q
@@ -564,30 +567,29 @@ def smallest_enclosing_disk(
 ) -> tuple[Point, float, tuple[int, ...]]:
     """Smallest geodesic disk containing the points.
 
-    Welzl's randomized incremental algorithm (Welzl 1991, "Smallest
-    enclosing disks (balls and ellipsoids)"), iterative form: a point outside
-    the current disk lies on the boundary of the next, which rests on at
-    most three support points.  Valid in every plane since disks are convex
-    (spherical radii stay below pi/2).  Points are visited in an order
-    shuffled with the fixed seed len(points): expected cost O(n), and the
-    output is deterministic.  Containment allows 1e-9 slack.  A disk is
-    kept as its reach chord2 = 2 vers R and the bound 2 vers(R + 1e-9), so a
-    containment test is one chord2 and no disk takes an inverse-trigonometric
-    distance until the last.  Returns (center, radius, support indices into
-    points).
+    Farthest-point pivoting, after Gärtner ("Fast and Robust Smallest
+    Enclosing Balls", ESA 1999): from the disk at points[0], while the point
+    f farthest from the center lies outside, the next disk is the smallest
+    with f on its rim that holds the support (at most three points).  The
+    radius strictly grows, as f lay outside, so no support set comes back:
+    the loop ends within n + C(n, 2) + C(n, 3) steps (NO_CONVERGENCE past
+    them).  Valid in every plane since disks are convex (spherical radii
+    stay below pi/2).  A disk is kept as its reach chord2 = 2 vers R and the
+    bound 2 vers(R + SED_SLACK), so a containment test is one chord2 and no
+    disk takes an inverse-trigonometric distance until the last.  Returns
+    (center, radius, support indices into points).
     """
-    if not points:
+    n, kappa = len(points), g.kappa
+    if not n:
         raise SpindleError("BAD_RANGE", "need at least one point")
-    order = list(range(len(points)))
-    random.Random(len(points)).shuffle(order)
-    v_eps, s_eps = g.vers(1e-9), g.sn(1e-9)
+    v_eps, s_eps = g.vers(SED_SLACK), g.sn(SED_SLACK)
 
     def shifted(c2: float) -> float:
-        # 2 vers(R + 1e-9) for c2 = 2 vers R: vers(a + b) = vers a + vers b
+        # 2 vers(R + SED_SLACK) for c2 = 2 vers R: vers(a + b) = vers a + vers b
         # - kappa vers a vers b + sn a sn b, with sn R = sqrt(v (2 - kappa v))
         v = 0.5 * c2
-        sn = math.sqrt(max(v * (2.0 - g.kappa * v), 0.0))
-        return 2.0 * (v + v_eps - g.kappa * v * v_eps + sn * s_eps)
+        sn = math.sqrt(max(v * (2.0 - kappa * v), 0.0))
+        return 2.0 * (v + v_eps - kappa * v * v_eps + sn * s_eps)
 
     def disk_about(center: Point, idx: tuple[int, ...]):
         # smallest disk about center holding points idx, as
@@ -604,24 +606,28 @@ def smallest_enclosing_disk(
         return min((disk_about(midpoint(points[a], points[b], g), (a, b, c))
                     for a, b, c in ((i, j, k), (i, k, j), (j, k, i))), key=lambda d: d[1])
 
-    point_bound = shifted(0.0)
-    disk = (points[order[0]], 0.0, (order[0],), point_bound)
-    for a, i in enumerate(order):
-        if chord2(disk[0], points[i], g) <= disk[3]:
-            continue
-        disk = (points[i], 0.0, (i,), point_bound)
-        for b, j in enumerate(order[:a]):
-            if chord2(disk[0], points[j], g) <= disk[3]:
-                continue
-            disk = disk_about(midpoint(points[i], points[j], g), (i, j))
-            for k in order[:b]:
-                if chord2(disk[0], points[k], g) > disk[3]:
-                    disk = triple(i, j, k)
+    disk = (points[0], 0.0, (0,), shifted(0.0))
+    for _ in range(n * (n * n + 5) // 6):  # n + C(n, 2) + C(n, 3)
+        cx, cy, cz = disk[0]
+        reach = [(x - cx) * (x - cx) + (y - cy) * (y - cy) + kappa * (z - cz) * (z - cz)
+                 for x, y, z in points]  # chord2 from the center, written out
+        far = max(reach)
+        if far <= disk[3]:
+            break
+        # about the midpoint of f and a support point, or through f and two
+        # of them; pairs come first, so an exact tie keeps the smaller support
+        f, support = reach.index(far), disk[2]
+        disks = [disk_about(midpoint(points[f], points[s], g), (f, s)) for s in support]
+        disks += [triple(f, s, t) for s, t in combinations(support, 2)]
+        disk = min(disks, key=lambda d: (any(chord2(d[0], points[k], g) > d[3] for k in support),
+                                         d[1]))
+    else:
+        raise SpindleError("NO_CONVERGENCE", f"no smallest enclosing disk of {n} points")
     # radius and support (the points on the rim) of the last disk only
     center, _, idx, _ = disk
     reach = [distance(center, points[k], g) for k in idx]
     radius = max(reach)
-    return center, radius, tuple(k for k, d in zip(idx, reach) if d >= radius - 1e-9)
+    return center, radius, tuple(k for k, d in zip(idx, reach) if d >= radius - SED_SLACK)
 
 
 def signed_distance_to_geodesic(x: Point, base: Point, u: Tangent, g: Geometry) -> float:

@@ -53,7 +53,7 @@ from .geometry import (
 
 TWO_PI = 2.0 * math.pi
 _TIGHT_EPS = 1e-9     # an enclosing radius this close to r makes the hull that one disk
-_POP_SLACK = 1e-12    # the r-scan pops a point this close to the disk through its neighbours
+_POP_SLACK = 1e-12    # the r-scan pops when the next point is this close to the top arc's circle
 _COVER_SLACK = 1e-7   # every input point lies this close to each arc's disk
 
 
@@ -230,8 +230,10 @@ def load_region(path: str):
 
 def r_segment(x: Point, y: Point, r: float, g: Geometry) -> DiskPolygon:
     """Intersection of the two radius-r disks whose boundary circles pass
-    through both x and y: the smallest r-convex set containing the pair."""
+    through both x and y: the smallest r-convex set containing the pair.
+    BAD_RANGE names a non-finite or off-surface point by index (x 0, y 1)."""
     g.check_radius(r)
+    x, y = as_point(x, g, 0), as_point(y, g, 1)
     d = distance(x, y, g)
     if d < 1e-12:
         raise SpindleError("DEGENERATE_POINT", "the two points coincide")
@@ -261,10 +263,11 @@ def ball_hull(points: Sequence[Point], r: float, g: Geometry) -> DiskPolygon:
     are straight, so Andrew's monotone chain gives the extreme points,
     counterclockwise.  The one farthest from o is a hull vertex (the
     radius-r disk internally tangent to B(o, R) there holds every point);
-    from it round the chain, a stack pops its top while that lies in the
-    radius-r disk whose circle runs through the entry below and the next
-    point, center on the left.  The cycle starts after the vertex farthest
-    from the first point (the earliest such in input order).
+    from it round the chain, a stack pops its top b while the next point
+    lies outside the stored arc a -> b's disk, or on its circle: so a chain
+    point costs one circle intersection, for the arc it appends.  The cycle
+    starts after the vertex farthest from the first point (the earliest such
+    in input order).
 
     Last, one array pass checks that each arc's disk grown by _COVER_SLACK
     holds every point (MALFORMED_BOUNDARY otherwise): each popped point, and
@@ -314,13 +317,10 @@ def ball_hull(points: Sequence[Point], r: float, g: Geometry) -> DiskPolygon:
     # it, so points on a supporting circle drop out; centers[j] is the center
     # of the arc stack[j] -> stack[j + 1]
     k = max(range(len(chain)), key=lambda j: reach2[chain[j]])
-    inside = 2.0 * g.vers(r + _POP_SLACK)
+    outside = 2.0 * g.vers(r - _POP_SLACK)
     stack, centers = [chain[k]], []
     for p in chain[k + 1:] + chain[:k + 1]:
-        while len(stack) > 1 and stack[-2] != p:
-            c = circle_circle_intersection(Circle(kept[stack[-2]], r), Circle(kept[p], r), g)[0]
-            if chord2(c, kept[stack[-1]], g) > inside:
-                break
+        while len(stack) > 1 and stack[-2] != p and chord2(centers[-1], kept[p], g) > outside:
             stack.pop()
             centers.pop()
         centers.append(circle_circle_intersection(Circle(kept[stack[-1]], r), Circle(kept[p], r), g)[0])
@@ -431,16 +431,18 @@ def cap_domain(disk: Circle, apexes: Iterable[Point], r: float, g: Geometry) -> 
     Apexes must lie outside the disk (DEGENERATE otherwise) and within
     reach of the tangent arcs, distance at most 2r - rho from the disk
     center (APEX_TOO_FAR).  Caps whose angular footprints on the disk
-    overlap raise CAP_OVERLAP.
+    overlap raise CAP_OVERLAP.  BAD_RANGE refuses a non-finite or
+    off-surface disk center, or apex (named by its index).
     """
     g.check_radius(r)
-    p, rho = disk.center, disk.radius
+    p, rho = as_point(disk.center, g), disk.radius
     if not (0.0 < rho < r):
         raise SpindleError("BAD_RANGE", "cap domain needs 0 < rho < r")
     g.check_radius(rho)
 
     caps = []  # (theta, apex, c_left, c_right, t_in, t_out, half_width)
-    for q in apexes:
+    for i, q in enumerate(apexes):
+        q = as_point(q, g, i)
         d = distance(p, q, g)
         if d <= rho + 1e-12:
             raise SpindleError("DEGENERATE", "apex inside the disk")

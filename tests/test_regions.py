@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import gift_wrap_reference
-from spindle import measure, regions
+from spindle import geometry, measure, regions
 from spindle.extremal import regular_disk_hexagon, triangle_inradius
 from spindle.geometry import (
     EUCLIDEAN,
@@ -264,6 +264,58 @@ def test_hull_and_width_build_few_directions(monkeypatch):
         assert calls["turn_toward"] <= 2 * h
 
 
+def test_ball_hull_intersects_circles_once_per_arc(monkeypatch):
+    # the r-scan pops the stack's top b when the next point lies outside the
+    # disk of the stored arc a -> b, so each chain point costs one circle
+    # intersection: the one for the arc it appends
+    calls, chains = [], []
+    real_intersection, real_chain = regions.circle_circle_intersection, regions._monotone_chain
+
+    def intersection(c1, c2, g):
+        calls.append((c1.center, c2.center))
+        return real_intersection(c1, c2, g)
+
+    def chain(chart):
+        chains.append(real_chain(chart))
+        return chains[-1]
+
+    monkeypatch.setattr(regions, "circle_circle_intersection", intersection)
+    monkeypatch.setattr(regions, "_monotone_chain", chain)
+    rng = np.random.default_rng(210)
+    popped = 0
+    for g in ALL:
+        for pts in ([random_point(g, rng, 0.45) for _ in range(30)], jittered_ring(g, 24, 1.0, rng)):
+            calls.clear()
+            chains.clear()
+            hull = ball_hull(pts, 1.0, g)
+            assert len(calls) == len(chains[0])
+            popped += len(chains[0]) - len(hull.vertices)
+    assert popped > 0  # the pop branch ran
+
+
+def test_hull_and_incircle_reach_the_counted_primitives(monkeypatch):
+    # the hull benchmark's traced run requires its ops to call these three
+    # (bench/layers.py EXPECTED); a change that halves the calls is fine, one
+    # that drops them to zero has to change that guard first
+    counts = dict.fromkeys(("circle_circle_intersection", "rotate_tangent", "circumcenter"), 0)
+
+    def counted(name, fn):
+        def spy(*args):
+            counts[name] += 1
+            return fn(*args)
+        return spy
+
+    for module in (geometry, regions, measure):
+        for name in counts:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    rng = np.random.default_rng(211)
+    for g in ALL:
+        counts.update(dict.fromkeys(counts, 0))
+        incircle(ball_hull(jittered_ring(g, 16, 1.0, rng), 1.0, g))
+        assert all(counts.values()), (g, counts)
+
+
 # the point farthest from the first one lies more than r from it, so it is
 # no hull vertex: a wrap started there went round without closing
 FAR_START = {
@@ -400,6 +452,33 @@ def test_ball_hull_rejects_bad_points_by_index(g, kind):
         assert "point 2 " in str(err.value)
 
 
+@pytest.mark.parametrize("g", ALL, ids=lambda g: g.name)
+def test_r_segment_rejects_bad_points_by_index(g):
+    good = from_polar(g, 0.5, 0.2)
+    for kind in ("nan", "inf", "off-surface"):
+        for bad in bad_point(kind, g):
+            for pair, index in (((bad, good), 0), ((good, bad), 1)):
+                with pytest.raises(SpindleError) as err:
+                    r_segment(*pair, 1.0, g)
+                assert err.value.code == "BAD_RANGE"
+                assert f"point {index} " in str(err.value)
+
+
+@pytest.mark.parametrize("g", ALL, ids=lambda g: g.name)
+def test_cap_domain_rejects_a_bad_center_or_apex_by_index(g):
+    o = origin(g)
+    apexes = [exp_map(o, tangent_from_angle(o, th, g), 0.4, g) for th in (0.0, 2.3, 4.2)]
+    for kind in ("nan", "inf", "off-surface"):
+        for bad in bad_point(kind, g):
+            with pytest.raises(SpindleError) as err:
+                cap_domain(Circle(bad, 0.3), apexes, 1.0, g)
+            assert err.value.code == "BAD_RANGE"
+            with pytest.raises(SpindleError) as err:
+                cap_domain(Circle(o, 0.3), apexes[:1] + [bad] + apexes[1:], 1.0, g)
+            assert err.value.code == "BAD_RANGE"
+            assert "point 1 " in str(err.value)
+
+
 def test_ball_hull_takes_numpy_rows_as_floats():
     rng = np.random.default_rng(13)
     for g in ALL:
@@ -412,17 +491,14 @@ def test_ball_hull_takes_numpy_rows_as_floats():
 
 
 def nudged_centers(monkeypatch, pick, shift):
-    """Patch the r-scan's circle_circle_intersection so that a call for which
-    pick(c1, c2, k) holds, k counting the earlier calls for the same pair,
-    returns its left point moved by shift(point)."""
+    """Patch the r-scan's circle_circle_intersection so that the call for
+    which pick(c1, c2) holds returns its left point moved by shift(point).
+    The scan makes one call per ordered pair, for the arc it stores."""
     real = regions.circle_circle_intersection
-    seen = []
 
     def fake(c1, c2, g):
         out = real(c1, c2, g)
-        k = seen.count((c1.center, c2.center))
-        seen.append((c1.center, c2.center))
-        return (shift(out[0]),) + out[1:] if pick(c1.center, c2.center, k) else out
+        return (shift(out[0]),) + out[1:] if pick(c1.center, c2.center) else out
 
     monkeypatch.setattr(regions, "circle_circle_intersection", fake)
 
@@ -441,32 +517,30 @@ def assert_uncovered(pts, r, g):
 def test_ball_hull_cover_check_catches_an_uncovered_popped_point(monkeypatch):
     # 30, 90 and 150 degrees on a circle of radius r: the middle point sits
     # on the arc through the other two and is popped; the stored center of
-    # that arc (the second call for the pair, after the pop test) is moved
-    # 1.5e-7 away from it, which keeps the arc's endpoints within 0.75e-7
-    # of their circle and leaves the popped point 1.5e-7 outside
+    # that arc a -> b, which closes the cycle, so no pop test reads it, is
+    # moved 1.5e-7 away from it, which keeps the arc's endpoints within
+    # 0.75e-7 of their circle and leaves the popped point 1.5e-7 outside
     g, r = EUCLIDEAN, 1.0
     a, q, b = (embed(g, math.cos(t), math.sin(t))
                for t in (math.pi / 6, math.pi / 2, 5 * math.pi / 6))
     assert len(ball_hull([a, q, b], r, g).vertices) == 2
-    nudged_centers(monkeypatch, lambda c1, c2, k: {c1, c2} == {a, b} and k == 1,
-                   away_from(q, 1.5e-7, g))
+    nudged_centers(monkeypatch, lambda c1, c2: (c1, c2) == (a, b), away_from(q, 1.5e-7, g))
     assert_uncovered([a, q, b], r, g)
 
 
 def test_ball_hull_cover_check_catches_a_vertex_outside_another_arc(monkeypatch):
-    # b, 5 degrees past a and 1e-9 outside the circle through a and v, stays
-    # a vertex; the center of the short arc a -> b moves 1e-6 across its
-    # bisector, away from v: a and b move by 4.4e-8 against their circle,
-    # the vertex v by 8.9e-7
+    # b, 1e-9 outside the circle through a at 30 and v at 150 degrees, stays
+    # a vertex; the scan runs v -> a -> b and closes with the arc b -> v,
+    # which no pop test reads (each other stored arc is read against the
+    # next point, so a center moved off it pops rather than stays); that
+    # center moves 1.5e-7 away from a: b and v move by 0.75e-7 against
+    # their circle, the vertex a by 1.5e-7
     g, r = EUCLIDEAN, 1.0
     a = embed(g, math.cos(math.pi / 6), math.sin(math.pi / 6))
-    b = embed(g, (1.0 + 1e-9) * math.cos(7 * math.pi / 36),
-              (1.0 + 1e-9) * math.sin(7 * math.pi / 36))
+    b = embed(g, 0.0, 1.0 + 1e-9)
     v = embed(g, math.cos(5 * math.pi / 6), math.sin(5 * math.pi / 6))
     assert len(ball_hull([a, b, v], r, g).vertices) == 3
-    t = -23 * math.pi / 72  # -57.5 degrees, normal to the bisector of a b
-    nudged_centers(monkeypatch, lambda c1, c2, k: (c1, c2) == (a, b),
-                   lambda c: Point(c.x + 1e-6 * math.cos(t), c.y + 1e-6 * math.sin(t), 1.0))
+    nudged_centers(monkeypatch, lambda c1, c2: (c1, c2) == (b, v), away_from(a, 1.5e-7, g))
     assert_uncovered([a, b, v], r, g)
 
 
@@ -494,8 +568,7 @@ def test_ball_hull_cover_check_tests_every_point_near_a_right_angle(monkeypatch)
     on_circle = [from_polar(g, t, r) for t in (math.pi / 6, math.pi / 2, 5 * math.pi / 6)]
     assert len(ball_hull(on_circle, r, g).vertices) == 2
     a, q, b = on_circle
-    nudged_centers(monkeypatch, lambda c1, c2, k: {c1, c2} == {a, b} and k == 1,
-                   away_from(q, 1.5e-7, g))
+    nudged_centers(monkeypatch, lambda c1, c2: (c1, c2) == (a, b), away_from(q, 1.5e-7, g))
     assert_uncovered(on_circle, r, g)
 
 
