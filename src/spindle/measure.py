@@ -5,9 +5,9 @@ plus closed-form circular-segment corrections, one per arc.  Width
 (minimal double-normal length) treats every boundary piece as a circle
 with a span of outward normals, an arc as radius r and a vertex as radius
 0, and checks the one candidate chord of each pair of pieces, on the
-geodesic through their centers: one numpy pass turns every center toward
-every other and drops the pairs whose normals miss a span by more than a
-rounding slack, and the scalar test runs on the few pairs left.  The
+geodesic through their centers: two form products turn every center
+toward every other and drop the pairs whose normals miss a span by more
+than a rounding slack, and the scalar test runs on the few pairs left.  The
 inradius comes from a minimax reduction: the largest inscribed disk of an
 intersection of radius-r disks is centered at the center of the smallest
 disk enclosing their centers.
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,7 +46,6 @@ from .geometry import (
     exp_map,
     frame_angle,
     log_dir,
-    perp,
     smallest_enclosing_disk,
     tangent_basis,
     tangent_from_angle,
@@ -66,6 +66,10 @@ def disk_area(g: Geometry, rho: float) -> float:
 
 # max(1, cs^2) tan^2(phi / 2) up to which _segment_minor sums its series
 _SEGMENT_SERIES = 0.25
+# the series stops at the first term this small relative to the sum so far
+_SERIES_STOP = 1e-17
+# central angles this close to pi measure exactly half the disk
+_HALF_CIRCLE_EPS = 1e-9
 
 
 def _segment_minor(phi: float, rho: float, g: Geometry) -> float:
@@ -90,7 +94,7 @@ def _segment_minor(phi: float, rho: float, g: Geometry) -> float:
         while True:
             term = p * tk / n
             total += term
-            if abs(term) <= 1e-17 * total:
+            if abs(term) <= _SERIES_STOP * total:
                 return 2.0 * c * v * (1.0 + c) * total
             p, tk, n = p * c * c + 1.0, -tk * x, n + 2
     if c < 0.5:
@@ -107,7 +111,7 @@ def segment_area(phi: float, rho: float, g: Geometry) -> float:
         raise SpindleError("BAD_RANGE", f"segment angle out of range: {phi}")
     if phi >= TWO_PI - ANGLE_EPS:
         return disk_area(g, rho)
-    if abs(phi - math.pi) <= 1e-9:
+    if abs(phi - math.pi) <= _HALF_CIRCLE_EPS:
         return 0.5 * disk_area(g, rho)
     if phi > math.pi:
         return disk_area(g, rho) - _segment_minor(TWO_PI - phi, rho, g)
@@ -184,26 +188,47 @@ def _intervals_overlap(lo1: float, w1: float, lo2: float, w2: float) -> Optional
 
 _KINDS = ("vertex-vertex", "vertex-arc", "arc-arc")  # by the number of arc ends
 
-# span slack of the screen: its turns differ from turn_toward's by rounding, <= 2.4e-9 to D = 6 in H
+# span slack of the screen: the turns it judges differ from turn_toward's by
+# rounding, <= 3.1e-9 on the width corpus (hyperbolic rings to D = 6) and
+# 4.2e-8 on rings of near twins to D = 6; past that it grows like cosh^3 D,
+# to 2.3e-6 at D = 8 (the chord-tensor screen's: 2.1e-6)
 _SCREEN_EPS = 1e-6
 # centers closer than this pass the screen unjudged: the common-center branch stays scalar
 _SCREEN_NEAR = 1e-6
+# rounding of a screen form product per Z^2, Z the largest center coordinate:
+# measured <= 1.25 eps Z^2 on the short chords of hyperbolic rings to D = 8
+_SCREEN_ROUNDING = 4.0 * 2.0 ** -52
 
 _Piece = tuple[Point, float, Tangent, float]  # (center, rho, u0, span)
+# a row (c, u) in the column orders (y, z, x) and (z, x, y): c x u by columns
+_ROTATIONS = np.array([1, 2, 0, 4, 5, 3, 2, 0, 1, 5, 3, 4])
 
 
 def _pieces(poly: DiskPolygon) -> list[_Piece]:
-    """The boundary pieces, vertices first, then arcs, both in arc order."""
+    """The boundary pieces, vertices first, then arcs, both in arc order.
+
+    A vertex v's outward normal off the arc about c is the tangent part of
+    v - c at v, (v - c) - kappa form(v - c, v) v, over sn r: parallel to
+    -log_dir(v, c) for any v, and of unit length for v on the circle.  Its
+    length is read nowhere (turn_angle, turn_toward and the screen's arctan2
+    take only its direction), so it is not normalized.
+    """
     g = poly.geometry
     arcs = poly.arcs
+    kappa, s = g.kappa, 1.0 / g.sn(poly.r)
+
+    def normal(v: Point, c: Point) -> Tangent:
+        dx, dy, dz = v.x - c.x, v.y - c.y, v.z - c.z
+        t = kappa * (dx * v.x + dy * v.y + kappa * dz * v.z)
+        return Tangent((dx - t * v.x) * s, (dy - t * v.y) * s, (dz - t * v.z) * s)
+
     vert_pieces = []
     for k, arc in enumerate(arcs):
         v = arc.start
-        n_in = _negate(log_dir(v, arcs[k - 1].center, g))
-        n_out = _negate(log_dir(v, arc.center, g))
+        n_in = normal(v, arcs[k - 1].center)
         # signed, not reduced mod 2 pi: a smooth vertex turning by -1e-17
         # must not read as a full cone
-        vert_pieces.append((v, 0.0, n_in, turn_angle(v, n_in, n_out, g)))
+        vert_pieces.append((v, 0.0, n_in, turn_angle(v, n_in, normal(v, arc.center), g)))
     arc_pieces = [(a.center, poly.r, a.u0, a.extent) for a in arcs]
     return vert_pieces + arc_pieces
 
@@ -212,29 +237,43 @@ def _screen(pieces: Sequence[_Piece], g: Geometry) -> np.ndarray:
     """Which pairs of pieces may bound a double normal, as a symmetric
     boolean matrix: a superset of the pairs _chord_normals accepts.
 
-    Array passes over blocks of rows (_BLOCK pairs each) take turn_toward from
-    every center toward every other: the angle of the chord c_g - c_f in
-    the frame (u, perp u) at c_f, with the pi flip for two vertices.  A
-    pair survives when both turns fall in their spans within _SCREEN_EPS,
-    or when its centers lie within _SCREEN_NEAR.
+    turn_toward from c_f toward c_g is the angle of (along, left) =
+    (form(u_f, c_g - c_f), det3(c_f, u_f, c_g - c_f)), here two matrix
+    products per block of rows (_BLOCK pairs), (U w) C^T and (C x U) C^T,
+    minus their values at c_g = c_f (zero up to rounding, but for form(u_f,
+    c_f) in the plane, where w drops z); two vertices flip both signs.  A
+    pair survives when at each end its turn falls in the span within
+    _SCREEN_EPS or the tangent part T of its chord, T^2 = along^2 + left^2 =
+    chord2 (1 - kappa chord2 / 4), is short: at most b (1 + b), b = 2 vers
+    _SCREEN_NEAR (so every chord2 <= b passes), or so short that the
+    products' rounding, _SCREEN_ROUNDING Z^2, could turn it by _SCREEN_EPS /
+    2 (T 2e-4 at D = 6 in H, 1.1e-2 at D = 8).
     """
-    a = np.array([(*c, *u, *perp(c, u, g), span) for c, _, u, span in pieces])
-    c, frame, span = a[:, :3], a[:, 3:9].reshape(-1, 2, 3), a[:, 9:]
-    w = _form_weights(g)
     m = len(pieces)
+    cu = np.fromiter(chain.from_iterable(p[0] + p[2] for p in pieces), float, 6 * m).reshape(m, 6)
+    top = np.fromiter([p[3] for p in pieces], float, m)[:, None] + _SCREEN_EPS
+    c = cu[:, :3]
+    r = cu.take(_ROTATIONS, axis=1)
+    uv = np.empty((2, m, 3))  # rows u w and c x u
+    np.multiply(cu[:, 3:], _form_weights(g), out=uv[0])
+    np.subtract(r[:, :3] * r[:, 9:], r[:, 6:9] * r[:, 3:6], out=uv[1])
+    row_terms = (uv * c).sum(2)[:, :, None]
     h = m // 2  # the vertices, which _pieces puts first
-    hit = np.empty((m, m), dtype=bool)
-    near = np.empty((m, m), dtype=bool)
+    b = 2.0 * g.vers(_SCREEN_NEAR)
+    reach = max(b * (1.0 + b), (2.0 * _SCREEN_ROUNDING * np.abs(c).max() ** 2 / _SCREEN_EPS) ** 2)
+    keep = np.empty((m, m), dtype=bool)
     rows = max(1, _BLOCK // m)
     for s in range(0, m, rows):
         f = slice(s, s + rows)
-        chord = c - c[f, None]  # [f, g] = c_g - c_f
-        along, left = np.einsum("fik,fgk->ifg", frame[f] * w, chord)
-        turn = np.arctan2(left, along)
-        turn[:max(h - s, 0), :h] += math.pi  # rows and columns that are vertices
-        hit[f] = angle_in(turn, 0.0, span[f], _SCREEN_EPS)
-        near[f] = (chord * chord) @ w <= 2.0 * g.vers(_SCREEN_NEAR)
-    return hit & hit.T | near
+        t = uv[:, f] @ c.T
+        t -= row_terms[:, f]
+        t[:, :max(h - s, 0), :h] *= -1.0  # rows and columns that are vertices
+        along, left = t
+        turn = np.arctan2(left, along)  # in (-pi, pi]; spans are >= 0 but for rounding
+        top_f = top[f]
+        keep[f] = ((turn <= top_f) & ((turn >= -_SCREEN_EPS) | (turn <= top_f - TWO_PI))
+                   | (along * along + left * left <= reach))
+    return keep & keep.T
 
 
 def _chord_normals(pf: _Piece, pg: _Piece, common: bool, g: Geometry
@@ -343,6 +382,10 @@ class Incircle:
     support: tuple[int, ...]
 
 
+# arcs whose centers lie within this of the centers' enclosing circle support the incircle
+_SUPPORT_EPS = 1e-9
+
+
 def incircle(poly: DiskPolygon) -> Incircle:
     if not isinstance(poly, DiskPolygon):
         raise SpindleError("BAD_RANGE", "inradius is defined for disk polygons")
@@ -355,7 +398,7 @@ def incircle(poly: DiskPolygon) -> Incircle:
     x, big_r, _ = smallest_enclosing_disk(distinct, g)
     rho = r - big_r
     support = tuple(
-        i for i, c in enumerate(centers) if abs(distance(c, x, g) - big_r) <= 1e-9
+        i for i, c in enumerate(centers) if abs(distance(c, x, g) - big_r) <= _SUPPORT_EPS
     )
     touch = [exp_map(centers[i], log_dir(centers[i], x, g), r, g) for i in support]
     keep = _distinct(touch, g)  # in support order
@@ -365,12 +408,19 @@ def incircle(poly: DiskPolygon) -> Incircle:
 # --------------------------------------------------------------------------
 # Monte Carlo area
 
+# outward pad on the bounding disk's radius, so rounding cannot cut the region
+_BOUND_PAD = 1e-9
+# an arc center this close to the disk's center gives no direction away from it:
+# the arc's far point is then taken at the arc's radius
+_CENTER_EPS = 1e-12
+
+
 def bounding_disk(region) -> tuple[Point, float]:
     """A geodesic disk certified to contain the region (not minimal)."""
     g = region.geometry
     arcs: Sequence[Arc] = region.arcs
     if len(arcs) == 1 and arcs[0].extent >= TWO_PI - ANGLE_EPS:
-        return arcs[0].center, arcs[0].radius + 1e-9
+        return arcs[0].center, arcs[0].radius + _BOUND_PAD
     # vertex centroid, pushed back onto the surface
     sx, sy, sz = (sum(c) / len(arcs) for c in zip(*(a.start for a in arcs)))
     o = _normalize_point(g, sx, sy, sz)
@@ -378,13 +428,13 @@ def bounding_disk(region) -> tuple[Point, float]:
     for a in arcs:
         radius = max(radius, distance(o, a.start, g), distance(o, a.end, g))
         d_oc = distance(o, a.center, g)
-        if d_oc <= 1e-12:
+        if d_oc <= _CENTER_EPS:
             radius = max(radius, a.radius)
             continue
         far = exp_map(a.center, _negate(log_dir(a.center, o, g)), a.radius, g)
         if a.contains_ray_angle(far):
             radius = max(radius, distance(o, far, g))
-    return o, radius + 1e-9
+    return o, radius + _BOUND_PAD
 
 
 def sample_in_disk(

@@ -4,7 +4,8 @@ Nothing here calls into the package's measurement pipeline: areas come
 from integrating the polar exit distance of a region with mpmath,
 inradii from re-solving the defining contact equations by bisection,
 widths from brute-force support sampling or from enumerating double
-normals family by family with the package's geometry primitives, r-hulls
+normals family by family with the package's geometry primitives, the
+width's pieces and pair screen on unit directions and chords, r-hulls
 by gift-wrapping, the incircle from a refining grid search, the MERGE_EPS
 dedup by comparing every pair, and geodesic directions and midpoints by
 way of the inverse-trigonometric distance.  Tests compare package output
@@ -287,6 +288,61 @@ def double_normal_reference(poly):
             if in_cone(vi, out_i, *cones[i]) and in_cone(vj, out_j, *cones[j]):
                 consider(distance(vi, vj, g), "vertex-vertex", vi, vj)
     return best
+
+
+# ---------------------------------------------------------------------------
+# the width's pieces and pair screen on unit directions (package primitives)
+
+def pieces_reference(poly):
+    """The boundary pieces of measure.thickness, vertices first, then arcs,
+    both in arc order, with each vertex normal a unit log_dir."""
+    from spindle.geometry import _negate, log_dir, turn_angle
+
+    g = poly.geometry
+    arcs = poly.arcs
+    vert_pieces = []
+    for k, arc in enumerate(arcs):
+        v = arc.start
+        n_in = _negate(log_dir(v, arcs[k - 1].center, g))
+        n_out = _negate(log_dir(v, arc.center, g))
+        # signed, not reduced mod 2 pi: a smooth vertex turning by -1e-17
+        # must not read as a full cone
+        vert_pieces.append((v, 0.0, n_in, turn_angle(v, n_in, n_out, g)))
+    arc_pieces = [(a.center, poly.r, a.u0, a.extent) for a in arcs]
+    return vert_pieces + arc_pieces
+
+
+def screen_reference(pieces, g):
+    """measure._screen on the chord tensor: which pairs of pieces may bound
+    a double normal, as a symmetric boolean matrix.
+
+    Array passes over blocks of rows (measure._BLOCK pairs each) take
+    turn_toward from every center toward every other: the angle of the chord
+    c_g - c_f in the frame (u, perp u) at c_f, with the pi flip for two
+    vertices.  A pair survives when both turns fall in their spans within
+    _SCREEN_EPS, or when its centers lie within _SCREEN_NEAR.
+    """
+    from spindle import measure
+    from spindle.geometry import perp
+    from spindle.regions import angle_in
+
+    a = np.array([(*c, *u, *perp(c, u, g), span) for c, _, u, span in pieces])
+    c, frame, span = a[:, :3], a[:, 3:9].reshape(-1, 2, 3), a[:, 9:]
+    w = measure._form_weights(g)
+    m = len(pieces)
+    h = m // 2  # the vertices, which the pieces put first
+    hit = np.empty((m, m), dtype=bool)
+    near = np.empty((m, m), dtype=bool)
+    rows = max(1, measure._BLOCK // m)
+    for s in range(0, m, rows):
+        f = slice(s, s + rows)
+        chord = c - c[f, None]  # [f, g] = c_g - c_f
+        along, left = np.einsum("fik,fgk->ifg", frame[f] * w, chord)
+        turn = np.arctan2(left, along)
+        turn[:max(h - s, 0), :h] += math.pi  # rows and columns that are vertices
+        hit[f] = angle_in(turn, 0.0, span[f], measure._SCREEN_EPS)
+        near[f] = (chord * chord) @ w <= 2.0 * g.vers(measure._SCREEN_NEAR)
+    return hit & hit.T | near
 
 
 # ---------------------------------------------------------------------------

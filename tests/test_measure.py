@@ -15,6 +15,8 @@ from oracles import (
     double_normal_reference,
     euclidean_width_reference,
     incircle_grid_reference,
+    pieces_reference,
+    screen_reference,
 )
 from spindle import measure
 from spindle.extremal import regular_disk_hexagon, regular_disk_triangle
@@ -29,12 +31,18 @@ from spindle.geometry import (
     Circle,
     Point,
     SpindleError,
+    _negate,
     angle_coord,
     distance,
     exp_map,
     from_polar,
+    log_dir,
     origin,
+    rotate_tangent,
+    tangent_dot,
     tangent_from_angle,
+    turn_angle,
+    turn_toward,
 )
 from spindle.measure import (
     _chord_normals,
@@ -348,6 +356,21 @@ def test_thickness_matches_double_normal_reference():
                        max(gap(got.a, b), gap(got.b, a))) <= 1e-12
 
 
+def assert_screen_keeps_every_double_normal(poly, monkeypatch):
+    g = poly.geometry
+    pieces = _pieces(poly)
+    keep = _screen(pieces, g)
+    assert (keep == keep.T).all()
+    with monkeypatch.context() as m:
+        m.setattr(measure, "_BLOCK", 3 * len(pieces))
+        assert (_screen(pieces, g) == keep).all()
+    for i, j in combinations(range(len(pieces)), 2):
+        pf, pg = pieces[i], pieces[j]
+        common = distance(pf[0], pg[0], g) <= MERGE_EPS
+        if _chord_normals(pf, pg, common, g) is not None:
+            assert keep[i, j], (g.name, len(poly.arcs), i, j)
+
+
 def test_width_screen_keeps_every_double_normal(monkeypatch):
     # the array screen may only drop pairs the scalar normal test rejects:
     # w = r triangles put normals exactly on cone edges, lenses reach d = 2r;
@@ -355,19 +378,113 @@ def test_width_screen_keeps_every_double_normal(monkeypatch):
     rng = np.random.default_rng(304)
     for g in ALL:
         for poly in width_reference_corpus(g, rng):
+            if not poly.is_full_disk:
+                assert_screen_keeps_every_double_normal(poly, monkeypatch)
+
+
+def test_width_screen_keeps_every_double_normal_far_out(monkeypatch):
+    # hyperbolic rings 6 and 8 from the origin, every third point with a twin
+    # 1e-3 to 1e-6 away along the ring: the form products round by ~eps Z^2,
+    # Z ~ 2500 at D = 8, which turns the twins' short chords by up to 1e-3
+    g = HYPERBOLIC
+    rng = np.random.default_rng(312)
+    for d in (6.0, 8.0):
+        c = from_polar(g, 0.3, d)
+        pts = []
+        for k, p in enumerate(jittered_ring(g, 48, 1.0, rng, center=c)):
+            pts.append(p)
+            if k % 3 == 0:
+                along = rotate_tangent(p, log_dir(p, c, g), 0.5 * math.pi, g)
+                pts.append(exp_map(p, along, 10.0 ** -(3 + k // 3 % 4), g))
+        poly = ball_hull(pts, 1.0, g)
+        assert len(poly.arcs) == 64  # the twins are vertices too
+        assert_screen_keeps_every_double_normal(poly, monkeypatch)
+
+
+def test_width_screen_keeps_chords_on_span_edges_far_out():
+    # two arcs 6 and 8 from the origin, centers 1e-6 to 1e-3 apart, each span
+    # ending exactly on the chord to the other center: the form products
+    # round by ~eps Z^2 and turn such a chord by up to 1e-3, past the span
+    # slack, so the screen has to pass it unjudged
+    g = HYPERBOLIC
+    rng = np.random.default_rng(314)
+    for d in (6.0, 8.0):
+        for sep in (1e-6, 1e-5, 1e-4, 1e-3):
+            for _ in range(8):
+                cf = from_polar(g, float(rng.uniform(0.0, TWO_PI)), d)
+                cg = exp_map(cf, tangent_from_angle(cf, float(rng.uniform(0.0, TWO_PI)), g), sep, g)
+                uf, ug = (tangent_from_angle(c, float(rng.uniform(0.0, TWO_PI)), g) for c in (cf, cg))
+                pf = (cf, 1.0, uf, turn_toward(cf, uf, cg, g) % TWO_PI)
+                pg = (cg, 1.0, ug, turn_toward(cg, ug, cf, g) % TWO_PI)
+                assert _chord_normals(pf, pg, False, g) is not None
+                assert _screen([pf, pg], g)[0, 1], (d, sep)
+
+
+def test_thickness_matches_the_unit_direction_screen(monkeypatch):
+    # the vertex normals as tangent parts of v - c and the screen as form
+    # products give the same witness, bit for bit, as unit log_dir normals
+    # screened on the chord tensor
+    def bits(w):
+        return w.value.hex(), w.kind, tuple(x.hex() for x in (*w.a, *w.b))
+
+    rng = np.random.default_rng(304)
+    for g in ALL:
+        for poly in width_reference_corpus(g, rng):
+            got = thickness(poly)
+            with monkeypatch.context() as m:
+                m.setattr(measure, "_pieces", pieces_reference)
+                m.setattr(measure, "_screen", screen_reference)
+                want = thickness(poly)
+            assert bits(got) == bits(want), (g.name, len(poly.arcs))
+
+
+def vertex_normal_errors(poly):
+    """Per vertex piece (v, 0, n_in, span), with Z = max(1, |v.z|): the turn
+    from n_in to -log_dir(v) toward the incoming arc's center, the turn from
+    n_in turned by span to -log_dir(v) toward its own arc's center, n_in's
+    distance from the tangent plane at v (form(n_in, v); its z when flat)
+    and form(n_in, n_in) - 1, each over eps Z^3."""
+    g = poly.geometry
+    arcs = poly.arcs
+    for k, (v, _, n, span) in enumerate(_pieces(poly)[:len(arcs)]):
+        scale = 2.0 ** -52 * max(1.0, abs(v.z)) ** 3
+        end = rotate_tangent(v, n, span, g)
+        yield tuple(abs(e) / scale for e in (
+            turn_angle(v, n, _negate(log_dir(v, arcs[k - 1].center, g)), g),
+            turn_angle(v, end, _negate(log_dir(v, arcs[k].center, g)), g),
+            n.z if g is EUCLIDEAN else tangent_dot(n, v, g),
+            tangent_dot(n, n, g) - 1.0,
+        ))
+
+
+def test_vertex_normals_point_away_from_their_arc_centers():
+    # measured to 1.7, 1.4 and 19 eps Z^3 (rings at D = 6 have Z ~ 330)
+    rng = np.random.default_rng(304)
+    for g in ALL:
+        for poly in width_reference_corpus(g, rng):
             if poly.is_full_disk:
                 continue
-            pieces = _pieces(poly)
-            keep = _screen(pieces, g)
-            assert (keep == keep.T).all()
-            with monkeypatch.context() as m:
-                m.setattr(measure, "_BLOCK", 3 * len(pieces))
-                assert (_screen(pieces, g) == keep).all()
-            for i, j in combinations(range(len(pieces)), 2):
-                pf, pg = pieces[i], pieces[j]
-                common = distance(pf[0], pg[0], g) <= MERGE_EPS
-                if _chord_normals(pf, pg, common, g) is not None:
-                    assert keep[i, j], (g.name, len(poly.arcs), i, j)
+            for turn_in, turn_end, off, length in vertex_normal_errors(poly):
+                assert max(turn_in, turn_end, off) <= 4.0, (g.name, len(poly.arcs))
+                assert length <= 64.0, (g.name, len(poly.arcs))
+
+
+def test_vertex_normals_of_vertices_off_their_circles():
+    # a record's vertices may sit up to 1e-7 off their circles (make_arc):
+    # the normal keeps the direction of -log_dir there, only its length moves
+    rng = np.random.default_rng(313)
+    for g in ALL:
+        rec = random_polygon(g, rng, n=7).to_record()
+        moved = []
+        for k, xyz in enumerate(rec["vertices"]):
+            v = Point(*xyz)
+            moved.append(list(exp_map(v, tangent_from_angle(v, 1.0 + 2.0 * k, g), 1e-8, g)))
+        poly = DiskPolygon.from_record({**rec, "vertices": moved})
+        off = [abs(distance(a.center, p, g) - poly.r) for a in poly.arcs for p in (a.start, a.end)]
+        assert max(off) >= 5e-9
+        errors = list(vertex_normal_errors(poly))
+        assert max(max(e[:3]) for e in errors) <= 4.0, g.name
+        assert max(e[3] for e in errors) >= 1e6, g.name  # unit length only on the circle
 
 
 def test_thickness_ignores_where_the_arc_cycle_starts():

@@ -234,7 +234,8 @@ def test_ball_hull_jittered_rings_keep_every_point():
 def test_hull_and_width_build_few_directions(monkeypatch):
     # the r-scan builds one direction per arc (in make_arc) and pays O(h)
     # distances, and the width screens all piece pairs in one array pass:
-    # log_dir, distance and turn_toward run O(h) times, not once per pair
+    # log_dir, distance and turn_toward run O(h) times, not once per pair,
+    # and the width's log_dir only for the vertex-vertex chords it accepts
     calls = {"log_dir": 0, "distance": 0, "turn_toward": 0}
 
     def counted(fn):
@@ -259,7 +260,7 @@ def test_hull_and_width_build_few_directions(monkeypatch):
         assert calls["distance"] <= 5 * h
         calls.update(log_dir=0, distance=0, turn_toward=0)
         thickness(hull)
-        assert calls["log_dir"] <= 4 * h
+        assert calls["log_dir"] <= h // 4  # vertex normals take none: only vertex-vertex chords
         assert calls["distance"] <= 2 * h
         assert calls["turn_toward"] <= 2 * h
 
@@ -294,10 +295,15 @@ def test_ball_hull_intersects_circles_once_per_arc(monkeypatch):
 
 
 def test_hull_and_incircle_reach_the_counted_primitives(monkeypatch):
-    # the hull benchmark's traced run requires its ops to call these three
-    # (bench/layers.py EXPECTED); a change that halves the calls is fine, one
-    # that drops them to zero has to change that guard first
-    counts = dict.fromkeys(("circle_circle_intersection", "rotate_tangent", "circumcenter"), 0)
+    # a hull op (ball_hull, thickness, incircle, area) must call every
+    # geometry primitive the hull benchmark's traced run requires (bench/
+    # layers.py EXPECTED["hull"]); a change that halves the calls is fine,
+    # one that drops them to zero has to change that guard first
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    import layers
+
+    counts = dict.fromkeys((f for f in layers.EXPECTED["hull"] if "." not in f), 0)
+    assert {"log_dir", "circumcenter", "smallest_enclosing_disk"} <= set(counts)
 
     def counted(name, fn):
         def spy(*args):
@@ -312,7 +318,10 @@ def test_hull_and_incircle_reach_the_counted_primitives(monkeypatch):
     rng = np.random.default_rng(211)
     for g in ALL:
         counts.update(dict.fromkeys(counts, 0))
-        incircle(ball_hull(jittered_ring(g, 16, 1.0, rng), 1.0, g))
+        hull = ball_hull(jittered_ring(g, 16, 1.0, rng), 1.0, g)
+        thickness(hull)
+        incircle(hull)
+        area(hull)
         assert all(counts.values()), (g, counts)
 
 
