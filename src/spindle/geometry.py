@@ -31,7 +31,9 @@ Conventions used throughout the package:
 * arrays enter the scalar kernel once, as floats, at `ball_hull`,
   `r_segment` and `cap_domain`, which pass their points through `as_point`:
   a numpy float64 scalar costs about three times a float per operation,
-  and every point derived from one stays one.
+  and every point derived from one stays one;
+* `make_arc` tests its endpoints and takes its extent on chord2, with no distance;
+* `circle_circle_intersection` rotates u once, to v: the right point takes 2 cos(beta) u - v.
 """
 
 from __future__ import annotations
@@ -52,8 +54,15 @@ ON_SURFACE_EPS = 1e-9
 SED_SLACK = 1e-9
 # log_dir's DEGENERATE cut-off d < 1e-12 on chord2 = 2 vers d = d^2 (1 + O(d^2))
 _DEGENERATE_CHORD2 = 1e-24
-# distance's ANTIPODAL cut-off p.q <= -1 + 1e-12 on the sphere's chord2 = 2 - 2 p.q
-_ANTIPODAL_CHORD2 = 4.0 - 2e-12
+_ANTIPODAL_DOT = 1e-12  # distance: spherical p.q <= -1 + this is ANTIPODAL
+_ANTIPODAL_CHORD2 = 4.0 - 2.0 * _ANTIPODAL_DOT  # the same cut-off on chord2 = 2 - 2 p.q
+_ZERO_NORM = 1e-14      # a vector shorter than this has no direction to normalize
+_TANGENT_EPS = 1e-9     # a unit tangent's slack in length and off its tangent plane
+_AXIS_EPS = 1e-9        # hyperboloid points with |x|, |y| below this frame on the x axis
+_MISS_SLACK = 1e-9      # circles whose |cos beta| passes 1 by at most this still meet
+_TOUCH_EPS = 1e-12      # a |cos beta| this close to 1 is a tangency: one point
+_CONCENTRIC_EPS = 1e-12  # concentric circles with radii this close coincide
+_COLLINEAR_SIN = 1e-13  # circumcenter: chords meeting at a smaller sine give None
 
 
 class SpindleError(ValueError):
@@ -161,15 +170,6 @@ class Circle(NamedTuple):
 # array overhead to pay off; numpy serves only all-pairs screens, as the
 # width screen in measure does)
 
-def _dot3(a, b) -> float:
-    return a.x * b.x + a.y * b.y + a.z * b.z
-
-
-def _mdot(a, b) -> float:
-    # Minkowski form with signature (+, +, -)
-    return a.x * b.x + a.y * b.y - a.z * b.z
-
-
 def det3(a, b, c) -> float:
     """Determinant of the 3x3 matrix with rows a, b, c."""
     return (
@@ -186,7 +186,7 @@ def _normalize_point(g: Geometry, x: float, y: float, z: float) -> Point:
         return Point(x, y, 1.0)
     if g.kappa > 0:
         n = math.sqrt(x * x + y * y + z * z)
-        if n < 1e-14:
+        if n < _ZERO_NORM:
             raise SpindleError("BAD_RANGE", "cannot normalize the zero vector")
         return Point(x / n, y / n, z / n)
     q = z * z - x * x - y * y
@@ -238,8 +238,8 @@ def distance(p: Point, q: Point, g: Geometry) -> float:
     if g.kappa == 0:
         return math.hypot(q.x - p.x, q.y - p.y)
     if g.kappa > 0:
-        dot = _dot3(p, q)
-        if dot <= -1.0 + 1e-12:
+        dot = p.x * q.x + p.y * q.y + p.z * q.z
+        if dot <= -1.0 + _ANTIPODAL_DOT:
             raise SpindleError("ANTIPODAL", "antipodal points have no unique geodesic")
         # chordal forms are stable near 0 and near pi
         if dot >= 0.0:
@@ -288,16 +288,10 @@ def _distinct(points: Sequence[Point], g: Geometry) -> list[int]:
 
 
 def _check_tangent(p: Point, u: Tangent, g: Geometry) -> None:
-    if g.kappa == 0:
-        unit = u.x * u.x + u.y * u.y
-        ortho = abs(u.z)
-    elif g.kappa > 0:
-        unit = _dot3(u, u)
-        ortho = abs(_dot3(p, u))
-    else:
-        unit = _mdot(u, u)
-        ortho = abs(_mdot(p, u))
-    if abs(unit - 1.0) > 1e-9 or ortho > 1e-9:
+    # unit in the tangent form, and in the tangent plane: form(p, u) = 0 (flat: u.z = 0)
+    unit = u.x * u.x + u.y * u.y + g.kappa * u.z * u.z
+    ortho = abs(p.x * u.x + p.y * u.y + g.kappa * p.z * u.z if g.kappa else u.z)
+    if abs(unit - 1.0) > _TANGENT_EPS or ortho > _TANGENT_EPS:
         raise SpindleError("BAD_TANGENT", "direction is not a unit tangent at p")
 
 
@@ -305,7 +299,7 @@ def _normalize_tangent(p: Point, ux: float, uy: float, uz: float, g: Geometry) -
     # project defensively onto the tangent plane, then rescale to unit length
     if g.kappa == 0:
         n = math.hypot(ux, uy)
-        if n < 1e-14:
+        if n < _ZERO_NORM:
             raise SpindleError("DEGENERATE", "zero tangent vector")
         return Tangent(ux / n, uy / n, 0.0)
     if g.kappa > 0:
@@ -316,7 +310,7 @@ def _normalize_tangent(p: Point, ux: float, uy: float, uz: float, g: Geometry) -
         d = ux * p.x + uy * p.y - uz * p.z
         ux, uy, uz = ux + d * p.x, uy + d * p.y, uz + d * p.z
         n = math.sqrt(max(ux * ux + uy * uy - uz * uz, 0.0))
-    if n < 1e-14:
+    if n < _ZERO_NORM:
         raise SpindleError("DEGENERATE", "zero tangent vector")
     return Tangent(ux / n, uy / n, uz / n)
 
@@ -368,9 +362,10 @@ def perp(p: Point, u: Tangent, g: Geometry) -> Tangent:
 
 def rotate_tangent(p: Point, u: Tangent, alpha: float, g: Geometry) -> Tangent:
     c, s = math.cos(alpha), math.sin(alpha)
-    v = perp(p, u, g)
+    # c u + s perp(p, u), with perp written out rather than built
     return _normalize_tangent(
-        p, c * u.x + s * v.x, c * u.y + s * v.y, c * u.z + s * v.z, g
+        p, c * u.x + s * (p.y * u.z - p.z * u.y), c * u.y + s * (p.z * u.x - p.x * u.z),
+        c * u.z + s * (g.kappa * (p.x * u.y - p.y * u.x)), g
     )
 
 
@@ -410,7 +405,7 @@ def tangent_basis(p: Point, g: Geometry) -> tuple[Tangent, Tangent]:
     if g.kappa == 0:
         return Tangent(1.0, 0.0, 0.0), Tangent(0.0, 1.0, 0.0)
     seed = Point(0.0, 0.0, 1.0) if abs(p.z) < 0.9 or g.kappa < 0 else Point(1.0, 0.0, 0.0)
-    if g.kappa < 0 and abs(p.x) < 1e-9 and abs(p.y) < 1e-9:
+    if g.kappa < 0 and abs(p.x) < _AXIS_EPS and abs(p.y) < _AXIS_EPS:
         seed = Point(1.0, 0.0, 0.0)
     t1 = _normalize_tangent(p, seed.x, seed.y, seed.z, g)
     return t1, perp(p, t1, g)
@@ -462,14 +457,13 @@ def cos_angle(a: float, b: float, c: float, g: Geometry) -> float:
     return (g.vers(a) - g.vers(c) + g.cs(a) * g.vers(b)) / (g.sn(a) * g.sn(b))
 
 
-def _intersection_angle(r1: float, d: float, r2: float, g: Geometry) -> Optional[float]:
+def _intersection_angle(cosb: float) -> Optional[float]:
     """Angle at the first center between the line of centers and an
-    intersection point of circles of radii r1, r2 with centers d apart:
-    None when they miss, 0 or pi when they touch."""
-    cosb = cos_angle(r1, d, r2, g)
-    if abs(cosb) > 1.0 + 1e-9:
+    intersection point of two circles, from its cosine by the law of
+    cosines: None when they miss, 0 or pi when they touch."""
+    if abs(cosb) > 1.0 + _MISS_SLACK:
         return None
-    if 1.0 - abs(cosb) <= 1e-12:
+    if 1.0 - abs(cosb) <= _TOUCH_EPS:
         return 0.0 if cosb > 0 else math.pi
     return math.acos(cosb)
 
@@ -478,15 +472,18 @@ def _points_off_axis(p: Point, u: Tangent, t: float, beta: float, g: Geometry) -
     """Points at distance t from p in the directions turned by +beta (left)
     and -beta (right) from the unit tangent u; one point if beta is 0 or pi.
 
-    Each is cs t p + sn t v for the turned unit tangent v, normalized once
-    (exp_map's walk, without its tangent check).
+    Each is cs t p + sn t w for the turned unit tangent w, normalized once
+    (exp_map's walk, without its tangent check).  Only the left direction v
+    is turned; the right one is its mirror about u, 2 cos(beta) u - v.
     """
     c, s = g.cs(t), g.sn(t)
-    points = []
-    for angle in (beta,) if beta in (0.0, math.pi) else (beta, -beta):
-        v = rotate_tangent(p, u, angle, g)
-        points.append(_normalize_point(g, c * p.x + s * v.x, c * p.y + s * v.y, c * p.z + s * v.z))
-    return tuple(points)
+    v = rotate_tangent(p, u, beta, g)
+    left = _normalize_point(g, c * p.x + s * v.x, c * p.y + s * v.y, c * p.z + s * v.z)
+    if beta == 0.0 or beta == math.pi:
+        return (left,)
+    m = 2.0 * math.cos(beta)
+    wx, wy, wz = m * u.x - v.x, m * u.y - v.y, m * u.z - v.z
+    return left, _normalize_point(g, c * p.x + s * wx, c * p.y + s * wy, c * p.z + s * wz)
 
 
 def circle_circle_intersection(
@@ -496,20 +493,22 @@ def circle_circle_intersection(
 
     Returns (), a single tangency point, or two points ordered (left, right)
     of the oriented geodesic c1.center -> c2.center.  COINCIDENT circles are
-    an error; concentric distinct circles return ().
+    an error; concentric distinct circles (centers closer than log_dir
+    takes a direction between) return ().  cos beta is cos_angle(r1, d, r2)
+    with vers d = chord2 / 2 and sn d = sqrt(vers d (2 - kappa vers d)).
     """
-    r1, r2 = c1.radius, c2.radius
+    p, q, r1, r2 = c1.center, c2.center, c1.radius, c2.radius
     g.check_radius(r1)
     g.check_radius(r2)
-    d = distance(c1.center, c2.center, g)
-    if d <= 1e-12:
-        if abs(r1 - r2) <= 1e-12:
+    vers_d = 0.5 * chord2(p, q, g)
+    if vers_d <= 0.5 * _DEGENERATE_CHORD2:
+        if abs(r1 - r2) <= _CONCENTRIC_EPS:
             raise SpindleError("COINCIDENT", "the circles coincide")
         return ()
-    beta = _intersection_angle(r1, d, r2, g)
-    if beta is None:
-        return ()
-    return _points_off_axis(c1.center, log_dir(c1.center, c2.center, g), r1, beta, g)
+    u = log_dir(p, q, g)  # raises ANTIPODAL before sn d can vanish
+    sn_d = math.sqrt(max(vers_d * (2.0 - g.kappa * vers_d), 0.0))
+    beta = _intersection_angle((g.vers(r1) - g.vers(r2) + g.cs(r1) * vers_d) / (g.sn(r1) * sn_d))
+    return () if beta is None else _points_off_axis(p, u, r1, beta, g)
 
 
 def circumcenter(a: Point, b: Point, c: Point, g: Geometry) -> Optional[tuple[Point, float]]:
@@ -519,13 +518,14 @@ def circumcenter(a: Point, b: Point, c: Point, g: Geometry) -> Optional[tuple[Po
     u = a - b and v = b - c meet at an angle whose sine is below 1e-13, at any
     scale (hyperbolic triples whose equidistant locus is no circle give None).
     """
-    u = Point(a.x - b.x, a.y - b.y, a.z - b.z)
-    v = Point(b.x - c.x, b.y - c.y, b.z - c.z)
+    ux, uy, uz = a.x - b.x, a.y - b.y, a.z - b.z
+    vx, vy, vz = b.x - c.x, b.y - c.y, b.z - c.z
+    uu, vv = ux * ux + uy * uy + uz * uz, vx * vx + vy * vy + vz * vz
     if g.kappa == 0:
         d = 2.0 * (
             a.x * (b.y - c.y) + b.x * (c.y - a.y) + c.x * (a.y - b.y)
         )
-        if d * d < 4e-26 * _dot3(u, u) * _dot3(v, v):  # |d| = 2 |u| |v| sin
+        if d * d < 4.0 * _COLLINEAR_SIN ** 2 * uu * vv:  # |d| = 2 |u| |v| sin
             return None
         aa = a.x * a.x + a.y * a.y
         bb = b.x * b.x + b.y * b.y
@@ -534,31 +534,23 @@ def circumcenter(a: Point, b: Point, c: Point, g: Geometry) -> Optional[tuple[Po
         uy = (aa * (c.x - b.x) + bb * (a.x - c.x) + cc * (b.x - a.x)) / d
         center = Point(ux, uy, 1.0)
         return center, distance(center, a, g)
+    # the normal n = u x v of the plane through a, b, c (hyperboloid: n.z negated)
+    nx, ny = uy * vz - uz * vy, uz * vx - ux * vz
+    nz = ux * vy - uy * vx if g.kappa > 0 else uy * vx - ux * vy
     if g.kappa > 0:
-        n = Point(
-            u.y * v.z - u.z * v.y,
-            u.z * v.x - u.x * v.z,
-            u.x * v.y - u.y * v.x,
-        )
-        nn = math.sqrt(_dot3(n, n))
-        if nn < 1e-13 * math.sqrt(_dot3(u, u) * _dot3(v, v)):  # |n| = |u| |v| sin
+        s = math.sqrt(nx * nx + ny * ny + nz * nz)
+        if s < _COLLINEAR_SIN * math.sqrt(uu * vv):  # |n| = |u| |v| sin
             return None
-        center = Point(n.x / nn, n.y / nn, n.z / nn)
-        if _dot3(center, a) < 0.0:
-            center = Point(-center.x, -center.y, -center.z)
-        return center, distance(center, a, g)
-    n = Point(
-        u.y * v.z - u.z * v.y,
-        u.z * v.x - u.x * v.z,
-        u.y * v.x - u.x * v.y,
-    )
-    q = n.z * n.z - n.x * n.x - n.y * n.y
-    if q < 1e-13 * (n.x * n.x + n.y * n.y + n.z * n.z):
-        return None  # equidistant locus is not a compact circle
-    s = math.sqrt(q)
-    center = Point(n.x / s, n.y / s, n.z / s)
-    if center.z < 0.0:
-        center = Point(-center.x, -center.y, -center.z)
+        x, y, z = nx / s, ny / s, nz / s
+        flip = x * a.x + y * a.y + z * a.z < 0.0
+    else:
+        q = nz * nz - nx * nx - ny * ny
+        if q < _COLLINEAR_SIN * (nx * nx + ny * ny + nz * nz):
+            return None  # equidistant locus is not a compact circle
+        s = math.sqrt(q)
+        x, y, z = nx / s, ny / s, nz / s
+        flip = z < 0.0
+    center = Point(-x, -y, -z) if flip else Point(x, y, z)
     return center, distance(center, a, g)
 
 
@@ -606,6 +598,11 @@ def smallest_enclosing_disk(
         return min((disk_about(midpoint(points[a], points[b], g), (a, b, c))
                     for a, b, c in ((i, j, k), (i, k, j), (j, k, i))), key=lambda d: d[1])
 
+    def rank(d):
+        # disks that hold the support first, then the smaller; the points a
+        # disk was built on lie within its reach, so only the rest are tested
+        return any(chord2(d[0], points[k], g) > d[3] for k in support if k not in d[2]), d[1]
+
     disk = (points[0], 0.0, (0,), shifted(0.0))
     for _ in range(n * (n * n + 5) // 6):  # n + C(n, 2) + C(n, 3)
         cx, cy, cz = disk[0]
@@ -614,13 +611,13 @@ def smallest_enclosing_disk(
         far = max(reach)
         if far <= disk[3]:
             break
-        # about the midpoint of f and a support point, or through f and two
-        # of them; pairs come first, so an exact tie keeps the smaller support
+        # about the midpoint of f and a support point, else through f and two: a disk
+        # through f and s has radius >= d(f, s) / 2, so a pair disk holding the support wins
         f, support = reach.index(far), disk[2]
-        disks = [disk_about(midpoint(points[f], points[s], g), (f, s)) for s in support]
-        disks += [triple(f, s, t) for s, t in combinations(support, 2)]
-        disk = min(disks, key=lambda d: (any(chord2(d[0], points[k], g) > d[3] for k in support),
-                                         d[1]))
+        pairs = [disk_about(midpoint(points[f], points[s], g), (f, s)) for s in support]
+        disk = min(pairs, key=rank)
+        if rank(disk)[0]:
+            disk = min([disk] + [triple(f, s, t) for s, t in combinations(support, 2)], key=rank)
     else:
         raise SpindleError("NO_CONVERGENCE", f"no smallest enclosing disk of {n} points")
     # radius and support (the points on the rim) of the last disk only

@@ -397,9 +397,9 @@ def incircle(poly: DiskPolygon) -> Incircle:
         return Incircle(distinct[0], r, (), (), (0,))
     x, big_r, _ = smallest_enclosing_disk(distinct, g)
     rho = r - big_r
-    support = tuple(
-        i for i, c in enumerate(centers) if abs(distance(c, x, g) - big_r) <= _SUPPORT_EPS
-    )
+    # |d(c, x) - big_r| <= _SUPPORT_EPS, on chord2 = 2 vers d (vers is monotone)
+    lo, hi = 2.0 * g.vers(max(big_r - _SUPPORT_EPS, 0.0)), 2.0 * g.vers(big_r + _SUPPORT_EPS)
+    support = tuple(i for i, c in enumerate(centers) if lo <= chord2(c, x, g) <= hi)
     touch = [exp_map(centers[i], log_dir(centers[i], x, g), r, g) for i in support]
     keep = _distinct(touch, g)  # in support order
     return Incircle(x, rho, tuple(touch[k] for k in keep), tuple(support[k] for k in keep), support)

@@ -39,6 +39,7 @@ from .geometry import (
     as_point,
     chord2,
     circle_circle_intersection,
+    cos_angle,
     distance,
     exp_map,
     frame_angle,
@@ -47,7 +48,6 @@ from .geometry import (
     rotate_tangent,
     smallest_enclosing_disk,
     tangent_basis,
-    tangent_dot,
     turn_toward,
 )
 
@@ -55,6 +55,10 @@ TWO_PI = 2.0 * math.pi
 _TIGHT_EPS = 1e-9     # an enclosing radius this close to r makes the hull that one disk
 _POP_SLACK = 1e-12    # the r-scan pops when the next point is this close to the top arc's circle
 _COVER_SLACK = 1e-7   # every input point lies this close to each arc's disk
+_ON_CIRCLE_EPS = 1e-7  # an arc endpoint may lie this far off its circle
+_ZERO_ARC = 1e-15     # arc endpoints closer than this make a zero-extent arc
+_CHORD_SLACK = 1e-9   # an arc's chord may pass its circle's diameter by this share
+_LENGTH_EPS = 1e-12   # lengths this close are equal (r_segment and the apex tests of cap_domain)
 
 
 @dataclass(frozen=True)
@@ -98,28 +102,25 @@ def angle_in(theta, lo: float, width: float, tol: float = ANGLE_EPS):
     return (a <= width + tol) | (a >= TWO_PI - tol)
 
 
-def _arc_extent_from_chord(chord: float, radius: float, g: Geometry) -> float:
-    # central angle subtended by a chord; chordal form, no acos cancellation
-    q = g.sn(0.5 * chord) / g.sn(radius)
-    if q > 1.0 + 1e-9:
-        raise SpindleError("OUT_OF_RANGE", "chord longer than the circle diameter")
-    return 2.0 * math.asin(min(1.0, q))
-
-
 def make_arc(center: Point, radius: float, start: Point, end: Point, g: Geometry) -> Arc:
     """Arc from start to end counterclockwise about center, extent <= pi.
 
-    Endpoints must lie on the circle.  The traversal takes whichever way
-    around matches the counterclockwise direction; every arc built by this
-    package subtends at most pi (+ rounding), so the chordal extent is it.
+    Endpoints must lie within _ON_CIRCLE_EPS of the circle, as chord2 from
+    the center within 2 vers(radius -+ _ON_CIRCLE_EPS).  The traversal takes
+    whichever way around is counterclockwise; every arc built by this package
+    subtends at most pi (+ rounding), so the chordal extent is it.
     """
-    for p in (start, end):
-        if abs(distance(center, p, g) - radius) > 1e-7:
-            raise SpindleError("MALFORMED_BOUNDARY", "arc endpoint off its circle")
-    chord = distance(start, end, g)
-    if chord < 1e-15:
+    lo = 2.0 * g.vers(radius - _ON_CIRCLE_EPS) if radius > _ON_CIRCLE_EPS else 0.0
+    hi = 2.0 * g.vers(radius + _ON_CIRCLE_EPS)
+    if not (lo <= chord2(center, start, g) <= hi and lo <= chord2(center, end, g) <= hi):
+        raise SpindleError("MALFORMED_BOUNDARY", "arc endpoint off its circle")
+    c2 = chord2(start, end, g)
+    if c2 < _ZERO_ARC * _ZERO_ARC:
         raise SpindleError("MALFORMED_BOUNDARY", "zero-extent arc")
-    extent = _arc_extent_from_chord(chord, radius, g)
+    q = 0.5 * math.sqrt(c2) / g.sn(radius)
+    if q > 1.0 + _CHORD_SLACK:
+        raise SpindleError("OUT_OF_RANGE", "chord longer than the circle diameter")
+    extent = 2.0 * math.asin(min(1.0, q))
     u0 = log_dir(center, start, g)
     ccw = turn_toward(center, u0, end, g) % TWO_PI
     # the chord determines extent or 2*pi - extent; pick the CCW-consistent one
@@ -235,11 +236,11 @@ def r_segment(x: Point, y: Point, r: float, g: Geometry) -> DiskPolygon:
     g.check_radius(r)
     x, y = as_point(x, g, 0), as_point(y, g, 1)
     d = distance(x, y, g)
-    if d < 1e-12:
+    if d < _LENGTH_EPS:
         raise SpindleError("DEGENERATE_POINT", "the two points coincide")
-    if d > 2.0 * r + 1e-12:
+    if d > 2.0 * r + _LENGTH_EPS:
         raise SpindleError("TOO_FAR", "points farther apart than 2r")
-    if d >= 2.0 * r - 1e-12:
+    if d >= 2.0 * r - _LENGTH_EPS:
         # tangent circles: both arcs are half circles about the midpoint
         c = midpoint(x, y, g)
         arcs = (make_arc(c, r, x, y, g), make_arc(c, r, y, x, g))
@@ -303,14 +304,16 @@ def ball_hull(points: Sequence[Point], r: float, g: Geometry) -> DiskPolygon:
         arcs = tuple(make_arc(o, r, a, b, g) for a, b in zip(rim, rim[1:] + rim[:1]))
         return DiskPolygon(g, r, arcs, boundary_degenerate=True)
 
-    # chart at o, then the counterclockwise extreme points as kept indices
+    # chart at o (tangent_dot(x - o, e_i) / cs, written out), then the
+    # counterclockwise extreme points as kept indices
     e1, e2 = tangent_basis(o, g)
     reach2 = [chord2(o, x, g) for x in kept]
     chart = []
     for i, x in enumerate(kept):
-        d = Point(x.x - o.x, x.y - o.y, x.z - o.z)
+        dx, dy, dz = x.x - o.x, x.y - o.y, x.z - o.z
         cs = 1.0 - 0.5 * g.kappa * reach2[i]
-        chart.append((tangent_dot(d, e1, g) / cs, tangent_dot(d, e2, g) / cs, i))
+        chart.append(((dx * e1.x + dy * e1.y + g.kappa * dz * e1.z) / cs,
+                      (dx * e2.x + dy * e2.y + g.kappa * dz * e2.z) / cs, i))
     chain = _monotone_chain(chart)
 
     # r-scan from the chain point farthest from o round the chain and back to
@@ -328,7 +331,7 @@ def ball_hull(points: Sequence[Point], r: float, g: Geometry) -> DiskPolygon:
     stack.pop()  # the anchor again, closing the cycle
 
     z0 = kept[0]
-    s = stack.index(max(sorted(stack), key=lambda i: distance(z0, kept[i], g))) + 1
+    s = stack.index(max(sorted(stack), key=lambda i: chord2(z0, kept[i], g))) + 1
     verts = [kept[i] for i in stack[s:] + stack[:s]]
     centers = centers[s:] + centers[:s]
     n = len(verts)
@@ -444,13 +447,13 @@ def cap_domain(disk: Circle, apexes: Iterable[Point], r: float, g: Geometry) -> 
     for i, q in enumerate(apexes):
         q = as_point(q, g, i)
         d = distance(p, q, g)
-        if d <= rho + 1e-12:
+        if d <= rho + _LENGTH_EPS:
             raise SpindleError("DEGENERATE", "apex inside the disk")
-        if d > 2.0 * r - rho + 1e-12:
+        if d > 2.0 * r - rho + _LENGTH_EPS:
             raise SpindleError("APEX_TOO_FAR", "apex beyond reach of tangent arcs")
         # the arc centers sit on the circle (p, r - rho) at angle +-beta off
         # the apex direction
-        beta = _intersection_angle(r - rho, d, r, g)
+        beta = _intersection_angle(cos_angle(r - rho, d, r, g))
         if beta is None:
             raise SpindleError("APEX_TOO_FAR", "no tangent arc pair for this apex")
         u = log_dir(p, q, g)
@@ -470,7 +473,7 @@ def cap_domain(disk: Circle, apexes: Iterable[Point], r: float, g: Geometry) -> 
         th_i, half_i = caps[i][0], caps[i][6]
         th_j, half_j = caps[(i + 1) % m][0], caps[(i + 1) % m][6]
         gap = (th_j - th_i) % TWO_PI if m > 1 else TWO_PI
-        if gap < half_i + half_j - 1e-9:
+        if gap < half_i + half_j - ANGLE_EPS:
             raise SpindleError("CAP_OVERLAP", "cap footprints overlap on the disk")
 
     if m == 0:

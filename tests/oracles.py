@@ -7,8 +7,8 @@ widths from brute-force support sampling or from enumerating double
 normals family by family with the package's geometry primitives, the
 width's pieces and pair screen on unit directions and chords, r-hulls
 by gift-wrapping, the incircle from a refining grid search, the MERGE_EPS
-dedup by comparing every pair, and geodesic directions and midpoints by
-way of the inverse-trigonometric distance.  Tests compare package output
+dedup by comparing every pair, and geodesic directions, midpoints, circle
+intersections and arcs by way of the inverse-trigonometric distance.  Tests compare package output
 against digits these routines produce (see the constants in the test
 modules).  The last sections hold helpers that only tests call: the wedge
 angle and the law of cosines on package primitives, and the proof-step
@@ -367,6 +367,7 @@ def gift_wrap_reference(points, r, g):
         SpindleError,
         _intersection_angle,
         circle_circle_intersection,
+        cos_angle,
         distance,
         log_dir,
         smallest_enclosing_disk,
@@ -395,7 +396,7 @@ def gift_wrap_reference(points, r, g):
             d_ax = distance(a, x, g)
             if d_ax <= MERGE_EPS:
                 continue
-            beta = _intersection_angle(r, d_ax, r, g)
+            beta = _intersection_angle(cos_angle(r, d_ax, r, g))
             if beta is None:
                 continue
             ang = (turn_toward(a, ref, x, g) + beta) % two_pi
@@ -563,6 +564,68 @@ def midpoint_reference(p, q, g):
     from spindle.geometry import distance, exp_map
 
     return exp_map(p, log_dir_reference(p, q, g), 0.5 * distance(p, q, g), g)
+
+
+# ---------------------------------------------------------------------------
+# circle intersection and arcs through the distance, with two rotations per
+# intersection (the forms the chord2 ones and the mirrored point replaced)
+
+def points_off_axis_reference(p, u, t, beta, g):
+    """Points at distance t from p in the directions turned by +beta (left)
+    and -beta (right) from the unit tangent u, each turned by its own
+    rotate_tangent call; one point if beta is 0 or pi."""
+    from spindle.geometry import _normalize_point, rotate_tangent
+
+    c, s = g.cs(t), g.sn(t)
+    points = []
+    for angle in (beta,) if beta in (0.0, math.pi) else (beta, -beta):
+        v = rotate_tangent(p, u, angle, g)
+        points.append(_normalize_point(g, c * p.x + s * v.x, c * p.y + s * v.y, c * p.z + s * v.z))
+    return tuple(points)
+
+
+def circle_circle_intersection_reference(c1, c2, g):
+    """Intersection points of two circles, (left, right) of c1 -> c2, with
+    the center distance taken by the inverse-trigonometric distance and cos
+    beta by cos_angle."""
+    from spindle.geometry import SpindleError, _intersection_angle, cos_angle, distance, log_dir
+
+    r1, r2 = c1.radius, c2.radius
+    g.check_radius(r1)
+    g.check_radius(r2)
+    d = distance(c1.center, c2.center, g)
+    if d <= 1e-12:
+        if abs(r1 - r2) <= 1e-12:
+            raise SpindleError("COINCIDENT", "the circles coincide")
+        return ()
+    beta = _intersection_angle(cos_angle(r1, d, r2, g))
+    if beta is None:
+        return ()
+    return points_off_axis_reference(c1.center, log_dir(c1.center, c2.center, g), r1, beta, g)
+
+
+def make_arc_reference(center, radius, start, end, g):
+    """Arc from start to end counterclockwise about center, its endpoint
+    test |d(center, x) - radius| <= 1e-7 and its extent taken on distances."""
+    from spindle.geometry import SpindleError, distance, log_dir, turn_toward
+    from spindle.regions import Arc
+
+    two_pi = 2.0 * math.pi
+    for p in (start, end):
+        if abs(distance(center, p, g) - radius) > 1e-7:
+            raise SpindleError("MALFORMED_BOUNDARY", "arc endpoint off its circle")
+    chord = distance(start, end, g)
+    if chord < 1e-15:
+        raise SpindleError("MALFORMED_BOUNDARY", "zero-extent arc")
+    q = g.sn(0.5 * chord) / g.sn(radius)
+    if q > 1.0 + 1e-9:
+        raise SpindleError("OUT_OF_RANGE", "chord longer than the circle diameter")
+    extent = 2.0 * math.asin(min(1.0, q))
+    u0 = log_dir(center, start, g)
+    ccw = turn_toward(center, u0, end, g) % two_pi
+    if abs(ccw - extent) > abs(ccw - (two_pi - extent)):
+        extent = two_pi - extent
+    return Arc(center, radius, start, end, extent, g, u0)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from spindle.geometry import (
 )
 from oracles import (
     angle_at,
+    circle_circle_intersection_reference,
     distinct_reference,
     log_dir_reference,
     midpoint_reference,
@@ -610,6 +611,47 @@ def test_circle_intersection_tangent_and_empty_cases():
         with pytest.raises(SpindleError) as err:
             circle_circle_intersection(Circle(o, 0.3), Circle(o, 0.3), g)
         assert err.value.code == "COINCIDENT"
+
+
+def test_circle_intersection_matches_the_distance_reference():
+    # cos beta from chord2 and the right point as the mirror of the left one
+    # against the distance / cos_angle form with two rotations, on r-scan
+    # pairs (equal radii r about ring points), cap_domain pairs (r - rho, r)
+    # and near-tangent pairs (1e-12 < 1 - |cos beta| < 1e-10).  Points agree
+    # within 1e-14 of their size, or where the pair is near tangent within
+    # what a few ulps of cos beta move them: 2e-15 sn r1 / sin beta
+    rng = np.random.default_rng(112)
+    for g in ALL:
+        pairs = []
+        for r in (0.7, 1.0, 1.4):
+            ring = jittered_ring(g, 24, r, rng)
+            pairs += [(Circle(ring[i], r), Circle(ring[(i + k) % 24], r))
+                      for i in range(24) for k in (1, 8, 12)]
+            for _ in range(60):
+                rho = rng.uniform(0.2, 0.8) * r
+                p = random_point(g, rng, 0.3)
+                u = tangent_from_angle(p, rng.uniform(0.0, 2.0 * math.pi), g)
+                q = exp_map(p, u, rng.uniform(rho, 2.0 * r - rho), g)
+                pairs.append((Circle(p, r - rho), Circle(q, r)))
+                # a circle about p and one through the point at beta off its
+                # line of centers, beta (or pi - beta) in (sqrt(2e-12), sqrt(2e-10))
+                beta = rng.uniform(1.42e-6, 1.41e-5)
+                x = exp_map(p, rotate_tangent(p, u, beta if rng.uniform() < 0.5 else math.pi - beta, g), r, g)
+                q = exp_map(p, u, rng.uniform(0.1, 1.0) * r, g)
+                if 1e-3 < distance(q, x, g) < g.radius_limit:
+                    pairs.append((Circle(p, r), Circle(q, distance(q, x, g))))
+        near = 0
+        for c1, c2 in pairs:
+            got, want = circle_circle_intersection(c1, c2, g), circle_circle_intersection_reference(c1, c2, g)
+            assert len(got) == len(want) == 2, (g, c1, c2)
+            cosb = cos_angle(c1.radius, distance(c1.center, c2.center, g), c2.radius, g)
+            sinb = math.sqrt(max(1.0 - cosb * cosb, 0.0))
+            near += sinb < 1.5e-5
+            for a, b in zip(got, want):
+                size = max(abs(b.x), abs(b.y), abs(b.z), 1.0)
+                tol = size * max(1e-14, 2e-15 * g.sn(c1.radius) / sinb)
+                assert max(abs(a.x - b.x), abs(a.y - b.y), abs(a.z - b.z)) <= tol, (g, c1, c2)
+        assert near >= 100
 
 
 def test_smallest_enclosing_disk_basics():

@@ -8,11 +8,15 @@ A module-level private name (one leading underscore) in src/spindle must
 be read by some src/spindle module; tests do not count as readers.  A
 module-level public function in src/spindle must be called by the package
 or the benchmark, or be named in README's Library section: one that only
-tests call belongs in tests/oracles.py.
+tests call belongs in tests/oracles.py.  In the kernel modules (geometry,
+regions, measure) a tolerance is a named module-level constant: no literal
+with a negative exponent (1e-9) appears outside a `NAME = value` line.
 """
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -144,3 +148,30 @@ def test_test_only_function_check_flags_and_accepts():
         "-run": ast.parse("import a\nY = a.benched()\n"),
     }
     assert called_only_by_tests(trees, "call `named` for x") == ["a.lonely (line 5)"]
+
+
+def unnamed_tolerances(source: str) -> list[str]:
+    """Number literals with a negative exponent (1e-9, 4E-26) outside the
+    module-level `NAME = value` statements of source."""
+    named = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if all(isinstance(t, ast.Name) for t in targets):
+                named |= set(range(node.lineno, node.end_lineno + 1))
+    return [f"{tok.string} (line {tok.start[0]})"
+            for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+            if tok.type == tokenize.NUMBER and "e-" in tok.string.lower() and tok.start[0] not in named]
+
+
+def test_kernel_tolerances_have_names():
+    kernel = ("geometry", "regions", "measure")
+    found = {m: unnamed_tolerances((ROOT / "src" / "spindle" / f"{m}.py").read_text()) for m in kernel}
+    assert found == dict.fromkeys(kernel, [])
+
+
+def test_unnamed_tolerance_check_flags_and_accepts():
+    source = ("EPS = 1e-9  # named\n_PAIR = (2e-12,\n         3E-4)\nBIG = 1e9\n"
+              "def f(x, tol=1e-7):\n    return x < 2.0 ** -46 or x < 4E-26 or x > EPS\n"
+              "class C:\n    SLACK = 5e-3\n")
+    assert unnamed_tolerances(source) == ["1e-7 (line 5)", "4E-26 (line 6)", "5e-3 (line 8)"]

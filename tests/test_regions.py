@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from oracles import gift_wrap_reference
+from oracles import gift_wrap_reference, make_arc_reference
 from spindle import geometry, measure, regions
 from spindle.extremal import regular_disk_hexagon, triangle_inradius
 from spindle.geometry import (
@@ -38,6 +38,7 @@ from spindle.regions import (
     ball_hull,
     cap_domain,
     load_region,
+    make_arc,
     r_segment,
     save_region,
 )
@@ -231,11 +232,39 @@ def test_ball_hull_jittered_rings_keep_every_point():
                 assert all(distance(a.center, p, g) <= 1.0 + 1e-9 for p in pts)
 
 
+def test_make_arc_matches_the_distance_reference():
+    # make_arc tests its endpoints and takes its extent on chord2; the
+    # reference takes three distances.  Over the arcs of ring hulls the extent
+    # agrees within 1e-14 and u0 bit for bit, and an endpoint moved 1.5e-7 off
+    # its circle (either way) is refused by both with the same code, one moved
+    # 0.5e-7 accepted by both
+    rng = np.random.default_rng(212)
+    for g in ALL:
+        for r, n in ((0.7, 16), (1.0, 29), (1.4, 48)):
+            for a in ball_hull(jittered_ring(g, n, r, rng), r, g).arcs:
+                got = make_arc(a.center, r, a.start, a.end, g)
+                want = make_arc_reference(a.center, r, a.start, a.end, g)
+                assert abs(got.extent - want.extent) <= 1e-14 and got.u0 == want.u0, (g, r, n)
+                for off in (1.5e-7, -1.5e-7, 0.5e-7, -0.5e-7):
+                    end = exp_map(a.center, log_dir(a.center, a.end, g), r + off, g)
+                    start = exp_map(a.center, log_dir(a.center, a.start, g), r + off, g)
+                    for ends in ((a.start, end), (start, a.end)):
+                        codes = []
+                        for build in (make_arc, make_arc_reference):
+                            try:
+                                build(a.center, r, *ends, g)
+                                codes.append(None)
+                            except SpindleError as e:
+                                codes.append(e.code)
+                        assert codes == (["MALFORMED_BOUNDARY"] * 2 if abs(off) > 1e-7 else [None, None])
+
+
 def test_hull_and_width_build_few_directions(monkeypatch):
-    # the r-scan builds one direction per arc (in make_arc) and pays O(h)
-    # distances, and the width screens all piece pairs in one array pass:
-    # log_dir, distance and turn_toward run O(h) times, not once per pair,
-    # and the width's log_dir only for the vertex-vertex chords it accepts
+    # the r-scan builds one direction per arc (in make_arc), and its arcs test
+    # their endpoints and take their extents on chord2, so ball_hull takes no
+    # distance of its own; the width screens all piece pairs in one array
+    # pass: log_dir, distance and turn_toward run O(h) times, not once per
+    # pair, and the width's log_dir only for the vertex-vertex chords it accepts
     calls = {"log_dir": 0, "distance": 0, "turn_toward": 0}
 
     def counted(fn):
@@ -257,7 +286,7 @@ def test_hull_and_width_build_few_directions(monkeypatch):
         h = len(hull.vertices)
         assert h == 48
         assert calls["log_dir"] <= 3 * h
-        assert calls["distance"] <= 5 * h
+        assert calls["distance"] == 0
         calls.update(log_dir=0, distance=0, turn_toward=0)
         thickness(hull)
         assert calls["log_dir"] <= h // 4  # vertex normals take none: only vertex-vertex chords
@@ -268,9 +297,11 @@ def test_hull_and_width_build_few_directions(monkeypatch):
 def test_ball_hull_intersects_circles_once_per_arc(monkeypatch):
     # the r-scan pops the stack's top b when the next point lies outside the
     # disk of the stored arc a -> b, so each chain point costs one circle
-    # intersection: the one for the arc it appends
-    calls, chains = [], []
+    # intersection: the one for the arc it appends; each intersection turns
+    # one direction, the right point's being the left one's mirror
+    calls, chains, turns = [], [], []
     real_intersection, real_chain = regions.circle_circle_intersection, regions._monotone_chain
+    real_rotate = geometry.rotate_tangent
 
     def intersection(c1, c2, g):
         calls.append((c1.center, c2.center))
@@ -280,16 +311,23 @@ def test_ball_hull_intersects_circles_once_per_arc(monkeypatch):
         chains.append(real_chain(chart))
         return chains[-1]
 
+    def rotate(*args):
+        turns.append(args)
+        return real_rotate(*args)
+
     monkeypatch.setattr(regions, "circle_circle_intersection", intersection)
     monkeypatch.setattr(regions, "_monotone_chain", chain)
+    monkeypatch.setattr(geometry, "rotate_tangent", rotate)
     rng = np.random.default_rng(210)
     popped = 0
     for g in ALL:
         for pts in ([random_point(g, rng, 0.45) for _ in range(30)], jittered_ring(g, 24, 1.0, rng)):
             calls.clear()
             chains.clear()
+            turns.clear()
             hull = ball_hull(pts, 1.0, g)
             assert len(calls) == len(chains[0])
+            assert len(turns) == len(calls)
             popped += len(chains[0]) - len(hull.vertices)
     assert popped > 0  # the pop branch ran
 
