@@ -32,6 +32,7 @@ _LOG_FORM_R = 350.0
 
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 _SIN_THIRD = math.sqrt(0.75)  # sin(2pi/3)
+_RHO_SLACK = 1e-9  # a hexagon's rho may leave [rho0, w - rho0] by this much
 
 
 def _check_width_radius(w: float, r: float, g: Geometry) -> None:
@@ -169,7 +170,7 @@ def regular_disk_hexagon(w: float, r: float, rho: float, g: Geometry) -> DiskHex
     """
     _check_width_radius(w, r, g)
     rho0 = triangle_inradius(w, r, g)
-    if not (rho0 - 1e-9 <= rho <= w - rho0 + 1e-9):
+    if not (rho0 - _RHO_SLACK <= rho <= w - rho0 + _RHO_SLACK):
         raise SpindleError(
             "BAD_RANGE", "rho must lie between the triangle inradius and w minus it"
         )

@@ -1,7 +1,8 @@
 """Primitives for the three constant-curvature planes on one embedding.
 
-Points live in R^3: the Euclidean plane is the slice z = 1, the sphere is
-the unit sphere, and the hyperbolic plane is the upper hyperboloid sheet
+Points live in R^3 on the surface z^2 + kappa (x^2 + y^2) = 1, with z > 0
+off the sphere: the Euclidean plane is the slice z = 1, the sphere is the
+unit sphere, and the hyperbolic plane is the upper hyperboloid sheet
 z^2 - x^2 - y^2 = 1.  The curvature magnitude is fixed to |kappa| = 1
 (other curvatures are length rescalings).  Trigonometry is written once
 for all three planes through the model-space functions sn, cs and the
@@ -12,7 +13,10 @@ Conventions used throughout the package:
 
 * a Tangent is a unit tangent vector at the base point it is used with
   (Euclidean: z = 0; sphere: euclidean-orthogonal to the point;
-  hyperboloid: Minkowski-orthogonal to the point);
+  hyperboloid: Minkowski-orthogonal to the point): its tangency residual
+  e(p, u) = p.z u.z + kappa (p.x u.x + p.y u.y), which is kappa form(p, u)
+  on the curved surfaces and u.z in the plane, vanishes, so u - e(p, u) p
+  projects any vector onto the tangent plane at p in all three planes;
 * `det3(a, b, z) > 0` means z lies on the left of the oriented geodesic
   a -> b, in every geometry (it is the 3x3 determinant of the embeddings);
 * `perp` rotates a tangent by +90 degrees, counterclockwise;
@@ -54,8 +58,8 @@ ON_SURFACE_EPS = 1e-9
 SED_SLACK = 1e-9
 # log_dir's DEGENERATE cut-off d < 1e-12 on chord2 = 2 vers d = d^2 (1 + O(d^2))
 _DEGENERATE_CHORD2 = 1e-24
-_ANTIPODAL_DOT = 1e-12  # distance: spherical p.q <= -1 + this is ANTIPODAL
-_ANTIPODAL_CHORD2 = 4.0 - 2.0 * _ANTIPODAL_DOT  # the same cut-off on chord2 = 2 - 2 p.q
+# a spherical chord2 = 2 - 2 p.q at or past this (p.q <= -1 + 1e-12) is ANTIPODAL
+_ANTIPODAL_CHORD2 = 4.0 - 2e-12
 _ZERO_NORM = 1e-14      # a vector shorter than this has no direction to normalize
 _TANGENT_EPS = 1e-9     # a unit tangent's slack in length and off its tangent plane
 _AXIS_EPS = 1e-9        # hyperboloid points with |x|, |y| below this frame on the x axis
@@ -180,18 +184,10 @@ def det3(a, b, c) -> float:
 
 
 def _normalize_point(g: Geometry, x: float, y: float, z: float) -> Point:
-    if g.kappa == 0:
-        if abs(z - 1.0) > ON_SURFACE_EPS:
-            raise SpindleError("BAD_RANGE", f"euclidean points need z = 1, got {z}")
-        return Point(x, y, 1.0)
-    if g.kappa > 0:
-        n = math.sqrt(x * x + y * y + z * z)
-        if n < _ZERO_NORM:
-            raise SpindleError("BAD_RANGE", "cannot normalize the zero vector")
-        return Point(x / n, y / n, z / n)
-    q = z * z - x * x - y * y
-    if q <= 0.0 or z <= 0.0:
-        raise SpindleError("BAD_RANGE", "not a point of the upper hyperboloid sheet")
+    # scale onto z^2 + kappa (x^2 + y^2) = 1: exact in the plane, where z = 1
+    q = z * z + g.kappa * (x * x + y * y)
+    if q < _ZERO_NORM * _ZERO_NORM or (z <= 0.0 and g.kappa <= 0):
+        raise SpindleError("BAD_RANGE", f"no point of the {g.name} surface on ({x}, {y}, {z})")
     n = math.sqrt(q)
     return Point(x / n, y / n, z / n)
 
@@ -201,12 +197,13 @@ def as_point(p: Sequence[float], g: Geometry, index: int = 0) -> Point:
     floats, checked to be a finite point of g's surface: z = 1 within
     ON_SURFACE_EPS in the plane, else x^2 + y^2 + kappa z^2 = kappa within
     ON_SURFACE_EPS (x^2 + y^2 + z^2), with z > 0 on the hyperboloid.
-    BAD_RANGE names the point by index otherwise."""
+    BAD_RANGE names the point by index otherwise.  A point of the plane
+    comes back with z = 1 exactly, which the kernel's walks then keep."""
     x, y, z = map(float, p)
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise SpindleError("BAD_RANGE", f"point {index} is not finite: ({x}, {y}, {z})")
     if g.kappa == 0:
-        on = abs(z - 1.0) <= ON_SURFACE_EPS
+        on, z = abs(z - 1.0) <= ON_SURFACE_EPS, 1.0
     else:
         xy = x * x + y * y
         on = abs(xy + g.kappa * z * z - g.kappa) <= ON_SURFACE_EPS * (xy + z * z)
@@ -234,24 +231,18 @@ def embed(g: Geometry, x: float, y: float) -> Point:
 # metric
 
 def distance(p: Point, q: Point, g: Geometry) -> float:
-    """Geodesic distance.  Raises ANTIPODAL for opposite spherical points."""
-    if g.kappa == 0:
-        return math.hypot(q.x - p.x, q.y - p.y)
-    if g.kappa > 0:
-        dot = p.x * q.x + p.y * q.y + p.z * q.z
-        if dot <= -1.0 + _ANTIPODAL_DOT:
-            raise SpindleError("ANTIPODAL", "antipodal points have no unique geodesic")
-        # chordal forms are stable near 0 and near pi
-        if dot >= 0.0:
-            dx, dy, dz = q.x - p.x, q.y - p.y, q.z - p.z
-            h = 0.5 * math.sqrt(dx * dx + dy * dy + dz * dz)
-            return 2.0 * math.asin(min(1.0, h))
-        sx, sy, sz = q.x + p.x, q.y + p.y, q.z + p.z
-        h = 0.5 * math.sqrt(sx * sx + sy * sy + sz * sz)
-        return math.pi - 2.0 * math.asin(min(1.0, h))
+    """Geodesic distance 2 asn(sqrt(chord2) / 2), as chord2 = 4 sn(d/2)^2.
+    Past a right angle on the sphere asin flattens out, and d is taken as
+    pi - 2 asin(|p + q| / 2), as |p + q| = 2 cos(d/2).  Raises ANTIPODAL
+    for opposite spherical points."""
     dx, dy, dz = q.x - p.x, q.y - p.y, q.z - p.z
-    q2 = dx * dx + dy * dy - dz * dz  # equals 4 sinh^2(d/2)
-    return 2.0 * math.asinh(0.5 * math.sqrt(max(q2, 0.0)))
+    c2 = dx * dx + dy * dy + g.kappa * dz * dz
+    if g.kappa * c2 <= 2.0:
+        return 2.0 * g.asn(0.5 * math.sqrt(max(c2, 0.0)))
+    if c2 >= _ANTIPODAL_CHORD2:
+        raise SpindleError("ANTIPODAL", "antipodal points have no unique geodesic")
+    sx, sy, sz = q.x + p.x, q.y + p.y, q.z + p.z
+    return math.pi - 2.0 * g.asn(0.5 * math.sqrt(sx * sx + sy * sy + sz * sz))
 
 
 def chord2(p: Point, q: Point, g: Geometry) -> float:
@@ -288,28 +279,19 @@ def _distinct(points: Sequence[Point], g: Geometry) -> list[int]:
 
 
 def _check_tangent(p: Point, u: Tangent, g: Geometry) -> None:
-    # unit in the tangent form, and in the tangent plane: form(p, u) = 0 (flat: u.z = 0)
+    # unit in the tangent form, and in the tangent plane: e(p, u) = 0
     unit = u.x * u.x + u.y * u.y + g.kappa * u.z * u.z
-    ortho = abs(p.x * u.x + p.y * u.y + g.kappa * p.z * u.z if g.kappa else u.z)
-    if abs(unit - 1.0) > _TANGENT_EPS or ortho > _TANGENT_EPS:
+    e = p.z * u.z + g.kappa * (p.x * u.x + p.y * u.y)
+    if abs(unit - 1.0) > _TANGENT_EPS or abs(e) > _TANGENT_EPS:
         raise SpindleError("BAD_TANGENT", "direction is not a unit tangent at p")
 
 
 def _normalize_tangent(p: Point, ux: float, uy: float, uz: float, g: Geometry) -> Tangent:
-    # project defensively onto the tangent plane, then rescale to unit length
-    if g.kappa == 0:
-        n = math.hypot(ux, uy)
-        if n < _ZERO_NORM:
-            raise SpindleError("DEGENERATE", "zero tangent vector")
-        return Tangent(ux / n, uy / n, 0.0)
-    if g.kappa > 0:
-        d = ux * p.x + uy * p.y + uz * p.z
-        ux, uy, uz = ux - d * p.x, uy - d * p.y, uz - d * p.z
-        n = math.sqrt(ux * ux + uy * uy + uz * uz)
-    else:
-        d = ux * p.x + uy * p.y - uz * p.z
-        ux, uy, uz = ux + d * p.x, uy + d * p.y, uz + d * p.z
-        n = math.sqrt(max(ux * ux + uy * uy - uz * uz, 0.0))
+    # project defensively onto the tangent plane, u - e(p, u) p, then
+    # rescale to unit length in the tangent form
+    e = p.z * uz + g.kappa * (p.x * ux + p.y * uy)
+    ux, uy, uz = ux - e * p.x, uy - e * p.y, uz - e * p.z
+    n = math.sqrt(max(ux * ux + uy * uy + g.kappa * uz * uz, 0.0))
     if n < _ZERO_NORM:
         raise SpindleError("DEGENERATE", "zero tangent vector")
     return Tangent(ux / n, uy / n, uz / n)
@@ -320,8 +302,6 @@ def exp_map(p: Point, u: Tangent, t: float, g: Geometry) -> Point:
     _check_tangent(p, u, g)
     if t < 0.0 or not math.isfinite(t):
         raise SpindleError("BAD_RANGE", f"exp_map needs t >= 0, got {t}")
-    if g.kappa == 0:
-        return Point(p.x + t * u.x, p.y + t * u.y, 1.0)
     if t >= 2.0 * g.radius_limit:
         raise SpindleError("BAD_RANGE", "spherical exp_map needs t < pi")
     c, s = g.cs(t), g.sn(t)
@@ -337,7 +317,7 @@ def log_dir(p: Point, q: Point, g: Geometry) -> Tangent:
     c2 = dx * dx + dy * dy + g.kappa * dz * dz
     if c2 < _DEGENERATE_CHORD2:
         raise SpindleError("DEGENERATE", "no direction between coincident points")
-    if g.kappa > 0 and c2 >= _ANTIPODAL_CHORD2:
+    if g.kappa * c2 >= _ANTIPODAL_CHORD2:
         raise SpindleError("ANTIPODAL", "antipodal points have no unique geodesic")
     h = 0.5 * g.kappa * c2
     if h > 1.0:
@@ -401,8 +381,12 @@ def turn_toward(p: Point, u: Tangent, q: Point, g: Geometry) -> float:
 
 
 def tangent_basis(p: Point, g: Geometry) -> tuple[Tangent, Tangent]:
-    """Deterministic orthonormal tangent frame at p (t2 = perp of t1)."""
+    """Deterministic orthonormal tangent frame at p (t2 = perp of t1): t1 is
+    the tangent part of (0, 0, 1), or of (1, 0, 0) where that part is short
+    or on the hyperboloid's axis; in the plane the frame is the chart axes."""
     if g.kappa == 0:
+        # the seed rule and perp give these axes too, but with -0.0 parts, with
+        # which bench/run.py's mc_area read 1.26x its op_p50_ms (2-core Xeon VM)
         return Tangent(1.0, 0.0, 0.0), Tangent(0.0, 1.0, 0.0)
     seed = Point(0.0, 0.0, 1.0) if abs(p.z) < 0.9 or g.kappa < 0 else Point(1.0, 0.0, 0.0)
     if g.kappa < 0 and abs(p.x) < _AXIS_EPS and abs(p.y) < _AXIS_EPS:
@@ -441,7 +425,7 @@ def midpoint(p: Point, q: Point, g: Geometry) -> Point:
     angle on the sphere 4 - chord2 cancels, and the norm of p + q is taken
     instead (as distance switches to |q + p| there)."""
     c2 = chord2(p, q, g)
-    if g.kappa > 0 and c2 >= _ANTIPODAL_CHORD2:
+    if g.kappa * c2 >= _ANTIPODAL_CHORD2:
         raise SpindleError("ANTIPODAL", "antipodal points have no unique geodesic")
     x, y, z = p.x + q.x, p.y + q.y, p.z + q.z
     s = 1.0 / math.sqrt(4.0 - g.kappa * c2 if g.kappa * c2 <= 2.0 else x * x + y * y + z * z)
@@ -511,8 +495,8 @@ def circle_circle_intersection(
     return () if beta is None else _points_off_axis(p, u, r1, beta, g)
 
 
-def circumcenter(a: Point, b: Point, c: Point, g: Geometry) -> Optional[tuple[Point, float]]:
-    """Center and radius of the circle through three points, or None.
+def circumcenter(a: Point, b: Point, c: Point, g: Geometry) -> Optional[Point]:
+    """Center of the circle through three points, or None.
 
     None means the points are too close to geodesically collinear: the chords
     u = a - b and v = b - c meet at an angle whose sine is below 1e-13, at any
@@ -532,8 +516,7 @@ def circumcenter(a: Point, b: Point, c: Point, g: Geometry) -> Optional[tuple[Po
         cc = c.x * c.x + c.y * c.y
         ux = (aa * (b.y - c.y) + bb * (c.y - a.y) + cc * (a.y - b.y)) / d
         uy = (aa * (c.x - b.x) + bb * (a.x - c.x) + cc * (b.x - a.x)) / d
-        center = Point(ux, uy, 1.0)
-        return center, distance(center, a, g)
+        return Point(ux, uy, 1.0)
     # the normal n = u x v of the plane through a, b, c (hyperboloid: n.z negated)
     nx, ny = uy * vz - uz * vy, uz * vx - ux * vz
     nz = ux * vy - uy * vx if g.kappa > 0 else uy * vx - ux * vy
@@ -550,8 +533,7 @@ def circumcenter(a: Point, b: Point, c: Point, g: Geometry) -> Optional[tuple[Po
         s = math.sqrt(q)
         x, y, z = nx / s, ny / s, nz / s
         flip = z < 0.0
-    center = Point(-x, -y, -z) if flip else Point(x, y, z)
-    return center, distance(center, a, g)
+    return Point(-x, -y, -z) if flip else Point(x, y, z)
 
 
 def smallest_enclosing_disk(
@@ -592,7 +574,7 @@ def smallest_enclosing_disk(
     def triple(i: int, j: int, k: int):
         cc = circumcenter(points[i], points[j], points[k], g)
         if cc is not None:
-            return disk_about(cc[0], (i, j, k))
+            return disk_about(cc, (i, j, k))
         # no circle through the three (too close to collinear, or no proper
         # hyperbolic circle): the smallest pair disk grown to cover the third
         return min((disk_about(midpoint(points[a], points[b], g), (a, b, c))

@@ -56,6 +56,14 @@ DEFAULT_RADII = {
 MARGIN_SLACK = 1e-7   # inequalities may dip this far below zero numerically
 NEAR_EQUALITY = 1e-6  # treat margins under this as equality cases
 BATTERY_SLACK = 1e-6  # a cap domain's test points may sit this far outside the hull's disks
+_WIDTH_OVER_R = 1e-9  # a hull's width may pass r by this much before OUT_OF_RANGE
+_APEX_CLEARANCE = 1e-9  # cap apexes at w - rho must clear the incircle radius by more than this
+_STRIP_SLACK = 1e-6   # a support strip may fall this far short of the width
+_CAP_AREA_SLACK = 1e-9  # a cap domain's area may pass the hull's by this much
+_DIFF_STEP = 1e-6     # central-difference step for the triangle calculus checks
+_TRIANGLE_WIDTH_TOL = 1e-6  # a regular triangle's measured width may miss w by this much
+_HEXAGON_MARGIN_MIN = 1e-9  # a hexagon area margin must pass this to count as positive
+_PARTIAL_TOL = 1e-5   # analytic inradius partials may miss central differences by this much
 
 
 @dataclass(frozen=True)
@@ -104,7 +112,7 @@ def check_extremal_bounds(poly: DiskPolygon) -> dict:
     r = poly.r
     wit = thickness(poly)
     w = wit.value
-    if w > r + 1e-9:
+    if w > r + _WIDTH_OVER_R:
         raise SpindleError("OUT_OF_RANGE", "width exceeds the arc radius")
     w_eff = min(w, r)
     inc = incircle(poly)
@@ -197,7 +205,7 @@ def inscribed_cap_domain(
     w, rho = bounds["width"], inc.radius
     if len(inc.contacts) < 3:
         return None, "contacts<3", {}
-    if w - rho <= rho + 1e-9:
+    if w - rho <= rho + _APEX_CLEARANCE:
         return None, "apex-inside-disk", {}
     p = inc.center
 
@@ -207,7 +215,7 @@ def inscribed_cap_domain(
         nu_in = log_dir(t, poly.centers[i], g)
         u = _negate(perp(t, nu_in, g))  # region side is the positive side
         x_star, h = _farthest_from_support_line(poly, t, u)
-        if h < w - 1e-6:
+        if h < w - _STRIP_SLACK:
             return None, "strip-under-width", {}
         reach = min(w - rho, distance(p, x_star, g))
         apexes.append(exp_map(p, log_dir(p, x_star, g), reach, g))
@@ -248,7 +256,7 @@ def run_trial(g: Geometry, trial: int, config: VerifyConfig) -> TrialReport:
         cap_margin = details["area_margin"]
         if not details["containment"]:
             violations.append("cap-not-contained")
-        if cap_margin < -1e-9:
+        if cap_margin < -_CAP_AREA_SLACK:
             violations.append("cap-area")
     return TrialReport(
         geometry=g.name,
@@ -390,7 +398,7 @@ def monotonicity_sweep(
     """
     rows = []
     violations = []
-    h = 1e-6
+    h = _DIFF_STEP
     grid: dict = {}
     for w in w_values:
         for r in r_values:
@@ -409,7 +417,7 @@ def monotonicity_sweep(
                 "area": a,
                 "thickness": wid,
             }
-            if abs(wid - w) > 1e-6:
+            if abs(wid - w) > _TRIANGLE_WIDTH_TOL:
                 violations.append(f"triangle width off at w={w} r={r}: {wid}")
             dw, dr = triangle_inradius_partials_checked(w, r, g, h, violations)
             if dw is not None and dw <= 0:
@@ -424,7 +432,7 @@ def monotonicity_sweep(
                     for (_, m1), (_, m2) in zip(margins, margins[1:])
                 )
                 for rho, m in margins:
-                    if m <= 1e-9:
+                    if m <= _HEXAGON_MARGIN_MIN:
                         violations.append(
                             f"hexagon margin not positive at w={w} r={r} "
                             f"rho={rho}: {m}"
@@ -447,13 +455,13 @@ def triangle_inradius_partials_checked(
     dw, dr = triangle_inradius_partials(w, r, g)
     if h < w and w + h < r - 10.0 * h:
         num_w = (triangle_inradius(w + h, r, g) - triangle_inradius(w - h, r, g)) / (2 * h)
-        if abs(num_w - dw) > 1e-5:
+        if abs(num_w - dw) > _PARTIAL_TOL:
             violations.append(
                 f"w-partial mismatch at w={w} r={r}: {dw} vs {num_w}"
             )
     if w < r - 10.0 * h and r + h < g.radius_limit:
         num_r = (triangle_inradius(w, r + h, g) - triangle_inradius(w, r - h, g)) / (2 * h)
-        if abs(num_r - dr) > 1e-5:
+        if abs(num_r - dr) > _PARTIAL_TOL:
             violations.append(
                 f"r-partial mismatch at w={w} r={r}: {dr} vs {num_r}"
             )

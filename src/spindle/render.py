@@ -26,6 +26,9 @@ from .regions import Arc, full_circle_arc
 
 ARC_SAMPLES = 256
 LINE_SAMPLES = 64
+_HEMISPHERE_EPS = 1e-9  # sphere points with z at or below this leave the orthographic chart
+_POINT_SEGMENT = 1e-12  # a geodesic segment shorter than this draws as its first point
+_MIN_SPAN = 1e-9        # the chart span never scales below this, so one point still draws
 
 _REGION_STYLES = (
     ("#1f6fb4", "rgba(31,111,180,0.12)"),
@@ -40,7 +43,7 @@ def _project(p: Point, g: Geometry) -> tuple[float, float]:
         return p.x, p.y
     if g.kappa < 0:
         return p.x / (1.0 + p.z), p.y / (1.0 + p.z)
-    if p.z <= 1e-9:
+    if p.z <= _HEMISPHERE_EPS:
         raise SpindleError(
             "PROJECTION_DOMAIN", "point leaves the upper hemisphere chart"
         )
@@ -57,7 +60,7 @@ def _arc_polyline(arc: Arc, g: Geometry) -> list[tuple[float, float]]:
 
 def _geodesic_polyline(a: Point, b: Point, g: Geometry) -> list[tuple[float, float]]:
     d = distance(a, b, g)
-    if d < 1e-12:
+    if d < _POINT_SEGMENT:
         return [_project(a, g)]
     u = log_dir(a, b, g)
     pts = []
@@ -83,7 +86,7 @@ class _Canvas:
         ys = [y for _, pts, _ in self.items for _, y in pts]
         x0, x1 = min(xs), max(xs)
         y0, y1 = min(ys), max(ys)
-        span = max(x1 - x0, y1 - y0, 1e-9)
+        span = max(x1 - x0, y1 - y0, _MIN_SPAN)
         margin = span * self.pad
         x0 -= margin
         y0 -= margin

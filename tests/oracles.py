@@ -7,7 +7,8 @@ widths from brute-force support sampling or from enumerating double
 normals family by family with the package's geometry primitives, the
 width's pieces and pair screen on unit directions and chords, r-hulls
 by gift-wrapping, the incircle from a refining grid search, the MERGE_EPS
-dedup by comparing every pair, and geodesic directions, midpoints, circle
+dedup by comparing every pair, the distance and tangent normalization
+written once per plane, and geodesic directions, midpoints, circle
 intersections and arcs by way of the inverse-trigonometric distance.  Tests compare package output
 against digits these routines produce (see the constants in the test
 modules).  The last sections hold helpers that only tests call: the wedge
@@ -539,6 +540,55 @@ def incircle_grid_reference(poly, levels=8, grid=17):
             if val > best_val:
                 best_val, best_x = val, x
     return best_val, best_x
+
+
+# ---------------------------------------------------------------------------
+# distance and tangent normalization once per plane (the forms the
+# curvature-generic ones replaced)
+
+def distance_reference(p, q, g):
+    """Geodesic distance by plane: hypot of the chart difference; on the
+    sphere asin of the half chord, or pi minus asin of |p + q| / 2 once
+    p.q < 0; asinh of the half Minkowski chord on the hyperboloid."""
+    from spindle.geometry import SpindleError
+
+    if g.kappa == 0:
+        return math.hypot(q.x - p.x, q.y - p.y)
+    if g.kappa > 0:
+        dot = p.x * q.x + p.y * q.y + p.z * q.z
+        if dot <= -1.0 + 1e-12:
+            raise SpindleError("ANTIPODAL", "antipodal points have no unique geodesic")
+        if dot >= 0.0:
+            dx, dy, dz = q.x - p.x, q.y - p.y, q.z - p.z
+            return 2.0 * math.asin(min(1.0, 0.5 * math.sqrt(dx * dx + dy * dy + dz * dz)))
+        sx, sy, sz = q.x + p.x, q.y + p.y, q.z + p.z
+        return math.pi - 2.0 * math.asin(min(1.0, 0.5 * math.sqrt(sx * sx + sy * sy + sz * sz)))
+    dx, dy, dz = q.x - p.x, q.y - p.y, q.z - p.z
+    return 2.0 * math.asinh(0.5 * math.sqrt(max(dx * dx + dy * dy - dz * dz, 0.0)))
+
+
+def normalize_tangent_reference(p, ux, uy, uz, g):
+    """(ux, uy, uz) projected onto the tangent plane at p and scaled to unit
+    length by plane: the chart part (ux, uy) over its hypot in the plane,
+    u - (u.p) p on the sphere, u + form(u, p) p on the hyperboloid."""
+    from spindle.geometry import SpindleError, Tangent
+
+    if g.kappa == 0:
+        n = math.hypot(ux, uy)
+        if n < 1e-14:
+            raise SpindleError("DEGENERATE", "zero tangent vector")
+        return Tangent(ux / n, uy / n, 0.0)
+    if g.kappa > 0:
+        d = ux * p.x + uy * p.y + uz * p.z
+        ux, uy, uz = ux - d * p.x, uy - d * p.y, uz - d * p.z
+        n = math.sqrt(ux * ux + uy * uy + uz * uz)
+    else:
+        d = ux * p.x + uy * p.y - uz * p.z
+        ux, uy, uz = ux + d * p.x, uy + d * p.y, uz + d * p.z
+        n = math.sqrt(max(ux * ux + uy * uy - uz * uz, 0.0))
+    if n < 1e-14:
+        raise SpindleError("DEGENERATE", "zero tangent vector")
+    return Tangent(ux / n, uy / n, uz / n)
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,11 @@ from spindle.geometry import (
 from oracles import (
     angle_at,
     circle_circle_intersection_reference,
+    distance_reference,
     distinct_reference,
     log_dir_reference,
     midpoint_reference,
+    normalize_tangent_reference,
     side_from_cosine_law,
 )
 from spindle.regions import ball_hull
@@ -74,6 +76,60 @@ def test_distance_pins():
         p = from_polar(g, 0.0, 0.3)
         q = from_polar(g, 2.0, 0.7)
         assert distance(p, q, g) == pytest.approx(DIST_PIN[g.name], abs=1e-14)
+
+
+def test_generic_primitives_match_the_per_plane_forms():
+    # distance and _normalize_tangent are written once for all three planes;
+    # they agree with the per-plane forms within 8 eps relative on
+    # near-coincident pairs, sphere pairs past a right angle and near the
+    # antipode, and hyperboloid points out to 8
+    rng = np.random.default_rng(131)
+    eps = 2.0 ** -52
+
+    def angle():
+        return rng.uniform(0.0, 2.0 * math.pi)
+
+    pairs = []
+    for g in ALL:
+        for _ in range(100):
+            p = from_polar(g, angle(), rng.uniform(0.0, 1.2))
+            pairs.append((p, exp_map(p, tangent_from_angle(p, angle(), g), 10.0 ** rng.uniform(-9, -2), g), g))
+    for _ in range(200):
+        p = from_polar(SPHERICAL, angle(), rng.uniform(0.0, 1.5))
+        t = math.pi - 10.0 ** rng.uniform(-5, 0.2)  # 1.0 to pi - 1e-5
+        pairs.append((p, exp_map(p, tangent_from_angle(p, angle(), SPHERICAL), t, SPHERICAL), SPHERICAL))
+    for _ in range(200):
+        pairs.append((from_polar(HYPERBOLIC, angle(), rng.uniform(0.0, 8.0)),
+                      from_polar(HYPERBOLIC, angle(), rng.uniform(0.0, 8.0)), HYPERBOLIC))
+    for p, q, g in pairs:
+        d, ref = distance(p, q, g), distance_reference(p, q, g)
+        assert abs(d - ref) <= 8 * eps * ref
+        for u in ((q.x - p.x, q.y - p.y, q.z - p.z), tuple(rng.normal(size=3))):
+            if g is EUCLIDEAN:
+                u = (u[0], u[1], 0.0)
+            got, want = geometry._normalize_tangent(p, *u, g), normalize_tangent_reference(p, *u, g)
+            scale = max(map(abs, want))
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 8 * eps * scale
+    for p in (from_polar(SPHERICAL, 0.4, 1.1), Point(0.0, 0.0, 1.0)):
+        q = Point(-p.x, -p.y, -p.z)
+        for fn in (distance, distance_reference):
+            with pytest.raises(SpindleError, match="ANTIPODAL"):
+                fn(p, q, SPHERICAL)
+    # a flat direction off its tangent plane is refused, not projected
+    with pytest.raises(SpindleError, match="BAD_TANGENT"):
+        exp_map(from_polar(EUCLIDEAN, 0.7, 3.0), Tangent(1.0, 0.0, 0.5), 1.0, EUCLIDEAN)
+    # no point of the surface on the zero vector (sphere) or a space-like one (hyperboloid)
+    for g, v in ((SPHERICAL, (0.0, 0.0, 0.0)), (HYPERBOLIC, (2.0, 0.5, 1.0))):
+        with pytest.raises(SpindleError, match="BAD_RANGE"):
+            geometry._normalize_point(g, *v)
+    # the plane's walks land on z = 1 exactly, far out too, and its entry
+    # points carry z = 1 exactly
+    assert geometry.as_point((3.0, -4.0, 1.0 + 5e-10), EUCLIDEAN) == Point(3.0, -4.0, 1.0)
+    for _ in range(200):
+        p = from_polar(EUCLIDEAN, angle(), 10.0 ** rng.uniform(-3, 3))
+        q = exp_map(p, tangent_from_angle(p, angle(), EUCLIDEAN), 10.0 ** rng.uniform(-9, 3), EUCLIDEAN)
+        assert p.z == 1.0 and q.z == 1.0
+    assert all(q.z == 1.0 for p, q, g in pairs if g is EUCLIDEAN)
 
 
 def test_distance_metric_properties():
@@ -791,7 +847,7 @@ def test_smallest_enclosing_disk_pivots_on_ties_and_large_sets():
         few = [pts[i] for i in support]
         centers = [midpoint(p, q, g) for p, q in itertools.combinations(few, 2)]
         if len(few) == 3 and circumcenter(*few, g) is not None:
-            centers.append(circumcenter(*few, g)[0])
+            centers.append(circumcenter(*few, g))
         assert radius == pytest.approx(min(max(distance(c, p, g) for p in few) for c in centers),
                                        abs=1e-9)
         return radius
@@ -822,7 +878,7 @@ def test_circumcenter_of_tiny_triangle():
         tri = tiny_triangle(g)
         cc = circumcenter(*tri, g)
         assert cc is not None
-        assert cc[1] == pytest.approx(1e-7, abs=5e-9)
+        assert distance(cc, tri[0], g) == pytest.approx(1e-7, abs=5e-9)
         assert smallest_enclosing_disk(tri, g)[1] == pytest.approx(1e-7, abs=5e-9)
 
 

@@ -8,9 +8,11 @@ A module-level private name (one leading underscore) in src/spindle must
 be read by some src/spindle module; tests do not count as readers.  A
 module-level public function in src/spindle must be called by the package
 or the benchmark, or be named in README's Library section: one that only
-tests call belongs in tests/oracles.py.  In the kernel modules (geometry,
-regions, measure) a tolerance is a named module-level constant: no literal
-with a negative exponent (1e-9) appears outside a `NAME = value` line.
+tests call belongs in tests/oracles.py.  In every module of src/spindle a tolerance is a named
+module-level constant: no literal with a negative exponent (1e-9) appears
+outside a `NAME = value` line.  In the kernel modules (geometry, regions,
+measure) formulas are curvature-generic: the sign of kappa is tested only
+in the functions SIGN_FORKS names, each for its stated reason.
 """
 
 import ast
@@ -165,9 +167,10 @@ def unnamed_tolerances(source: str) -> list[str]:
 
 
 def test_kernel_tolerances_have_names():
-    kernel = ("geometry", "regions", "measure")
-    found = {m: unnamed_tolerances((ROOT / "src" / "spindle" / f"{m}.py").read_text()) for m in kernel}
-    assert found == dict.fromkeys(kernel, [])
+    package = [p for p in SOURCES if p.parent.name == "spindle"]
+    assert len(package) > 3
+    found = {p.stem: unnamed_tolerances(p.read_text()) for p in package}
+    assert found == dict.fromkeys(found, [])
 
 
 def test_unnamed_tolerance_check_flags_and_accepts():
@@ -175,3 +178,73 @@ def test_unnamed_tolerance_check_flags_and_accepts():
               "def f(x, tol=1e-7):\n    return x < 2.0 ** -46 or x < 4E-26 or x > EPS\n"
               "class C:\n    SLACK = 5e-3\n")
     assert unnamed_tolerances(source) == ["1e-7 (line 5)", "4E-26 (line 6)", "5e-3 (line 8)"]
+
+
+# The kernel functions that may still test the sign of kappa, and why.
+SIGN_FORKS = {
+    "geometry.as_point": "entry check: z = 1 in the plane, as a generic residual "
+                         "would loosen it far from the origin",
+    "geometry._normalize_point": "sheet side: z <= 0 is no point off the sphere",
+    "geometry.tangent_basis": "seed choice: (0, 0, 1) on the hyperboloid, (1, 0, 0) near "
+                              "the sphere's poles; the plane's frame is the chart axes, "
+                              "which perp would give with -0.0 parts",
+    "geometry.circumcenter": "per-plane normals, left for the rewrite of ROADMAP item 5",
+    "measure._excess": "flat limit 2 y / x of the area 2 atan2(y, x)",
+}
+
+
+def kappa_sign_tests(source: str) -> list[str]:
+    """Tests of the sign of kappa in source, by the module-level function
+    or class they sit in: comparisons of kappa (a name or an attribute)
+    with a number, and kappa standing bare, or under `not`, `and`, `or`, as
+    the test of an if, a conditional expression or a while."""
+    def is_kappa(node):
+        return (isinstance(node, ast.Name) and node.id == "kappa"
+                or isinstance(node, ast.Attribute) and node.attr == "kappa")
+
+    def is_number(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            node = node.operand
+        return (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+                and not isinstance(node.value, bool))
+
+    def bare(test):
+        if isinstance(test, ast.BoolOp):
+            return any(bare(v) for v in test.values)
+        if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+            return bare(test.operand)
+        return is_kappa(test)
+
+    found = []
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Compare):
+                operands = [node.left] + node.comparators
+                hit = any(map(is_kappa, operands)) and any(map(is_number, operands))
+            else:
+                hit = isinstance(node, (ast.If, ast.IfExp, ast.While)) and bare(node.test)
+            if hit:
+                found.append(f"{where} (line {node.lineno})")
+    return found
+
+
+def test_kappa_sign_tests_stay_in_their_forks():
+    kernel = ("geometry", "regions", "measure")
+    found = {}
+    for m in kernel:
+        for hit in kappa_sign_tests((ROOT / "src" / "spindle" / f"{m}.py").read_text()):
+            found.setdefault(f"{m}.{hit.split()[0]}", []).append(hit)
+    assert {f: hits for f, hits in found.items() if f not in SIGN_FORKS} == {}
+    assert sorted(found) == sorted(SIGN_FORKS), "a fork is gone: drop it from SIGN_FORKS"
+
+
+def test_kappa_sign_test_check_flags_and_accepts():
+    source = ("def f(g, c2):\n    if g.kappa == 0:\n        return 1\n"
+              "    return c2 if g.kappa * c2 <= 2.0 else -c2\n"
+              "def h(g, x):\n    k = g.kappa\n    return x if not g.kappa else 2 * x\n"
+              "class C:\n    def m(self, kappa):\n        return 0 > kappa or -1 == kappa\n"
+              "def ok(g, z):\n    return z < 0.0 and g.kappa * z >= 1.0\n"
+              "while kappa and x:\n    pass\n")
+    assert kappa_sign_tests(source) == [
+        "f (line 2)", "h (line 7)", "C (line 10)", "C (line 10)", "<module> (line 13)"]
