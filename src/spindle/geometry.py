@@ -38,6 +38,9 @@ Conventions used throughout the package:
   and every point derived from one stays one;
 * `make_arc` tests its endpoints and takes its extent on chord2, with no distance;
 * `circle_circle_intersection` rotates u once, to v: the right point takes 2 cos(beta) u - v.
+* the points equidistant from a and b lie on the plane through the origin with
+  normal l(a, b) = (dx, dy, -(dx (a.x + b.x) + dy (a.y + b.y)) / (a.z + b.z)), d = a - b:
+  its z part is kappa (a.z - b.z) off the plane, read off the chart coordinates.
 """
 
 from __future__ import annotations
@@ -495,45 +498,39 @@ def circle_circle_intersection(
     return () if beta is None else _points_off_axis(p, u, r1, beta, g)
 
 
-def circumcenter(a: Point, b: Point, c: Point, g: Geometry) -> Optional[Point]:
-    """Center of the circle through three points, or None.
+def _bisector_z(a: Point, b: Point, dx: float, dy: float, k: int) -> float:
+    """The z part of the bisector normal l(a, b), for dx = a.x - b.x and
+    dy = a.y - b.y, from the chart coordinates: rounding moves it by about
+    eps t / s, for t = |dx (a.x + b.x)| + |dy (a.y + b.y)| and s = a.z + b.z.
+    Where kappa (a.z - b.z), off by about eps s / 2, does better, 2 kappa t >=
+    s^2 (only on the sphere, near the equator, where s can vanish), it is that."""
+    u, v, s = dx * (a.x + b.x), dy * (a.y + b.y), a.z + b.z
+    if 2.0 * k * (abs(u) + abs(v)) >= s * s:
+        return k * (a.z - b.z)
+    return -(u + v) / s
 
-    None means the points are too close to geodesically collinear: the chords
-    u = a - b and v = b - c meet at an angle whose sine is below 1e-13, at any
-    scale (hyperbolic triples whose equidistant locus is no circle give None).
+
+def circumcenter(a: Point, b: Point, c: Point, g: Geometry) -> Optional[Point]:
+    """Center of the circle through three points, n / sqrt(q) on the side of a,
+    for n = l(a, b) x l(b, c) and q = n.z^2 + kappa (n.x^2 + n.y^2), or None.
+
+    None means the points are too close to geodesically collinear, q <= sin^2
+    chord2(a, b) chord2(b, c) for a sine of 1e-13, at any scale, or (only on
+    the hyperboloid) that n is nearly light-like and no compact circle holds them.
     """
-    ux, uy, uz = a.x - b.x, a.y - b.y, a.z - b.z
-    vx, vy, vz = b.x - c.x, b.y - c.y, b.z - c.z
-    uu, vv = ux * ux + uy * uy + uz * uz, vx * vx + vy * vy + vz * vz
-    if g.kappa == 0:
-        d = 2.0 * (
-            a.x * (b.y - c.y) + b.x * (c.y - a.y) + c.x * (a.y - b.y)
-        )
-        if d * d < 4.0 * _COLLINEAR_SIN ** 2 * uu * vv:  # |d| = 2 |u| |v| sin
-            return None
-        aa = a.x * a.x + a.y * a.y
-        bb = b.x * b.x + b.y * b.y
-        cc = c.x * c.x + c.y * c.y
-        ux = (aa * (b.y - c.y) + bb * (c.y - a.y) + cc * (a.y - b.y)) / d
-        uy = (aa * (c.x - b.x) + bb * (a.x - c.x) + cc * (b.x - a.x)) / d
-        return Point(ux, uy, 1.0)
-    # the normal n = u x v of the plane through a, b, c (hyperboloid: n.z negated)
-    nx, ny = uy * vz - uz * vy, uz * vx - ux * vz
-    nz = ux * vy - uy * vx if g.kappa > 0 else uy * vx - ux * vy
-    if g.kappa > 0:
-        s = math.sqrt(nx * nx + ny * ny + nz * nz)
-        if s < _COLLINEAR_SIN * math.sqrt(uu * vv):  # |n| = |u| |v| sin
-            return None
-        x, y, z = nx / s, ny / s, nz / s
-        flip = x * a.x + y * a.y + z * a.z < 0.0
-    else:
-        q = nz * nz - nx * nx - ny * ny
-        if q < _COLLINEAR_SIN * (nx * nx + ny * ny + nz * nz):
-            return None  # equidistant locus is not a compact circle
-        s = math.sqrt(q)
-        x, y, z = nx / s, ny / s, nz / s
-        flip = z < 0.0
-    return Point(-x, -y, -z) if flip else Point(x, y, z)
+    k = g.kappa
+    abx, aby, bcx, bcy = a.x - b.x, a.y - b.y, b.x - c.x, b.y - c.y
+    abz, bcz = _bisector_z(a, b, abx, aby, k), _bisector_z(b, c, bcx, bcy, k)
+    nx, ny, nz = aby * bcz - abz * bcy, abz * bcx - abx * bcz, abx * bcy - aby * bcx
+    nn = nx * nx + ny * ny
+    q = nz * nz + k * nn
+    ab2, bc2 = abx * abx + aby * aby + k * abz * abz, bcx * bcx + bcy * bcy + k * bcz * bcz
+    if q <= _COLLINEAR_SIN ** 2 * ab2 * bc2 or q < _COLLINEAR_SIN * (nz * nz - k * nn):
+        return None
+    s = math.sqrt(q)
+    if nz * a.z + k * (nx * a.x + ny * a.y) < 0.0:
+        s = -s
+    return Point(nx / s, ny / s, nz / s)
 
 
 def smallest_enclosing_disk(

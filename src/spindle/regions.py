@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,8 +61,7 @@ _CHORD_SLACK = 1e-9   # an arc's chord may pass its circle's diameter by this sh
 _LENGTH_EPS = 1e-12   # lengths this close are equal (r_segment and the apex tests of cap_domain)
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """Circular arc traversed counterclockwise about its center.
 
     The region an arc bounds lies on the center side, so the center stays
@@ -77,7 +76,7 @@ class Arc:
     end: Point
     extent: float
     geometry: Geometry
-    u0: Tangent = field(repr=False, compare=False)
+    u0: Tangent
 
     def point_at(self, s: float) -> Point:
         """Point reached after central angle s of counterclockwise travel."""
@@ -240,13 +239,14 @@ def r_segment(x: Point, y: Point, r: float, g: Geometry) -> DiskPolygon:
         raise SpindleError("DEGENERATE_POINT", "the two points coincide")
     if d > 2.0 * r + _LENGTH_EPS:
         raise SpindleError("TOO_FAR", "points farther apart than 2r")
-    if d >= 2.0 * r - _LENGTH_EPS:
-        # tangent circles: both arcs are half circles about the midpoint
+    tangent = d >= 2.0 * r - _LENGTH_EPS
+    hits = () if tangent else circle_circle_intersection(Circle(x, r), Circle(y, r), g)
+    if len(hits) < 2:
+        # tangent circles, also one point just inside 2r: half circles about the midpoint
         c = midpoint(x, y, g)
         arcs = (make_arc(c, r, x, y, g), make_arc(c, r, y, x, g))
         return DiskPolygon(g, r, arcs, boundary_degenerate=True)
-    c_left, c_right = circle_circle_intersection(Circle(x, r), Circle(y, r), g)
-    arcs = (make_arc(c_left, r, x, y, g), make_arc(c_right, r, y, x, g))
+    arcs = (make_arc(hits[0], r, x, y, g), make_arc(hits[1], r, y, x, g))
     return DiskPolygon(g, r, arcs)
 
 
@@ -291,11 +291,6 @@ def ball_hull(points: Sequence[Point], r: float, g: Geometry) -> DiskPolygon:
     if radius > r + _TIGHT_EPS:
         raise SpindleError("NOT_ENCLOSABLE", "points do not fit in any radius-r disk")
     degenerate = radius > r - _TIGHT_EPS  # critically tight
-    if len(kept) == 2:
-        seg = r_segment(kept[0], kept[1], r, g)
-        if degenerate and not seg.boundary_degenerate:
-            seg = DiskPolygon(g, r, seg.arcs, boundary_degenerate=True)
-        return seg
     if degenerate:
         rim = sorted(
             (p for p in kept if abs(distance(o, p, g) - radius) <= _TIGHT_EPS),

@@ -260,6 +260,19 @@ def test_triangle_area_euclidean_limits():
 
 
 @pytest.mark.parametrize("g", [HYPERBOLIC, SPHERICAL], ids=lambda g: g.name)
+def test_curved_reuleaux_area_closed_form(g):
+    # at w = r the triangle is the Reuleaux triangle of its plane (Leichtweiss,
+    # Abh. Math. Sem. Univ. Hamburg 75, 2005): three sectors of angle theta about
+    # the vertices, minus twice the equilateral triangle of area kappa (3 theta - pi)
+    # (Gauss-Bonnet), with cos theta = cs w / (1 + cs w) by the law of cosines
+    for w in (0.7, 1.2, 1.5):
+        theta = math.acos(g.cs(w) / (1.0 + g.cs(w)))
+        reuleaux = 3.0 * theta * g.vers(w) - 2.0 * g.kappa * (3.0 * theta - math.pi)
+        assert triangle_area(w, w, g) == pytest.approx(reuleaux, rel=4e-15)
+        assert area(regular_disk_triangle(w, w, g).region) == pytest.approx(reuleaux, rel=4e-15)
+
+
+@pytest.mark.parametrize("g", [HYPERBOLIC, SPHERICAL], ids=lambda g: g.name)
 def test_triangle_area_matches_polar_integration(g):
     # 40-digit inradius by bisection and area by mpmath quadrature of the
     # polar exit distance; the residue is up to 9.1e-15, at w = 0.05 r (it

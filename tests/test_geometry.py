@@ -866,20 +866,65 @@ def test_smallest_enclosing_disk_pivots_on_ties_and_large_sets():
     check_enclosing_disk(ring, SPHERICAL)
 
 
-def tiny_triangle(g):
-    p = from_polar(g, 0.4, 0.3)
+def tiny_triangle(g, offset=0.3):
+    p = from_polar(g, 0.4, offset)
     return [exp_map(p, tangent_from_angle(p, a, g), 1e-7, g) for a in (0.1, 2.2, 4.3)]
 
 
 def test_circumcenter_of_tiny_triangle():
     # collinearity is judged by the angle, not by an absolute cut-off, so
-    # a triangle of circumradius 1e-7 still has its circle
-    for g in ALL:
-        tri = tiny_triangle(g)
-        cc = circumcenter(*tri, g)
-        assert cc is not None
-        assert distance(cc, tri[0], g) == pytest.approx(1e-7, abs=5e-9)
-        assert smallest_enclosing_disk(tri, g)[1] == pytest.approx(1e-7, abs=5e-9)
+    # a triangle of circumradius 1e-7 still has its circle; the bisector
+    # normals take their z parts from the chart coordinates, so the circle
+    # keeps its digits at that scale in every plane
+    for offset in (0.3, 1.0):
+        for g in ALL:
+            tri = tiny_triangle(g, offset)
+            cc = circumcenter(*tri, g)
+            assert cc is not None
+            for p in tri:
+                assert distance(cc, p, g) == pytest.approx(1e-7, abs=2e-15)
+            assert smallest_enclosing_disk(tri, g)[1] == pytest.approx(1e-7, abs=2e-15)
+
+
+def test_circumcenter_none_below_the_sine_cut():
+    g = EUCLIDEAN
+    assert circumcenter(embed(g, 0.0, 0.0), embed(g, 0.5, 0.25), embed(g, 1.0, 0.5), g) is None
+    # chords of length t meeting at a sine of about h / t (plus t / 2 on the
+    # sphere, where the geodesic through them curves)
+    t = 1e-14
+    for g in (EUCLIDEAN, SPHERICAL):
+        a, b = embed(g, 0.0, 0.0), embed(g, t, 0.0)
+        assert circumcenter(a, b, embed(g, 2.0 * t, 1e-29), g) is None
+        assert circumcenter(a, b, embed(g, 2.0 * t, 1e-25), g) is not None
+    # three points at distance 0.5 from the geodesic y = 0 of the hyperboloid
+    # lie on a hypercycle, no circle
+    g = HYPERBOLIC
+    ch, sh = math.cosh(0.5), math.sinh(0.5)
+    hyper = [Point(ch * math.sinh(t), sh, ch * math.cosh(t)) for t in (-1.0, 0.2, 1.0)]
+    assert circumcenter(*hyper, g) is None
+    # three points near the origin on the circle of radius 18 about
+    # (0, -sinh 18, cosh 18), where z = 1 - y tanh 18: the center lies past
+    # the cut of a light-like n, though the points are far from collinear
+    th, sech2 = math.tanh(18.0), 1.0 / math.cosh(18.0) ** 2
+    ys = [(x, -x * x / (th + math.sqrt(th * th - x * x * sech2))) for x in (-1.0, 0.2, 1.0)]
+    assert circumcenter(*[Point(x, y, 1.0 - y * th) for x, y in ys], g) is None
+
+
+def test_circumcenter_near_the_equator():
+    # a.z + b.z = 0: the chart form of kappa (a.z - b.z) has nothing to divide
+    # by, and the z difference itself is taken; a tiny triangle 1.4 from the
+    # pole keeps the chart form, which keeps its digits
+    g = SPHERICAL
+    tri = [Point(math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat))
+           for lon, lat in ((0.0, 0.3), (0.2, -0.3), (0.1, 0.5))]
+    for a, b, c in itertools.permutations(tri):
+        cc = circumcenter(a, b, c, g)
+        d = [distance(cc, p, g) for p in tri]
+        assert max(d) - min(d) < 1e-15
+    tri = tiny_triangle(g, 1.4)
+    cc = circumcenter(*tri, g)
+    for p in tri:
+        assert distance(cc, p, g) == pytest.approx(1e-7, abs=2e-15)
 
 
 def test_smallest_enclosing_disk_circumcenter_fallback(monkeypatch):

@@ -152,6 +152,18 @@ def test_lens_corpus_runs_clean():
         assert rep["geometries"][name]["trials"] == 30
 
 
+@pytest.mark.parametrize("r", (1.5, 1.55, 1.5707))
+def test_sphere_battery_runs_clean_near_a_right_angle(monkeypatch, r):
+    # spherical disks stay convex up to r = pi/2: the battery, at radii past
+    # DEFAULT_RADII's, must neither raise nor report a violation
+    monkeypatch.setitem(harness.DEFAULT_RADII, "spherical", (r,))
+    assert run_trial(GEOMETRIES["spherical"], 0, VerifyConfig()).r == r
+    rep = run_verification(VerifyConfig(geometries=("spherical",), trials=150))
+    assert rep["violations_total"] == 0
+    body = rep["geometries"]["spherical"]
+    assert body["min_margin_inradius"] > 0.0 and body["min_margin_area"] > 0.0
+
+
 def test_run_verification_deterministic():
     cfg = VerifyConfig(geometries=("hyperbolic",), trials=25, seed=11)
     a = run_verification(cfg)

@@ -188,7 +188,6 @@ SIGN_FORKS = {
     "geometry.tangent_basis": "seed choice: (0, 0, 1) on the hyperboloid, (1, 0, 0) near "
                               "the sphere's poles; the plane's frame is the chart axes, "
                               "which perp would give with -0.0 parts",
-    "geometry.circumcenter": "per-plane normals, left for the rewrite of ROADMAP item 5",
     "measure._excess": "flat limit 2 y / x of the area 2 atan2(y, x)",
 }
 

@@ -574,6 +574,32 @@ def test_lens_incircle():
 
 
 # --------------------------------------------------------------------------
+# the small-scale limit
+
+def test_curved_measures_approach_the_euclidean_ones_like_s_squared():
+    # a Euclidean set (r = 1) scaled by s and lifted into H and S with r = s:
+    # width / s, inradius / s and area / s^2 differ from the Euclidean values
+    # by K s^2 + O(s^4), with K per set and measure read off the s = 0.1 row;
+    # digits lost to rounding (as when circumcenter took z differences near
+    # z = 1) show up as an error that grows as s shrinks
+    rng = np.random.default_rng(5)
+    for i in range(12):
+        polar = [(rng.uniform(0.0, TWO_PI), 0.45 * math.sqrt(rng.uniform(0.01, 1.0)))
+                 for _ in range(3 + i % 9)]
+
+        def measures(g, s):
+            poly = ball_hull([from_polar(g, th, s * t) for th, t in polar], s, g)
+            return thickness(poly).value / s, incircle(poly).radius / s, area(poly) / (s * s)
+
+        flat = measures(EUCLIDEAN, 1.0)
+        for g in (HYPERBOLIC, SPHERICAL):
+            k = [abs(m / e - 1.0) / 0.01 for m, e in zip(measures(g, 0.1), flat)]
+            for s in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+                for name, m, e, kk in zip(("width", "inradius", "area"), measures(g, s), flat, k):
+                    assert abs(m / e - 1.0) <= 2.0 * kk * s * s + 1e-13, (i, g.name, s, name)
+
+
+# --------------------------------------------------------------------------
 # Monte Carlo
 
 def test_monte_carlo_agrees_with_closed_form():

@@ -112,6 +112,22 @@ def test_r_segment_errors():
     assert err.value.code == "TOO_FAR"
 
 
+def test_r_segment_and_ball_hull_near_tangency():
+    # at d = 2r (1 - 1e-12) the circles meet in one point, though d is still
+    # short of 2r - _LENGTH_EPS: there both builders must give the split disk,
+    # and on the way there they must build with no exception and agree
+    for g in ALL:
+        for r in (0.7, 1.0, 1.4):
+            x = from_polar(g, 0.3, 0.2)
+            u = tangent_from_angle(x, 1.1, g)
+            for k in range(4, 16):
+                y = exp_map(x, u, 2.0 * r * (1.0 - 10.0 ** -k), g)
+                lens, hull = r_segment(x, y, r, g), ball_hull([x, y], r, g)
+                assert len(lens.arcs) == len(hull.arcs) == 2, (g.name, r, k)
+                assert sorted(a.extent for a in lens.arcs) == pytest.approx(
+                    sorted(a.extent for a in hull.arcs), abs=1e-12), (g.name, r, k)
+
+
 # --------------------------------------------------------------------------
 # ball hull
 
@@ -449,7 +465,7 @@ def test_ball_hull_on_a_circle_of_radius_r_is_that_disk():
     r = 0.8
     for g in ALL:
         c = from_polar(g, 0.3, 0.2)
-        for n in (3, 5, 8):
+        for n in (2, 3, 5, 8):
             pts = [exp_map(c, tangent_from_angle(c, 0.4 + TWO_PI * k / n, g), r, g)
                    for k in range(n)]
             hull = ball_hull(pts, r, g)
