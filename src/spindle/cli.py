@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: triangle, hull, measure, verify, sweep, render.  A JSON file
-given via --config overrides any flags of the invoked subcommand.  Exit
-codes: 0 on success, 1 when a checked inequality or tolerance is violated,
-2 for usage and range errors.
+given via --config overrides any flags of the invoked subcommand, each
+entry converted as its flag's text would be.  Exit codes: 0 on success, 1
+when a checked inequality or tolerance is violated, 2 for usage and range
+errors.
 """
 
 from __future__ import annotations
@@ -237,6 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="JSON file whose entries override flags")
+        p.set_defaults(parser=p)  # whose argument types the config entries take
 
     p = sub.add_parser("triangle", help="regular disk triangle (or hexagon with --rho)")
     p.add_argument("--geom", default="euclidean", help="euclidean|hyperbolic|spherical|all")
@@ -299,12 +301,20 @@ def _apply_config(args: argparse.Namespace) -> None:
         overrides = json.load(f)
     if not isinstance(overrides, dict):
         raise SpindleError("USAGE", "config must be a JSON object")
+    actions = {a.dest: a for a in args.parser._actions}
     for key, value in overrides.items():
         dest = key.replace("-", "_")
         if dest == "in":
             dest = "infile"
-        if not hasattr(args, dest):
+        if dest not in actions or not hasattr(args, dest):
             raise SpindleError("USAGE", f"unknown config key {key!r}")
+        kind = actions[dest].type
+        if kind is not None and value is not None:
+            try:  # as the flag's text: 5 and "5" pass for --trials, 5.5 and true do not
+                value = kind(str(value))
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                bad = f"config key {key!r}: bad {kind.__name__} {value!r}"
+                raise SpindleError("USAGE", bad) from None
         setattr(args, dest, value)
 
 

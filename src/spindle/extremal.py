@@ -3,10 +3,11 @@
 The regular disk triangle T(w, r) is the intersection of three radius-r
 disks arranged with threefold symmetry so that the body has width w; it
 minimizes both inradius and area among r-convex bodies of that width.  Its
-inradius has a closed form in each geometry, differentiable in (w, r), and
-so has its area (triangle_area), with no triangle built; the
-six-arc family built by `regular_disk_hexagon` interpolates between the
-triangle and the single disk while keeping the width fixed.
+inradius has one closed form, differentiable in (w, r) and divided through
+by sn r so that it keeps its digits at every r, and so has its area
+(triangle_area), with no triangle built; the six-arc family built by
+`regular_disk_hexagon` interpolates between the triangle and the single
+disk while keeping the width fixed.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ from .geometry import (
 from .measure import _excess, segment_area
 from .regions import DiskPolygon, ball_hull, make_arc
 
-# beyond this the hyperbolic closed form would square numbers near the
-# double-precision overflow line, so log-space variants take over
-_LOG_FORM_R = 350.0
-
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 _SIN_THIRD = math.sqrt(0.75)  # sin(2pi/3)
 _RHO_SLACK = 1e-9  # a hexagon's rho may leave [rho0, w - rho0] by this much
@@ -41,51 +38,47 @@ def _check_width_radius(w: float, r: float, g: Geometry) -> None:
         raise SpindleError("BAD_RANGE", f"width must satisfy 0 < w <= r, got w={w} r={r}")
 
 
+def _sn_radius(r: float, g: Geometry) -> float:
+    # sn r; past the float range (H, r > 710) no body is built or measured
+    try:
+        return g.sn(r)
+    except OverflowError:
+        raise SpindleError("BAD_RANGE", f"sn r is past the float range at r={r}") from None
+
+
 def triangle_inradius(w: float, r: float, g: Geometry) -> float:
     """Inradius of the regular disk triangle of width w and arc radius r:
     (w - x) / 2, where r + x = avers((4 vers r - vers(r - w)) / 3)."""
     _check_width_radius(w, r, g)
-    if g.kappa >= 0 or r <= _LOG_FORM_R:
-        return 0.5 * (w - _excess_side(w, r, g))
-    # y = (4 cosh r - cosh(r-w)) / 3 = e^r * q / 3 with q of order one;
-    # acosh(y) = log(y) + log(1 + sqrt(1 - 1/y^2)) and 1/y^2 underflows to 0
-    q = 2.0 + 2.0 * math.exp(-2.0 * r) - 0.5 * (math.exp(-w) + math.exp(w - 2.0 * r))
-    big_l = r + math.log(q) - math.log(3.0)
-    inner = -math.expm1(-2.0 * big_l)
-    acosh_y = big_l + math.log1p(math.sqrt(max(inner, 0.0)))
-    return 0.5 * (r + w - acosh_y)
+    tau = _excess_tangent(w, r, g)[1]
+    return 0.5 * (w - g.asn(2.0 * tau / (1.0 + g.kappa * tau * tau)))  # sn x from tn(x/2)
 
 
-def _excess_side(w: float, r: float, g: Geometry) -> float:
+def _excess_tangent(w: float, r: float, g: Geometry) -> tuple[float, float]:
     # r + x, the sum of the vertex and arc-center distances from the incenter,
     # has vers(r + x) - vers r = sn r sn x + cs r vers x = delta by the law of
-    # cosines there; in tau = tn(x/2), (2 cs r - kappa delta) tau^2 + 2 sn r
-    # tau = delta, whose rationalized root cancels nothing at small w
-    delta = 2.0 * g.sn(0.5 * w) * g.sn(r - 0.5 * w) / 3.0
-    sn_r = g.sn(r)
-    tau = delta / (sn_r + math.sqrt(sn_r * sn_r + delta * (2.0 * g.cs(r) - g.kappa * delta)))
-    return g.asn(2.0 * tau / (1.0 + g.kappa * tau * tau))  # sn x from tn(x/2)
+    # cosines there, delta = 2 sn(w/2) sn(r - w/2) / 3.  Divided by sn r, with
+    # c = 1 / tn r and k = delta / sn r, this is (2c - kappa k) tau^2 + 2 tau = k
+    # in tau = tn(x/2): nothing of size sn r is left to overflow, and the
+    # rationalized root cancels nothing at small w.  Returns (c, tau).
+    c, h = 1.0 / g.tn(r), 0.5 * w
+    k = 2.0 * g.sn(h) * (g.cs(h) - c * g.sn(h)) / 3.0
+    return c, k / (1.0 + math.sqrt(1.0 + k * (2.0 * c - g.kappa * k)))
 
 
 def triangle_inradius_partials(w: float, r: float, g: Geometry) -> tuple[float, float]:
     """(d/dw, d/dr) of triangle_inradius; the w-partial is positive and the
-    r-partial negative on the open domain, and the w-partial is exactly 1/2
-    on the Reuleaux edge w = r."""
+    r-partial negative on the open domain, and the w-partial is 1/2, up to
+    rounding, on the Reuleaux edge w = r."""
     _check_width_radius(w, r, g)
-    if g.kappa >= 0 or r <= _LOG_FORM_R:
-        # vers' = sn, so d avers(y) = dy / sn(avers y)
-        root = 3.0 * g.sn(r + _excess_side(w, r, g))
-        return (
-            0.5 * (1.0 - g.sn(r - w) / root),
-            0.5 * (1.0 - (4.0 * g.sn(r) - g.sn(r - w)) / root),
-        )
-    # factor e^r out of numerators and denominator; the -9 under the root
-    # is smaller than everything else by e^{-2r}
-    em2r = math.exp(-2.0 * r)
-    den = 2.0 + 2.0 * em2r - 0.5 * (math.exp(-w) + math.exp(w - 2.0 * r))
-    num_w = 0.5 * (math.exp(-w) - math.exp(w - 2.0 * r))
-    num_r = 2.0 - 2.0 * em2r - 0.5 * (math.exp(-w) - math.exp(w - 2.0 * r))
-    return 0.5 * (1.0 - num_w / den), 0.5 * (1.0 - num_r / den)
+    # vers' = sn, so d avers(y) = dy / sn(avers y): the partials are
+    # (1 - q / s) / 2 and (1 - (4 - q) / s) / 2 with s = 3 sn(r + x) / sn r
+    # and q = sn(r - w) / sn r, both from c and tau
+    c, tau = _excess_tangent(w, r, g)
+    kt2 = g.kappa * tau * tau
+    s = 3.0 * (1.0 - kt2 + 2.0 * c * tau) / (1.0 + kt2)
+    q = g.cs(w) - c * g.sn(w)
+    return 0.5 * (1.0 - q / s), 0.5 * (1.0 - (4.0 - q) / s)
 
 
 def triangle_area(w: float, r: float, g: Geometry) -> float:
@@ -102,9 +95,9 @@ def triangle_area(w: float, r: float, g: Geometry) -> float:
     sin(phi/2) = sn(s/2) / sn(r) = sqrt(3)/2 sn(a) / sn(r).
     """
     a = w - triangle_inradius(w, r, g)
-    tn = g.sn(0.5 * a) / g.cs(0.5 * a)
+    tn = g.tn(0.5 * a)
     big_t = tn * tn
-    phi = 2.0 * math.asin(min(1.0, _SIN_THIRD * g.sn(a) / g.sn(r)))
+    phi = 2.0 * math.asin(min(1.0, _SIN_THIRD * g.sn(a) / _sn_radius(r, g)))
     return 3.0 * (_excess(_SIN_THIRD * big_t, 1.0 - 0.5 * g.kappa * big_t, g)
                   + segment_area(phi, r, g))
 
@@ -131,6 +124,7 @@ def regular_disk_triangle(
     vertex; the arc around center i joins the other two vertices.
     """
     _check_width_radius(w, r, g)
+    _sn_radius(r, g)
     rho0 = triangle_inradius(w, r, g)
     p = center if center is not None else origin(g)
     g.check_radius(max(w - rho0, r - rho0), "triangle reach")
@@ -169,6 +163,7 @@ def regular_disk_hexagon(w: float, r: float, rho: float, g: Geometry) -> DiskHex
     triangle; rho = w/2 makes it most disk-like.
     """
     _check_width_radius(w, r, g)
+    _sn_radius(r, g)
     rho0 = triangle_inradius(w, r, g)
     if not (rho0 - _RHO_SLACK <= rho <= w - rho0 + _RHO_SLACK):
         raise SpindleError(

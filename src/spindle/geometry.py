@@ -5,7 +5,7 @@ off the sphere: the Euclidean plane is the slice z = 1, the sphere is the
 unit sphere, and the hyperbolic plane is the upper hyperboloid sheet
 z^2 - x^2 - y^2 = 1.  The curvature magnitude is fixed to |kappa| = 1
 (other curvatures are length rescalings).  Trigonometry is written once
-for all three planes through the model-space functions sn, cs and the
+for all three planes through the model-space functions sn, cs, tn and the
 versine vers(x) = 2 sn(x/2)^2 (Bridson-Haefliger, Metric Spaces of
 Non-Positive Curvature, ch. I.2): see Geometry and cos_angle.
 
@@ -109,11 +109,11 @@ def _asin_clamped(x: float) -> float:
     return math.asin(max(-1.0, min(1.0, x)))
 
 
-# (sn, cs, asn, radius_limit) per curvature sign
+# (sn, cs, tn, asn, radius_limit) per curvature sign
 _MODELS = {
-    0: (_identity, _one, _identity, math.inf),
-    1: (math.sin, math.cos, _asin_clamped, math.pi / 2),
-    -1: (math.sinh, math.cosh, math.asinh, math.inf),
+    0: (_identity, _one, _identity, _identity, math.inf),
+    1: (math.sin, math.cos, math.tan, _asin_clamped, math.pi / 2),
+    -1: (math.sinh, math.cosh, math.tanh, math.asinh, math.inf),
 }
 
 
@@ -121,8 +121,9 @@ _MODELS = {
 class Geometry:
     """One of the three model planes, identified by curvature sign.
 
-    sn, cs and asn (the inverse of sn) are its model-space functions,
-    derived from kappa: x, 1, x; sin, cos, asin; or sinh, cosh, asinh.
+    sn, cs, tn = sn / cs and asn (the inverse of sn) are its model-space
+    functions, derived from kappa: x, 1, x, x; sin, cos, tan, asin; or sinh,
+    cosh, tanh, asinh.  tn stays finite where sn and cs overflow.
     radius_limit bounds disk radii: pi/2 keeps spherical disks inside an
     open hemisphere, where they are convex; elsewhere it is inf.
     """
@@ -131,11 +132,12 @@ class Geometry:
     name: str
     sn: Callable[[float], float] = field(init=False, repr=False, compare=False)
     cs: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    tn: Callable[[float], float] = field(init=False, repr=False, compare=False)
     asn: Callable[[float], float] = field(init=False, repr=False, compare=False)
     radius_limit: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name, value in zip(("sn", "cs", "asn", "radius_limit"), _MODELS[self.kappa]):
+        for name, value in zip(("sn", "cs", "tn", "asn", "radius_limit"), _MODELS[self.kappa]):
             object.__setattr__(self, name, value)
 
     def vers(self, x: float) -> float:

@@ -386,7 +386,6 @@ def monotonicity_sweep(
     g: Geometry,
     w_values: Sequence[float],
     r_values: Sequence[float],
-    check_hexagon: bool = True,
 ) -> dict:
     """Tabulate the triangle across a (w, r) grid and check the calculus.
 
@@ -424,19 +423,18 @@ def monotonicity_sweep(
                 violations.append(f"w-partial not positive at w={w} r={r}")
             if dr is not None and dr >= 0 and w < r:
                 violations.append(f"r-partial not negative at w={w} r={r}")
-            if check_hexagon:
-                margins = hexagon_margins(g, w, r, HEX_FRACTIONS)
-                row["hexagon_min_margin"] = min(m for _, m in margins)
-                row["hexagon_margins_increasing"] = all(
-                    m2 > m1
-                    for (_, m1), (_, m2) in zip(margins, margins[1:])
-                )
-                for rho, m in margins:
-                    if m <= _HEXAGON_MARGIN_MIN:
-                        violations.append(
-                            f"hexagon margin not positive at w={w} r={r} "
-                            f"rho={rho}: {m}"
-                        )
+            margins = hexagon_margins(g, w, r, HEX_FRACTIONS)
+            row["hexagon_min_margin"] = min(m for _, m in margins)
+            row["hexagon_margins_increasing"] = all(
+                m2 > m1
+                for (_, m1), (_, m2) in zip(margins, margins[1:])
+            )
+            for rho, m in margins:
+                if m <= _HEXAGON_MARGIN_MIN:
+                    violations.append(
+                        f"hexagon margin not positive at w={w} r={r} "
+                        f"rho={rho}: {m}"
+                    )
             rows.append(row)
     for (w, r), rho0 in grid.items():
         for (w2, r2), rho2 in grid.items():

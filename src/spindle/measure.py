@@ -80,28 +80,33 @@ def _segment_minor(phi: float, rho: float, g: Geometry) -> float:
     which cancels when phi or rho is small.  Two forms keep the digits,
     written once for the three planes: for small t the series
     2 c sn^2 sum_k (-1)^(k+1) P_k t^(2k+1) / (2k+1), P_k = 1 + c^2 + ... +
-    c^(2k-2), with sn^2 = V (1 + c); else, with atan(c t) - atan t = -atan q,
-    2 V (atan t - t / (1 + c t^2)) - 2 kappa (atan q - q), q = kappa V t /
-    (1 + c t^2).  That form cancels in turn as c falls to 1/3 and below,
-    where the plain one is good again: it stays for c < 1/2 (spherical
-    rho > pi/3).
+    c^(2k-2), summed as 2 (c t) (sn t)^2 sum_k (-1)^(k+1) Q_k / (2k+1) with
+    Q_k = P_k t^(2k-2) (Q_1 = 1, Q_k+1 = (c t)^2 Q_k + t^2k), so that no
+    power of c or t leaves the float range as rho grows; else, with
+    atan(c t) - atan t = -atan q, 2 V (atan t - t / (1 + c t^2)) - 2 kappa
+    (atan q - q), q = kappa V t / (1 + c t^2).  That form cancels in turn as
+    c falls to 1/3 and below, where the plain one is good again: it stays
+    for c < 1/2 (spherical rho > pi/3).
     """
     v, c = g.vers(rho), g.cs(rho)
     t = math.tan(0.5 * phi)
-    x = t * t
-    if x * max(1.0, c * c) <= _SEGMENT_SERIES:
-        total, p, tk, n = 0.0, 1.0, t * x, 3
+    ct = c * t
+    x, y = t * t, ct * ct
+    if max(x, y) <= _SEGMENT_SERIES:
+        total, qk, xk, n = 0.0, 1.0, x, 3  # qk and xk carry the sign (-1)^(k+1)
         while True:
-            term = p * tk / n
+            term = qk / n
             total += term
             if abs(term) <= _SERIES_STOP * total:
-                return 2.0 * c * v * (1.0 + c) * total
-            p, tk, n = p * c * c + 1.0, -tk * x, n + 2
+                st = g.sn(rho) * t
+                return 2.0 * ct * st * st * total
+            qk, xk, n = -(y * qk + xk), -xk * x, n + 2
     if c < 0.5:
         return g.kappa * (2.0 * math.atan(c * t) - phi * c)
     d = 1.0 + c * x
     q = g.kappa * v * t / d
-    return 2.0 * v * (math.atan(t) - t / d) - 2.0 * g.kappa * (math.atan(q) - q)
+    # 2 (v (...)), not (2 v) (...): 2 v passes the float range before v does
+    return 2.0 * (v * (math.atan(t) - t / d)) - 2.0 * g.kappa * (math.atan(q) - q)
 
 
 def segment_area(phi: float, rho: float, g: Geometry) -> float:

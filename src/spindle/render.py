@@ -1,12 +1,12 @@
 """Deterministic SVG rendering of arc-bounded regions.
 
-Each geometry gets a planar chart: the Euclidean plane draws as-is, the
-hyperbolic plane through the conformal unit-disk projection
-(x, y) / (1 + z), and the sphere by orthographic projection onto z = 0,
-which requires everything to stay on the upper hemisphere.  Arcs are
-flattened to polylines in the chart, so output needs no renderer-side
-geometry.  No timestamps or environment data are embedded; the same region
-always yields byte-identical SVG.
+One chart serves the three planes: the stereographic projection
+(x, y) / (1 + z) from (0, 0, -1).  It is the Poincare disk on the
+hyperboloid, the plane itself at half scale (the canvas rescales, so the
+scale does not show) and, on the sphere, the conformal chart of everything
+but the south pole.  Arcs are flattened to polylines in the chart, so
+output needs no renderer-side geometry.  No timestamps or environment
+data are embedded; the same region always yields byte-identical SVG.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from .regions import Arc, full_circle_arc
 
 ARC_SAMPLES = 256
 LINE_SAMPLES = 64
-_HEMISPHERE_EPS = 1e-9  # sphere points with z at or below this leave the orthographic chart
+SVG_SIZE = 600          # width and height of the viewport
+_PAD = 0.05             # margin around the drawing, as a share of its span
+_SOUTH_POLE_EPS = 1e-9  # points with 1 + z at or below this leave the chart
 _POINT_SEGMENT = 1e-12  # a geodesic segment shorter than this draws as its first point
 _MIN_SPAN = 1e-9        # the chart span never scales below this, so one point still draws
 
@@ -38,43 +40,29 @@ _REGION_STYLES = (
 )
 
 
-def _project(p: Point, g: Geometry) -> tuple[float, float]:
-    if g.kappa == 0:
-        return p.x, p.y
-    if g.kappa < 0:
-        return p.x / (1.0 + p.z), p.y / (1.0 + p.z)
-    if p.z <= _HEMISPHERE_EPS:
-        raise SpindleError(
-            "PROJECTION_DOMAIN", "point leaves the upper hemisphere chart"
-        )
-    return p.x, p.y
+def _project(p: Point) -> tuple[float, float]:
+    s = 1.0 + p.z
+    if s <= _SOUTH_POLE_EPS:
+        raise SpindleError("PROJECTION_DOMAIN", "the south pole has no place in the chart")
+    return p.x / s, p.y / s
 
 
-def _arc_polyline(arc: Arc, g: Geometry) -> list[tuple[float, float]]:
-    pts = []
-    for k in range(ARC_SAMPLES + 1):
-        s = arc.extent * k / ARC_SAMPLES
-        pts.append(_project(arc.point_at(s), g))
-    return pts
+def _arc_polyline(arc: Arc) -> list[tuple[float, float]]:
+    return [_project(arc.point_at(arc.extent * k / ARC_SAMPLES)) for k in range(ARC_SAMPLES + 1)]
 
 
 def _geodesic_polyline(a: Point, b: Point, g: Geometry) -> list[tuple[float, float]]:
     d = distance(a, b, g)
     if d < _POINT_SEGMENT:
-        return [_project(a, g)]
+        return [_project(a)]
     u = log_dir(a, b, g)
-    pts = []
-    for k in range(LINE_SAMPLES + 1):
-        pts.append(_project(exp_map(a, u, d * k / LINE_SAMPLES, g), g))
-    return pts
+    return [_project(exp_map(a, u, d * k / LINE_SAMPLES, g)) for k in range(LINE_SAMPLES + 1)]
 
 
 class _Canvas:
     """Collects chart polylines, then scales them into one SVG viewport."""
 
-    def __init__(self, size: int = 600, pad: float = 0.05):
-        self.size = size
-        self.pad = pad
+    def __init__(self):
         self.items: list[tuple[str, list[tuple[float, float]], dict]] = []
 
     def add(self, kind: str, pts: Sequence[tuple[float, float]], **style) -> None:
@@ -87,26 +75,26 @@ class _Canvas:
         x0, x1 = min(xs), max(xs)
         y0, y1 = min(ys), max(ys)
         span = max(x1 - x0, y1 - y0, _MIN_SPAN)
-        margin = span * self.pad
+        margin = span * _PAD
         x0 -= margin
         y0 -= margin
         span += 2.0 * margin
-        scale = self.size / span
+        scale = SVG_SIZE / span
         # center the shorter axis; flip y so the chart is drawn upright
-        ox = (self.size - (x1 - x0 + 2 * margin) * scale) / 2.0 - x0 * scale
-        oy = (self.size - (y1 - y0 + 2 * margin) * scale) / 2.0 - y0 * scale
+        ox = (SVG_SIZE - (x1 - x0 + 2 * margin) * scale) / 2.0 - x0 * scale
+        oy = (SVG_SIZE - (y1 - y0 + 2 * margin) * scale) / 2.0 - y0 * scale
 
         def tf(x, y):
-            return x * scale + ox, self.size - (y * scale + oy)
+            return x * scale + ox, SVG_SIZE - (y * scale + oy)
 
         return tf
 
     def to_svg(self) -> str:
         tf = self._transform()
         out = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.size}" '
-            f'height="{self.size}" viewBox="0 0 {self.size} {self.size}">',
-            f'<rect width="{self.size}" height="{self.size}" fill="white"/>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
+            f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+            f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
         ]
         for kind, pts, style in self.items:
             path = " ".join(
@@ -138,7 +126,6 @@ def render_svg(
     regions: Sequence,
     incircles: Sequence[Incircle] = (),
     witnesses: Sequence[ThicknessWitness] = (),
-    size: int = 600,
 ) -> str:
     """Render regions plus optional incircle and width-chord overlays."""
     if not regions:
@@ -147,12 +134,12 @@ def render_svg(
     for region in regions:
         if region.geometry is not g:
             raise SpindleError("BAD_RANGE", "regions must share one geometry")
-    canvas = _Canvas(size=size)
+    canvas = _Canvas()
     for idx, region in enumerate(regions):
         stroke, fill = _REGION_STYLES[idx % len(_REGION_STYLES)]
         boundary: list[tuple[float, float]] = []
         for arc in region.arcs:
-            pts = _arc_polyline(arc, g)
+            pts = _arc_polyline(arc)
             if boundary:
                 pts = pts[1:]
             boundary.extend(pts)
@@ -160,14 +147,14 @@ def render_svg(
     for inc in incircles:
         canvas.add(
             "line",
-            _arc_polyline(full_circle_arc(inc.center, inc.radius, g), g),
+            _arc_polyline(full_circle_arc(inc.center, inc.radius, g)),
             stroke="#2a7f2a",
             width=1.2,
             dash="4 3",
         )
-        canvas.add("dot", [_project(inc.center, g)], stroke="#2a7f2a")
+        canvas.add("dot", [_project(inc.center)], stroke="#2a7f2a")
         for t in inc.contacts:
-            canvas.add("dot", [_project(t, g)], stroke="#2a7f2a")
+            canvas.add("dot", [_project(t)], stroke="#2a7f2a")
     for wit in witnesses:
         canvas.add(
             "line",
@@ -176,6 +163,6 @@ def render_svg(
             width=1.4,
             dash="none",
         )
-        canvas.add("dot", [_project(wit.a, g)], stroke="#c03030")
-        canvas.add("dot", [_project(wit.b, g)], stroke="#c03030")
+        canvas.add("dot", [_project(wit.a)], stroke="#c03030")
+        canvas.add("dot", [_project(wit.b)], stroke="#c03030")
     return canvas.to_svg()

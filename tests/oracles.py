@@ -163,6 +163,43 @@ def triangle_inradius_reference(kappa, w, r, dps=40):
         return (lo + hi) / 2
 
 
+def _hyperbolic_inradius(w, r):
+    # (w - x) / 2 from the avers closed form r + x = acosh(1 + (4 vers r -
+    # vers(r - w)) / 3), vers = cosh - 1
+    v = (4 * (mp.cosh(r) - 1) - (mp.cosh(r - w) - 1)) / 3
+    return (w + r - mp.acosh(1 + v)) / 2
+
+
+def hyperbolic_inradius_reference(w, r):
+    """(rho0, d rho0 / dw, d rho0 / dr) of the hyperbolic regular disk
+    triangle from the avers closed form, the partials by mp.diff, at 80
+    digits, with no float on the way."""
+    with mp.workdps(80):
+        w, r = mp.mpf(w), mp.mpf(r)
+        return (_hyperbolic_inradius(w, r),
+                mp.diff(lambda t: _hyperbolic_inradius(t, r), w),
+                mp.diff(lambda t: _hyperbolic_inradius(w, t), r))
+
+
+def hyperbolic_triangle_area_reference(w, r):
+    """Area of the hyperbolic regular disk triangle by Gauss-Bonnet, A = pi -
+    3 theta + 3 phi cosh r: three arcs of geodesic curvature coth r and
+    length phi sinh r, with interior vertex angle theta.  phi, and the angle
+    pi - theta between the two arc centers seen from a vertex, come from the
+    law of cosines; both shrink like e^-r, so the digits grow with r."""
+    def apex_angle(leg, m):
+        # apex angle of the isosceles triangle with legs leg whose base joins
+        # two points at distance m from the incenter, 2pi/3 apart
+        base = mp.cosh(m) ** 2 + mp.sinh(m) ** 2 / 2
+        return mp.acos((mp.cosh(leg) ** 2 - base) / mp.sinh(leg) ** 2)
+
+    with mp.workdps(80 + int(r)):
+        w, r = mp.mpf(w), mp.mpf(r)
+        rho = _hyperbolic_inradius(w, r)
+        theta = mp.pi - apex_angle(r, r - rho)
+        return mp.pi - 3 * theta + 3 * apex_angle(r, w - rho) * mp.cosh(r)
+
+
 # ---------------------------------------------------------------------------
 # brute-force width (Euclidean only, numpy)
 

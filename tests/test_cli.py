@@ -240,6 +240,28 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "wobble" in err
 
 
+def test_config_values_take_the_flag_types(tmp_path, capsys):
+    # a JSON string converts as the flag's text would; 5.5 is no --trials
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": "2", "seed": 3}))
+    code, stdout, _ = run_cli(capsys, "verify", "--geom", "euclidean", "--config", os.fspath(cfg))
+    assert code == 0
+    assert parse_kv(stdout.splitlines()[0])["trials"] == "2"
+    for bad in ("five", 5.5, True, [2]):
+        cfg.write_text(json.dumps({"trials": bad}))
+        code, _, err = run_cli(capsys, "verify", "--geom", "euclidean", "--config", os.fspath(cfg))
+        assert code == 2
+        assert "USAGE" in err and "'trials'" in err
+
+
+def test_triangle_past_the_float_range_exits_2(capsys):
+    for rho in ((), ("--rho", "0.45")):
+        code, _, err = run_cli(capsys, "triangle", "--geom", "hyperbolic", "--w", "1",
+                               "--r", "720", *rho)
+        assert code == 2
+        assert "BAD_RANGE" in err and "r=720" in err
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "triangle", "--geom", "nowhere", "--w", "1", "--r", "2")
     assert code == 2

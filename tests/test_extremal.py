@@ -12,6 +12,8 @@ import pytest
 
 from oracles import (
     disk_intersection_exit,
+    hyperbolic_inradius_reference,
+    hyperbolic_triangle_area_reference,
     polar_area,
     side_from_cosine_law,
     triangle_inradius_reference,
@@ -127,6 +129,43 @@ def test_inradius_range_errors():
             triangle_inradius(-0.5, 1.0, g)
     with pytest.raises(SpindleError):
         triangle_inradius(1.0, 1.8, SPHERICAL)  # r past pi/2
+
+
+@pytest.mark.parametrize("r", (10.0, 50.0, 300.0, 351.0, 700.0, 1e3, 1e6))
+def test_hyperbolic_bound_keeps_its_digits_at_large_radii(r):
+    # one form at every r: c = 1 / tanh r and k = delta / sinh r stay of order
+    # one.  The two forms this replaced were off by 5.1e-15 (rho0) and 1.3e-14
+    # (d/dr) at r = 300, and the log-space one by 4.6e-13 at r = 351 and
+    # 6.6e-10 at r = 1e6 (rho0)
+    for w in (0.1, 0.5, 1.0):
+        rho0, dw, dr = hyperbolic_inradius_reference(w, r)
+        assert abs(triangle_inradius(w, r, HYPERBOLIC) / rho0 - 1) <= 1e-15
+        got_w, got_r = triangle_inradius_partials(w, r, HYPERBOLIC)
+        assert abs(got_w - dw) <= 1e-15
+        assert abs(got_r - dr) <= 1e-15
+
+
+@pytest.mark.parametrize("r", (10.0, 50.0, 100.0, 300.0, 350.0, 400.0, 700.0, 710.0))
+def test_hyperbolic_triangle_area_at_large_radii(r):
+    # against Gauss-Bonnet at 80 + r digits.  At w = 1 the log-space inradius
+    # left 1.4e-14 at r = 400 and 2.3e-13 at r = 700, and at r = 710 the
+    # segment took 2 vers r, past the float range: nan.  The segment's series
+    # (w = 0.1, 0.5) summed powers of cs r and tan(phi / 2) that left the
+    # float range: 8.6e-9 off at w = 0.5, r = 50, and nan from r = 300
+    for w in (0.1, 0.5, 1.0):
+        want = hyperbolic_triangle_area_reference(w, r)
+        assert abs(triangle_area(w, r, HYPERBOLIC) / want - 1) <= 1e-15
+
+
+def test_triangle_past_the_float_range_is_a_range_error():
+    # sinh r overflows past r = 710.47: the inradius still has its value, but
+    # no area is taken and no body built
+    assert triangle_inradius(1.0, 720.0, HYPERBOLIC) == pytest.approx(0.40439781748494, rel=1e-12)
+    for build, args in ((triangle_area, ()), (regular_disk_triangle, ()),
+                        (regular_disk_hexagon, (0.45,))):
+        with pytest.raises(SpindleError, match="r=720") as err:
+            build(1.0, 720.0, *args, HYPERBOLIC)
+        assert err.value.code == "BAD_RANGE"
 
 
 def test_partials_frozen_values():

@@ -333,7 +333,7 @@ def test_hexagon_family_loses_width_away_from_rho0():
 
 def test_monotonicity_sweep_clean_and_structured():
     for g in ALL:
-        out = monotonicity_sweep(g, (0.5, 0.7, 0.9), (1.1, 1.3), check_hexagon=True)
+        out = monotonicity_sweep(g, (0.5, 0.7, 0.9), (1.1, 1.3))
         assert out["violations"] == []
         assert len(out["rows"]) == 6
         for row in out["rows"]:
@@ -348,9 +348,3 @@ def test_monotonicity_sweep_clean_and_structured():
         for rows in by_r.values():
             rows.sort()
             assert all(a[1] < b[1] for a, b in zip(rows, rows[1:]))
-
-
-def test_monotonicity_sweep_without_hexagons():
-    out = monotonicity_sweep(EUCLIDEAN, (0.6,), (1.2,), check_hexagon=False)
-    assert out["violations"] == []
-    assert "hexagon_min_margin" not in out["rows"][0]

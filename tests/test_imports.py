@@ -10,9 +10,9 @@ module-level public function in src/spindle must be called by the package
 or the benchmark, or be named in README's Library section: one that only
 tests call belongs in tests/oracles.py.  In every module of src/spindle a tolerance is a named
 module-level constant: no literal with a negative exponent (1e-9) appears
-outside a `NAME = value` line.  In the kernel modules (geometry, regions,
-measure) formulas are curvature-generic: the sign of kappa is tested only
-in the functions SIGN_FORKS names, each for its stated reason.
+outside a `NAME = value` line.  In every module of src/spindle formulas
+are curvature-generic: the sign of kappa is tested only in the functions
+SIGN_FORKS names, each for its stated reason.
 """
 
 import ast
@@ -180,7 +180,7 @@ def test_unnamed_tolerance_check_flags_and_accepts():
     assert unnamed_tolerances(source) == ["1e-7 (line 5)", "4E-26 (line 6)", "5e-3 (line 8)"]
 
 
-# The kernel functions that may still test the sign of kappa, and why.
+# The package functions that may still test the sign of kappa, and why.
 SIGN_FORKS = {
     "geometry.as_point": "entry check: z = 1 in the plane, as a generic residual "
                          "would loosen it far from the origin",
@@ -229,11 +229,10 @@ def kappa_sign_tests(source: str) -> list[str]:
 
 
 def test_kappa_sign_tests_stay_in_their_forks():
-    kernel = ("geometry", "regions", "measure")
     found = {}
-    for m in kernel:
-        for hit in kappa_sign_tests((ROOT / "src" / "spindle" / f"{m}.py").read_text()):
-            found.setdefault(f"{m}.{hit.split()[0]}", []).append(hit)
+    for path in sorted((ROOT / "src" / "spindle").glob("*.py")):
+        for hit in kappa_sign_tests(path.read_text()):
+            found.setdefault(f"{path.stem}.{hit.split()[0]}", []).append(hit)
     assert {f: hits for f, hits in found.items() if f not in SIGN_FORKS} == {}
     assert sorted(found) == sorted(SIGN_FORKS), "a fork is gone: drop it from SIGN_FORKS"
 
