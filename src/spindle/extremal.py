@@ -57,12 +57,13 @@ def triangle_inradius(w: float, r: float, g: Geometry) -> float:
 def _excess_tangent(w: float, r: float, g: Geometry) -> tuple[float, float]:
     # r + x, the sum of the vertex and arc-center distances from the incenter,
     # has vers(r + x) - vers r = sn r sn x + cs r vers x = delta by the law of
-    # cosines there, delta = 2 sn(w/2) sn(r - w/2) / 3.  Divided by sn r, with
-    # c = 1 / tn r and k = delta / sn r, this is (2c - kappa k) tau^2 + 2 tau = k
-    # in tau = tn(x/2): nothing of size sn r is left to overflow, and the
-    # rationalized root cancels nothing at small w.  Returns (c, tau).
+    # cosines there, delta = 2 sn h sn(r - h) / 3 with h = w / 2.  Divided by
+    # sn r, this is (2c - kappa k) tau^2 + 2 tau = k in tau = tn(x/2), with
+    # c = 1 / tn r and k = delta / sn r = (2/3) / (1 / tn h + 1 / tn(r - h)):
+    # positive terms, none of size sn r, and a rationalized root, so nothing
+    # overflows or cancels at any w <= r.  Returns (c, tau).
     c, h = 1.0 / g.tn(r), 0.5 * w
-    k = 2.0 * g.sn(h) * (g.cs(h) - c * g.sn(h)) / 3.0
+    k = (2.0 / 3.0) / (1.0 / g.tn(h) + 1.0 / g.tn(r - h))
     return c, k / (1.0 + math.sqrt(1.0 + k * (2.0 * c - g.kappa * k)))
 
 
@@ -73,11 +74,16 @@ def triangle_inradius_partials(w: float, r: float, g: Geometry) -> tuple[float, 
     _check_width_radius(w, r, g)
     # vers' = sn, so d avers(y) = dy / sn(avers y): the partials are
     # (1 - q / s) / 2 and (1 - (4 - q) / s) / 2 with s = 3 sn(r + x) / sn r
-    # and q = sn(r - w) / sn r, both from c and tau
+    # and q = sn(r - w) / sn r = tn u / (cs w (tn u + tn w)), u = r - w; past
+    # the float range of cs w (H, w > 710), q is below the least double
     c, tau = _excess_tangent(w, r, g)
     kt2 = g.kappa * tau * tau
     s = 3.0 * (1.0 - kt2 + 2.0 * c * tau) / (1.0 + kt2)
-    q = g.cs(w) - c * g.sn(w)
+    tn_u = g.tn(r - w)
+    try:
+        q = tn_u / (g.cs(w) * (tn_u + g.tn(w)))
+    except OverflowError:
+        q = 0.0
     return 0.5 * (1.0 - q / s), 0.5 * (1.0 - (4.0 - q) / s)
 
 
@@ -94,10 +100,11 @@ def triangle_area(w: float, r: float, g: Geometry) -> float:
     angle phi (cos phi = cos_angle(r, r, s)) is taken in half-angle form,
     sin(phi/2) = sn(s/2) / sn(r) = sqrt(3)/2 sn(a) / sn(r).
     """
+    sn_r = _sn_radius(r, g)  # a < w <= r, so sn a is in range too
     a = w - triangle_inradius(w, r, g)
     tn = g.tn(0.5 * a)
     big_t = tn * tn
-    phi = 2.0 * math.asin(min(1.0, _SIN_THIRD * g.sn(a) / _sn_radius(r, g)))
+    phi = 2.0 * math.asin(min(1.0, _SIN_THIRD * g.sn(a) / sn_r))
     return 3.0 * (_excess(_SIN_THIRD * big_t, 1.0 - 0.5 * g.kappa * big_t, g)
                   + segment_area(phi, r, g))
 

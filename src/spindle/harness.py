@@ -426,15 +426,9 @@ def monotonicity_sweep(
             margins = hexagon_margins(g, w, r, HEX_FRACTIONS)
             row["hexagon_min_margin"] = min(m for _, m in margins)
             row["hexagon_margins_increasing"] = all(
-                m2 > m1
-                for (_, m1), (_, m2) in zip(margins, margins[1:])
-            )
-            for rho, m in margins:
-                if m <= _HEXAGON_MARGIN_MIN:
-                    violations.append(
-                        f"hexagon margin not positive at w={w} r={r} "
-                        f"rho={rho}: {m}"
-                    )
+                m2 > m1 for (_, m1), (_, m2) in zip(margins, margins[1:]))
+            violations.extend(f"hexagon margin not positive at w={w} r={r} rho={rho}: {m}"
+                              for rho, m in margins if m <= _HEXAGON_MARGIN_MIN)
             rows.append(row)
     for (w, r), rho0 in grid.items():
         for (w2, r2), rho2 in grid.items():

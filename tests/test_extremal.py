@@ -138,11 +138,25 @@ def test_hyperbolic_bound_keeps_its_digits_at_large_radii(r):
     # (d/dr) at r = 300, and the log-space one by 4.6e-13 at r = 351 and
     # 6.6e-10 at r = 1e6 (rho0)
     for w in (0.1, 0.5, 1.0):
-        rho0, dw, dr = hyperbolic_inradius_reference(w, r)
-        assert abs(triangle_inradius(w, r, HYPERBOLIC) / rho0 - 1) <= 1e-15
-        got_w, got_r = triangle_inradius_partials(w, r, HYPERBOLIC)
-        assert abs(got_w - dw) <= 1e-15
-        assert abs(got_r - dr) <= 1e-15
+        assert_hyperbolic_bound_digits(w, r)
+
+
+@pytest.mark.parametrize("w, r", ((5.0, 5.0), (20.0, 20.0), (40.0, 40.0), (30.0, 40.0),
+                                  (720.0, 720.0), (715.0, 1000.0)))
+def test_hyperbolic_bound_keeps_its_digits_at_large_widths(w, r):
+    # sn(w/2) sn(r - w/2) / sn r and sn(r - w) / sn r taken as cs h - c sn h
+    # and cs w - c sn w cancelled two numbers of size e^h / 2 and e^w / 2:
+    # rho0 off by 3.6e-10 at w = r = 20 and 7.2e-3 at w = r = 40, d/dr by
+    # 1.5e-5 at (30, 40); past w = 710 cs w overflowed
+    assert_hyperbolic_bound_digits(w, r)
+
+
+def assert_hyperbolic_bound_digits(w, r):
+    rho0, dw, dr = hyperbolic_inradius_reference(w, r)
+    assert abs(triangle_inradius(w, r, HYPERBOLIC) / rho0 - 1) <= 1e-15
+    got_w, got_r = triangle_inradius_partials(w, r, HYPERBOLIC)
+    assert abs(got_w - dw) <= 1e-15
+    assert abs(got_r - dr) <= 1e-15
 
 
 @pytest.mark.parametrize("r", (10.0, 50.0, 100.0, 300.0, 350.0, 400.0, 700.0, 710.0))
@@ -166,6 +180,10 @@ def test_triangle_past_the_float_range_is_a_range_error():
         with pytest.raises(SpindleError, match="r=720") as err:
             build(1.0, 720.0, *args, HYPERBOLIC)
         assert err.value.code == "BAD_RANGE"
+    # at w = r = 1500 the vertices lie about 750 out, so sn a overflows too
+    with pytest.raises(SpindleError, match="r=1500") as err:
+        triangle_area(1500.0, 1500.0, HYPERBOLIC)
+    assert err.value.code == "BAD_RANGE"
 
 
 def test_partials_frozen_values():
