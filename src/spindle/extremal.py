@@ -38,14 +38,6 @@ def _check_width_radius(w: float, r: float, g: Geometry) -> None:
         raise SpindleError("BAD_RANGE", f"width must satisfy 0 < w <= r, got w={w} r={r}")
 
 
-def _sn_radius(r: float, g: Geometry) -> float:
-    # sn r; past the float range (H, r > 710) no body is built or measured
-    try:
-        return g.sn(r)
-    except OverflowError:
-        raise SpindleError("BAD_RANGE", f"sn r is past the float range at r={r}") from None
-
-
 def triangle_inradius(w: float, r: float, g: Geometry) -> float:
     """Inradius of the regular disk triangle of width w and arc radius r:
     (w - x) / 2, where r + x = avers((4 vers r - vers(r - w)) / 3)."""
@@ -100,7 +92,7 @@ def triangle_area(w: float, r: float, g: Geometry) -> float:
     angle phi (cos phi = cos_angle(r, r, s)) is taken in half-angle form,
     sin(phi/2) = sn(s/2) / sn(r) = sqrt(3)/2 sn(a) / sn(r).
     """
-    sn_r = _sn_radius(r, g)  # a < w <= r, so sn a is in range too
+    sn_r = g.sn_radius(r)  # a < w <= r, so sn a is in range too
     a = w - triangle_inradius(w, r, g)
     tn = g.tn(0.5 * a)
     big_t = tn * tn
@@ -131,7 +123,7 @@ def regular_disk_triangle(
     vertex; the arc around center i joins the other two vertices.
     """
     _check_width_radius(w, r, g)
-    _sn_radius(r, g)
+    g.sn_radius(r)
     rho0 = triangle_inradius(w, r, g)
     p = center if center is not None else origin(g)
     g.check_radius(max(w - rho0, r - rho0), "triangle reach")
@@ -170,7 +162,7 @@ def regular_disk_hexagon(w: float, r: float, rho: float, g: Geometry) -> DiskHex
     triangle; rho = w/2 makes it most disk-like.
     """
     _check_width_radius(w, r, g)
-    _sn_radius(r, g)
+    g.sn_radius(r)
     rho0 = triangle_inradius(w, r, g)
     if not (rho0 - _RHO_SLACK <= rho <= w - rho0 + _RHO_SLACK):
         raise SpindleError(

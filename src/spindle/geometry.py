@@ -157,6 +157,16 @@ class Geometry:
                 "BAD_RANGE", f"{what} must be below pi/2 on the sphere, got {r}"
             )
 
+    def sn_radius(self, r: float) -> float:
+        """sn r of a body's arc radius r, which check_radius accepts; past
+        the float range of sn (H, r > 710.47) no body is built or measured,
+        and BAD_RANGE names r."""
+        self.check_radius(r)
+        try:
+            return self.sn(r)
+        except OverflowError:
+            raise SpindleError("BAD_RANGE", f"sn r is past the float range at r={r}") from None
+
     def __repr__(self) -> str:  # keeps records and error text short
         return f"Geometry({self.name})"
 

@@ -7,6 +7,12 @@ regular disk triangle.  On top of that the harness rebuilds the inscribed
 cap domain certificate: a disk-with-caps region sitting inside the hull
 whose area separates the hull from the triangle bound.
 
+Each trial leaves one record, the dict run_trial returns: the hull's
+measurements and verdicts from check_extremal_bounds, the trial's identity
+and its cap certificate.  run_verification takes each plane's summary
+(violations, near-equality count, cap status counts, least margins) from
+the list of its trials' records.
+
 All randomness is driven by numpy generators seeded per (seed, geometry,
 trial), so runs are reproducible across machines.
 """
@@ -14,6 +20,7 @@ trial), so runs are reproducible across machines.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -72,26 +79,6 @@ class VerifyConfig:
     trials: int = 200
     seed: int = 0
     point_counts: tuple[int, ...] = tuple(range(2, 13))
-
-
-@dataclass
-class TrialReport:
-    geometry: str
-    trial: int
-    n_points: int
-    r: float
-    width: float
-    inradius: float
-    inradius_bound: float
-    area: float
-    area_bound: float
-    margin_inradius: float
-    margin_area: float
-    near_equality: bool
-    triangle_match: Optional[float]
-    cap_status: str
-    cap_area_margin: Optional[float]
-    violations: tuple[str, ...]
 
 
 def sample_disk_polygon(
@@ -229,18 +216,17 @@ def inscribed_cap_domain(
     for arc in dom.arcs:
         battery.extend((arc.start, arc.midpoint()))
     contained = _covered(battery, poly.centers, 2.0 * g.vers(r + BATTERY_SLACK), g)
-    details = {
-        "containment": contained,
-        "area_margin": bounds["area"] - area(dom),
-        "apex_count": len(apexes),
-    }
-    return dom, "ok", details
+    return dom, "ok", {"containment": contained, "area_margin": bounds["area"] - area(dom)}
 
 
 # --------------------------------------------------------------------------
 # the randomized run
 
-def run_trial(g: Geometry, trial: int, config: VerifyConfig) -> TrialReport:
+def run_trial(g: Geometry, trial: int, config: VerifyConfig) -> dict:
+    """The trial's record: check_extremal_bounds's dict for its sampled
+    hull, with the trial's geometry, index, n_points and r, the cap
+    certificate's cap_status and cap_area_margin (None without a domain),
+    and the cap checks appended to its violations."""
     gi = list(GEOMETRIES).index(g.name)
     rng = np.random.default_rng((config.seed, gi, trial))
     counts = config.point_counts
@@ -248,51 +234,40 @@ def run_trial(g: Geometry, trial: int, config: VerifyConfig) -> TrialReport:
     n = counts[trial % len(counts)]
     r = radii[trial % len(radii)]
     poly = sample_disk_polygon(g, n, r, rng)
-    bounds = check_extremal_bounds(poly)
-    violations = list(bounds["violations"])
-    dom, status, details = inscribed_cap_domain(poly, bounds)
-    cap_margin = None
+    rec = check_extremal_bounds(poly)
+    dom, status, details = inscribed_cap_domain(poly, rec)
+    rec.update(geometry=g.name, trial=trial, n_points=n, r=r,
+               cap_status=status, cap_area_margin=details.get("area_margin"))
     if dom is not None:
-        cap_margin = details["area_margin"]
         if not details["containment"]:
-            violations.append("cap-not-contained")
-        if cap_margin < -_CAP_AREA_SLACK:
-            violations.append("cap-area")
-    return TrialReport(
-        geometry=g.name,
-        trial=trial,
-        n_points=n,
-        r=r,
-        width=bounds["width"],
-        inradius=bounds["incircle"].radius,
-        inradius_bound=bounds["inradius_bound"],
-        area=bounds["area"],
-        area_bound=bounds["area_bound"],
-        margin_inradius=bounds["margin_inradius"],
-        margin_area=bounds["margin_area"],
-        near_equality=bounds["near_equality"],
-        triangle_match=bounds["triangle_match"],
-        cap_status=status,
-        cap_area_margin=cap_margin,
-        violations=tuple(violations),
-    )
+            rec["violations"].append("cap-not-contained")
+        if details["area_margin"] < -_CAP_AREA_SLACK:
+            rec["violations"].append("cap-area")
+    return rec
 
 
-def area_bound_drift(g: Geometry, rep: TrialReport) -> float:
-    """Gap between a trial's closed-form area bound (extremal.triangle_area)
-    and the area measured on the regular disk triangle it stands for."""
-    tri = regular_disk_triangle(min(rep.width, rep.r), rep.r, g)
-    return abs(area(tri.region) - rep.area_bound)
+def _violation(rec: dict, kind: str) -> dict:
+    return {"trial": rec["trial"], "kind": kind,
+            "margin_inradius": rec["margin_inradius"], "margin_area": rec["margin_area"]}
 
 
 def run_verification(config: VerifyConfig) -> dict:
     """Run the full battery; the summary dict is JSON-ready and stable
     under re-runs with the same config.
 
-    Trials take the area bound in closed form.  Once per plane, at the
-    trial with the least area margin, the battery builds the triangle and
-    measures it: a bound off by more than MARGIN_SLACK could flip a
-    verdict, and is reported as an "area-bound-closed-form" violation."""
+    Each plane's summary is taken from its list of trial records: the
+    violations in trial order, the near-equality count, the cap status
+    counts and the least margins.  Trials take the area bound in closed
+    form.  Once per plane, at the trial with the least area margin (the
+    earliest on ties), the battery builds the triangle and measures it: a
+    bound off by more than MARGIN_SLACK could flip a verdict, and is
+    reported, last, as an "area-bound-closed-form" violation."""
+    if config.trials < 1:
+        raise SpindleError("BAD_RANGE", f"trials must be at least 1, got {config.trials}")
+    if not config.point_counts or min(config.point_counts) < 2:
+        raise SpindleError(
+            "BAD_RANGE", f"point counts must be 2 or more, got {list(config.point_counts)}"
+        )
     summary: dict = {
         "config": {
             "geometries": list(config.geometries),
@@ -306,48 +281,22 @@ def run_verification(config: VerifyConfig) -> dict:
         if name not in GEOMETRIES:
             raise SpindleError("BAD_RANGE", f"unknown geometry {name!r}")
         g = GEOMETRIES[name]
-        violations = []
-        near = 0
-        cap_counts: dict = {}
-        min_mr = math.inf
-        min_cap = math.inf
-        tightest: Optional[TrialReport] = None
-        for t in range(config.trials):
-            rep = run_trial(g, t, config)
-            if tightest is None or rep.margin_area < tightest.margin_area:
-                tightest = rep
-            for v in rep.violations:
-                violations.append(
-                    {
-                        "trial": t,
-                        "kind": v,
-                        "margin_inradius": rep.margin_inradius,
-                        "margin_area": rep.margin_area,
-                    }
-                )
-            if rep.near_equality:
-                near += 1
-            cap_counts[rep.cap_status] = cap_counts.get(rep.cap_status, 0) + 1
-            min_mr = min(min_mr, rep.margin_inradius)
-            if rep.cap_area_margin is not None:
-                min_cap = min(min_cap, rep.cap_area_margin)
-        if tightest is not None and area_bound_drift(g, tightest) > MARGIN_SLACK:
-            violations.append(
-                {
-                    "trial": tightest.trial,
-                    "kind": "area-bound-closed-form",
-                    "margin_inradius": tightest.margin_inradius,
-                    "margin_area": tightest.margin_area,
-                }
-            )
+        records = [run_trial(g, t, config) for t in range(config.trials)]
+        violations = [_violation(rec, v) for rec in records for v in rec["violations"]]
+        tightest = min(records, key=lambda rec: rec["margin_area"])
+        tri = regular_disk_triangle(min(tightest["width"], tightest["r"]), tightest["r"], g)
+        if abs(area(tri.region) - tightest["area_bound"]) > MARGIN_SLACK:
+            violations.append(_violation(tightest, "area-bound-closed-form"))
+        cap_margins = [rec["cap_area_margin"] for rec in records
+                       if rec["cap_area_margin"] is not None]
         summary["geometries"][name] = {
             "trials": config.trials,
             "violations": violations,
-            "near_equality": near,
-            "cap_status_counts": cap_counts,
-            "min_margin_inradius": min_mr,
-            "min_margin_area": math.inf if tightest is None else tightest.margin_area,
-            "min_cap_area_margin": None if math.isinf(min_cap) else min_cap,
+            "near_equality": sum(rec["near_equality"] for rec in records),
+            "cap_status_counts": Counter(rec["cap_status"] for rec in records),
+            "min_margin_inradius": min(rec["margin_inradius"] for rec in records),
+            "min_margin_area": tightest["margin_area"],
+            "min_cap_area_margin": min(cap_margins, default=None),
         }
         summary["violations_total"] += len(violations)
     return summary
@@ -418,10 +367,20 @@ def monotonicity_sweep(
             }
             if abs(wid - w) > _TRIANGLE_WIDTH_TOL:
                 violations.append(f"triangle width off at w={w} r={r}: {wid}")
-            dw, dr = triangle_inradius_partials_checked(w, r, g, h, violations)
-            if dw is not None and dw <= 0:
+            # analytic partials, cross-checked against central differences
+            # where the stencil stays inside the domain
+            dw, dr = triangle_inradius_partials(w, r, g)
+            if h < w and w + h < r - 10.0 * h:
+                num_w = (triangle_inradius(w + h, r, g) - triangle_inradius(w - h, r, g)) / (2 * h)
+                if abs(num_w - dw) > _PARTIAL_TOL:
+                    violations.append(f"w-partial mismatch at w={w} r={r}: {dw} vs {num_w}")
+            if w < r - 10.0 * h and r + h < g.radius_limit:
+                num_r = (triangle_inradius(w, r + h, g) - triangle_inradius(w, r - h, g)) / (2 * h)
+                if abs(num_r - dr) > _PARTIAL_TOL:
+                    violations.append(f"r-partial mismatch at w={w} r={r}: {dr} vs {num_r}")
+            if dw <= 0:
                 violations.append(f"w-partial not positive at w={w} r={r}")
-            if dr is not None and dr >= 0 and w < r:
+            if dr >= 0 and w < r:
                 violations.append(f"r-partial not negative at w={w} r={r}")
             margins = hexagon_margins(g, w, r, HEX_FRACTIONS)
             row["hexagon_min_margin"] = min(m for _, m in margins)
@@ -438,23 +397,3 @@ def monotonicity_sweep(
                 violations.append(f"bound not decreasing in r at w={w}")
     return {"rows": rows, "violations": violations}
 
-
-def triangle_inradius_partials_checked(
-    w: float, r: float, g: Geometry, h: float, violations: list
-) -> tuple[Optional[float], Optional[float]]:
-    """Analytic partials, cross-checked against central differences when
-    the stencil stays inside the domain."""
-    dw, dr = triangle_inradius_partials(w, r, g)
-    if h < w and w + h < r - 10.0 * h:
-        num_w = (triangle_inradius(w + h, r, g) - triangle_inradius(w - h, r, g)) / (2 * h)
-        if abs(num_w - dw) > _PARTIAL_TOL:
-            violations.append(
-                f"w-partial mismatch at w={w} r={r}: {dw} vs {num_w}"
-            )
-    if w < r - 10.0 * h and r + h < g.radius_limit:
-        num_r = (triangle_inradius(w, r + h, g) - triangle_inradius(w, r - h, g)) / (2 * h)
-        if abs(num_r - dr) > _PARTIAL_TOL:
-            violations.append(
-                f"r-partial mismatch at w={w} r={r}: {dr} vs {num_r}"
-            )
-    return dw, dr

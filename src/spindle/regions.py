@@ -232,7 +232,7 @@ def r_segment(x: Point, y: Point, r: float, g: Geometry) -> DiskPolygon:
     """Intersection of the two radius-r disks whose boundary circles pass
     through both x and y: the smallest r-convex set containing the pair.
     BAD_RANGE names a non-finite or off-surface point by index (x 0, y 1)."""
-    g.check_radius(r)
+    g.sn_radius(r)
     x, y = as_point(x, g, 0), as_point(y, g, 1)
     d = distance(x, y, g)
     if d < _LENGTH_EPS:
@@ -280,7 +280,7 @@ def ball_hull(points: Sequence[Point], r: float, g: Geometry) -> DiskPolygon:
     BAD_RANGE on a non-finite or off-surface point.  Points enter as Python
     floats (as_point), so numpy rows pay numpy-scalar arithmetic nowhere.
     """
-    g.check_radius(r)
+    g.sn_radius(r)
     pts = [as_point(p, g, i) for i, p in enumerate(points)]
     if not pts:
         raise SpindleError("EMPTY", "need at least one point")
@@ -432,7 +432,7 @@ def cap_domain(disk: Circle, apexes: Iterable[Point], r: float, g: Geometry) -> 
     overlap raise CAP_OVERLAP.  BAD_RANGE refuses a non-finite or
     off-surface disk center, or apex (named by its index).
     """
-    g.check_radius(r)
+    g.sn_radius(r)
     p, rho = as_point(disk.center, g), disk.radius
     if not (0.0 < rho < r):
         raise SpindleError("BAD_RANGE", "cap domain needs 0 < rho < r")
@@ -464,13 +464,6 @@ def cap_domain(disk: Circle, apexes: Iterable[Point], r: float, g: Geometry) -> 
     caps.sort(key=lambda cap: cap[0])
 
     m = len(caps)
-    for i in range(m):
-        th_i, half_i = caps[i][0], caps[i][6]
-        th_j, half_j = caps[(i + 1) % m][0], caps[(i + 1) % m][6]
-        gap = (th_j - th_i) % TWO_PI if m > 1 else TWO_PI
-        if gap < half_i + half_j - ANGLE_EPS:
-            raise SpindleError("CAP_OVERLAP", "cap footprints overlap on the disk")
-
     if m == 0:
         return CapDomain(g, r, p, rho, (), (full_circle_arc(p, rho, g),), (), ())
 
@@ -478,13 +471,16 @@ def cap_domain(disk: Circle, apexes: Iterable[Point], r: float, g: Geometry) -> 
     pairs: list[tuple[Circle, Circle]] = []
     wedges: list[tuple[float, float]] = []
     for i, (th, q, c_left, c_right, t_in, t_out, half) in enumerate(caps):
+        # the disk arc between this footprint and the next; footprints that
+        # touch within ANGLE_EPS, as in the regular triangle, leave none
+        th_next, _, _, _, t_in_next, _, half_next = caps[(i + 1) % m]
+        span = ((th_next - th) % TWO_PI if m > 1 else TWO_PI) - half - half_next
+        if span < -ANGLE_EPS:
+            raise SpindleError("CAP_OVERLAP", "cap footprints overlap on the disk")
         arcs.append(make_arc(c_left, r, t_in, q, g))
         arcs.append(make_arc(c_right, r, q, t_out, g))
         pairs.append((Circle(c_left, r), Circle(c_right, r)))
         wedges.append(((th - half) % TWO_PI, 2.0 * half))
-        th_next, half_next = caps[(i + 1) % m][0], caps[(i + 1) % m][6]
-        t_in_next = caps[(i + 1) % m][4]
-        span = (th_next - half_next - th - half) % TWO_PI if m > 1 else TWO_PI - 2.0 * half
         if span > ANGLE_EPS:
             arcs.append(Arc(p, rho, t_out, t_in_next, span, g, log_dir(p, t_out, g)))
     return CapDomain(g, r, p, rho, tuple(c[1] for c in caps), tuple(arcs), tuple(pairs), tuple(wedges))

@@ -142,6 +142,38 @@ def test_verify_deterministic_and_scriptable(tmp_path, capsys):
     assert summary["violations_total"] == 0
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_verify_out_is_strict_json(tmp_path, capsys):
+    out = os.fspath(tmp_path / "v.json")
+    code, _, _ = run_cli(capsys, "verify", "--geom", "all", "--trials", "5", "--out", out)
+    assert code == 0
+    with open(out) as f:
+        summary = json.load(f, parse_constant=_refuse_constant)
+    assert summary["violations_total"] == 0
+
+
+def test_verify_refuses_an_empty_battery(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    for trials in ("0", "-3"):
+        code, _, err = run_cli(capsys, "verify", "--geom", "euclidean", "--trials", trials,
+                               "--out", os.fspath(out))
+        assert code == 2
+        assert "BAD_RANGE" in err and "trials" in err
+    assert not out.exists()
+
+
+def test_hull_past_the_float_range_exits_2(tmp_path, capsys):
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"points": [[0.1, 0.0], [0.0, 0.1], [-0.1, 0.0], [0.0, -0.1]]}))
+    code, _, err = run_cli(capsys, "hull", "--geom", "hyperbolic", "--r", "720",
+                           "--in", os.fspath(pts))
+    assert code == 2
+    assert "BAD_RANGE" in err and "r=720" in err
+
+
 def test_sweep_csv_format_and_monotone_area(tmp_path, capsys):
     out = os.fspath(tmp_path / "sweep.csv")
     code, stdout, _ = run_cli(

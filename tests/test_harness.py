@@ -128,6 +128,58 @@ def test_battery_measures_one_triangle_per_plane(monkeypatch):
         assert rep["violations"][0]["margin_area"] == rep["min_margin_area"]
 
 
+class _Record(dict):
+    """A synthetic trial record, readable by key or by attribute."""
+
+    __getattr__ = dict.__getitem__
+
+
+def _synthetic_records(g: Geometry) -> list:
+    w, r = 0.8, 1.0
+    a_bound = harness.triangle_area(w, r, g)
+    rows = (  # margin_inradius, margin_area, near, cap_status, cap margin, violations
+        (0.3, 0.5, False, "ok", 0.2, ["inradius-bound"]),
+        (0.2, 0.1, True, "contacts<3", None, []),
+        (-0.2, 0.1, False, "ok", 0.05, ["area-bound", "cap-area"]),
+        (0.4, 0.4, True, "CAP_OVERLAP", None, ["cap-not-contained"]),
+    )
+    return [
+        _Record(geometry=g.name, trial=t, n_points=3, r=r, width=w,
+                # only trial 1, the earliest of the tied least area margins,
+                # carries a closed-form bound off its measured triangle
+                area_bound=a_bound + (1e-3 if t == 1 else 0.0),
+                margin_inradius=mr, margin_area=ma, near_equality=near,
+                cap_status=status, cap_area_margin=cap, violations=viol)
+        for t, (mr, ma, near, status, cap, viol) in enumerate(rows)
+    ]
+
+
+def test_summary_aggregates_trial_records(monkeypatch):
+    records = _synthetic_records(EUCLIDEAN)
+    monkeypatch.setattr(harness, "run_trial", lambda g, t, config: records[t])
+    summary = run_verification(VerifyConfig(geometries=("euclidean",), trials=4))
+    body = summary["geometries"]["euclidean"]
+    # violations in trial order, the closed-form check last, at the
+    # earliest trial among those tied on the least area margin
+    assert [(v["trial"], v["kind"]) for v in body["violations"]] == [
+        (0, "inradius-bound"), (2, "area-bound"), (2, "cap-area"),
+        (3, "cap-not-contained"), (1, "area-bound-closed-form"),
+    ]
+    assert body["violations"][-1] == {"trial": 1, "kind": "area-bound-closed-form",
+                                      "margin_inradius": 0.2, "margin_area": 0.1}
+    assert summary["violations_total"] == 5
+    assert body["trials"] == 4 and body["near_equality"] == 2
+    assert body["cap_status_counts"] == {"ok": 2, "contacts<3": 1, "CAP_OVERLAP": 1}
+    assert body["min_margin_inradius"] == -0.2 and body["min_margin_area"] == 0.1
+    # trials without a domain stay out of the least cap margin
+    assert body["min_cap_area_margin"] == 0.05
+
+    for rec in records:
+        rec["cap_area_margin"] = None
+    summary = run_verification(VerifyConfig(geometries=("euclidean",), trials=4))
+    assert summary["geometries"]["euclidean"]["min_cap_area_margin"] is None
+
+
 def test_near_disk_hull_has_comfortable_margins():
     # a hull of many cocircular points is close to a disk: far from extremal
     from spindle.geometry import from_polar
@@ -157,7 +209,7 @@ def test_sphere_battery_runs_clean_near_a_right_angle(monkeypatch, r):
     # spherical disks stay convex up to r = pi/2: the battery, at radii past
     # DEFAULT_RADII's, must neither raise nor report a violation
     monkeypatch.setitem(harness.DEFAULT_RADII, "spherical", (r,))
-    assert run_trial(GEOMETRIES["spherical"], 0, VerifyConfig()).r == r
+    assert run_trial(GEOMETRIES["spherical"], 0, VerifyConfig())["r"] == r
     rep = run_verification(VerifyConfig(geometries=("spherical",), trials=150))
     assert rep["violations_total"] == 0
     body = rep["geometries"]["spherical"]
@@ -190,6 +242,16 @@ def test_run_verification_small_batch_all_geometries():
 def test_run_verification_rejects_unknown_geometry():
     with pytest.raises(SpindleError) as err:
         run_verification(VerifyConfig(geometries=("flatland",), trials=1))
+    assert err.value.code == "BAD_RANGE"
+
+
+@pytest.mark.parametrize("config", (
+    VerifyConfig(trials=0), VerifyConfig(trials=-3), VerifyConfig(point_counts=()),
+    VerifyConfig(point_counts=(1, 3)), VerifyConfig(point_counts=(4, 0)),
+), ids=("no-trials", "negative-trials", "no-counts", "one-point", "no-points"))
+def test_run_verification_refuses_an_empty_battery(config):
+    with pytest.raises(SpindleError) as err:
+        run_verification(config)
     assert err.value.code == "BAD_RANGE"
 
 

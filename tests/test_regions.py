@@ -9,7 +9,12 @@ import pytest
 
 from oracles import gift_wrap_reference, make_arc_reference
 from spindle import geometry, measure, regions
-from spindle.extremal import regular_disk_hexagon, triangle_inradius
+from spindle.extremal import (
+    regular_disk_hexagon,
+    regular_disk_triangle,
+    triangle_area,
+    triangle_inradius,
+)
 from spindle.geometry import (
     EUCLIDEAN,
     GEOMETRIES,
@@ -741,6 +746,36 @@ def test_cap_domain_errors():
     with pytest.raises(SpindleError) as err:
         cap_domain(Circle(o, 0.3), near, 1.0, g)
     assert err.value.code == "CAP_OVERLAP"
+
+
+@pytest.mark.parametrize("g", ALL, ids=lambda g: g.name)
+@pytest.mark.parametrize("w, r", ((0.8, 1.2), (0.5, 0.5), (1.0, 1.0), (0.3, 1.4)))
+def test_cap_domain_on_touching_footprints_is_the_triangle(g, w, r):
+    # the paper's equality case: caps on the regular triangle's incircle at
+    # its vertices have footprints that meet, so no disk arc lies between
+    # them and the domain is the triangle itself
+    tri = regular_disk_triangle(w, r, g)
+    dom = cap_domain(Circle(tri.incenter, tri.rho0), tri.region.vertices, r, g)
+    assert len(dom.arcs) == 6
+    assert abs(area(dom) / triangle_area(w, r, g) - 1.0) <= 4e-15
+
+
+@pytest.mark.parametrize("build", ("ball_hull", "r_segment", "cap_domain"))
+def test_builders_past_the_float_range_are_range_errors(build):
+    # sinh r and cosh r leave the float range past r = 710.47 on the
+    # hyperboloid; the builders refuse such r at entry
+    g = HYPERBOLIC
+    pts = [from_polar(g, 1.2 * k, 0.3) for k in range(5)]
+    calls = {
+        "ball_hull": lambda: ball_hull(pts, 720.0, g),
+        "r_segment": lambda: r_segment(pts[0], pts[1], 720.0, g),
+        "cap_domain": lambda: cap_domain(Circle(origin(g), 0.3), [from_polar(g, 0.0, 0.5)],
+                                         720.0, g),
+    }
+    with pytest.raises(SpindleError, match="r=720") as err:
+        calls[build]()
+    assert err.value.code == "BAD_RANGE"
+    assert triangle_inradius(1.0, 720.0, g) > 0.0
 
 
 # --------------------------------------------------------------------------
