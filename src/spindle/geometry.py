@@ -411,11 +411,7 @@ def tangent_basis(p: Point, g: Geometry) -> tuple[Tangent, Tangent]:
 
 
 def tangent_from_angle(p: Point, theta: float, g: Geometry) -> Tangent:
-    t1, t2 = tangent_basis(p, g)
-    c, s = math.cos(theta), math.sin(theta)
-    return _normalize_tangent(
-        p, c * t1.x + s * t2.x, c * t1.y + s * t2.y, c * t1.z + s * t2.z, g
-    )
+    return rotate_tangent(p, tangent_basis(p, g)[0], theta, g)
 
 
 def from_polar(g: Geometry, theta: float, t: float) -> Point:
@@ -425,13 +421,12 @@ def from_polar(g: Geometry, theta: float, t: float) -> Point:
 
 def frame_angle(p: Point, u: Tangent, g: Geometry) -> float:
     """Angle of tangent u in the frame at p, in [0, 2*pi); inverts tangent_from_angle."""
-    t1, t2 = tangent_basis(p, g)
-    return math.atan2(tangent_dot(u, t2, g), tangent_dot(u, t1, g)) % (2.0 * math.pi)
+    return turn_angle(p, tangent_basis(p, g)[0], u, g) % (2.0 * math.pi)
 
 
 def angle_coord(o: Point, x: Point, g: Geometry) -> float:
     """Angle of the direction o -> x in the frame at o, in [0, 2*pi)."""
-    return frame_angle(o, log_dir(o, x, g), g)
+    return turn_toward(o, tangent_basis(o, g)[0], x, g) % (2.0 * math.pi)
 
 
 def midpoint(p: Point, q: Point, g: Geometry) -> Point:

@@ -59,6 +59,7 @@ DEFAULT_RADII = {
     "hyperbolic": (0.7, 1.0, 1.6),
     "spherical": (0.6, 1.0, 1.4),
 }
+POINT_COUNTS = tuple(range(2, 13))
 
 MARGIN_SLACK = 1e-7   # inequalities may dip this far below zero numerically
 NEAR_EQUALITY = 1e-6  # treat margins under this as equality cases
@@ -78,7 +79,6 @@ class VerifyConfig:
     geometries: tuple[str, ...] = ("euclidean", "hyperbolic", "spherical")
     trials: int = 200
     seed: int = 0
-    point_counts: tuple[int, ...] = tuple(range(2, 13))
 
 
 def sample_disk_polygon(
@@ -229,9 +229,8 @@ def run_trial(g: Geometry, trial: int, config: VerifyConfig) -> dict:
     and the cap checks appended to its violations."""
     gi = list(GEOMETRIES).index(g.name)
     rng = np.random.default_rng((config.seed, gi, trial))
-    counts = config.point_counts
     radii = DEFAULT_RADII[g.name]
-    n = counts[trial % len(counts)]
+    n = POINT_COUNTS[trial % len(POINT_COUNTS)]
     r = radii[trial % len(radii)]
     poly = sample_disk_polygon(g, n, r, rng)
     rec = check_extremal_bounds(poly)
@@ -264,10 +263,6 @@ def run_verification(config: VerifyConfig) -> dict:
     reported, last, as an "area-bound-closed-form" violation."""
     if config.trials < 1:
         raise SpindleError("BAD_RANGE", f"trials must be at least 1, got {config.trials}")
-    if not config.point_counts or min(config.point_counts) < 2:
-        raise SpindleError(
-            "BAD_RANGE", f"point counts must be 2 or more, got {list(config.point_counts)}"
-        )
     summary: dict = {
         "config": {
             "geometries": list(config.geometries),

@@ -324,11 +324,8 @@ def thickness(poly: DiskPolygon) -> ThicknessWitness:
     g = poly.geometry
     r = poly.r
     h = len(poly.arcs)
-    centers = poly.centers
-    if poly.is_full_disk or all(
-        distance(c, centers[0], g) <= MERGE_EPS for c in centers
-    ):
-        c = centers[0]
+    if poly.is_full_disk:
+        c = poly.centers[0]
         u = tangent_basis(c, g)[0]
         return ThicknessWitness(
             2.0 * r, "arc-arc", exp_map(c, u, r, g), exp_map(c, _negate(u), r, g)

@@ -44,7 +44,6 @@ from .geometry import (
     exp_map,
     frame_angle,
     log_dir,
-    midpoint,
     rotate_tangent,
     smallest_enclosing_disk,
     tangent_basis,
@@ -52,13 +51,14 @@ from .geometry import (
 )
 
 TWO_PI = 2.0 * math.pi
-_TIGHT_EPS = 1e-9     # an enclosing radius this close to r makes the hull that one disk
+_TIGHT_EPS = 1e-9     # an enclosing radius past r by more than this fits no radius-r disk
+_ONE_DISK_EPS = 1e-11  # an enclosing radius this close to r makes the hull that one disk
 _POP_SLACK = 1e-12    # the r-scan pops when the next point is this close to the top arc's circle
 _COVER_SLACK = 1e-7   # every input point lies this close to each arc's disk
 _ON_CIRCLE_EPS = 1e-7  # an arc endpoint may lie this far off its circle
 _ZERO_ARC = 1e-15     # arc endpoints closer than this make a zero-extent arc
 _CHORD_SLACK = 1e-9   # an arc's chord may pass its circle's diameter by this share
-_LENGTH_EPS = 1e-12   # lengths this close are equal (r_segment and the apex tests of cap_domain)
+_LENGTH_EPS = 1e-12   # lengths this close are equal (r_segment's reach and cap_domain's apex tests)
 
 
 class Arc(NamedTuple):
@@ -105,9 +105,12 @@ def make_arc(center: Point, radius: float, start: Point, end: Point, g: Geometry
     """Arc from start to end counterclockwise about center, extent <= pi.
 
     Endpoints must lie within _ON_CIRCLE_EPS of the circle, as chord2 from
-    the center within 2 vers(radius -+ _ON_CIRCLE_EPS).  The traversal takes
-    whichever way around is counterclockwise; every arc built by this package
-    subtends at most pi (+ rounding), so the chordal extent is it.
+    the center within 2 vers(radius -+ _ON_CIRCLE_EPS).  Every arc built by
+    this package subtends at most pi (+ rounding), so the chordal extent is
+    it.  An end that turns clockwise from the start by more than ANGLE_EPS
+    and less than pi - ANGLE_EPS (a stored cycle run backwards, say) is
+    refused as MALFORMED_BOUNDARY, not taken the long way round; a half
+    circle may round to either side of pi.
     """
     lo = 2.0 * g.vers(radius - _ON_CIRCLE_EPS) if radius > _ON_CIRCLE_EPS else 0.0
     hi = 2.0 * g.vers(radius + _ON_CIRCLE_EPS)
@@ -119,13 +122,10 @@ def make_arc(center: Point, radius: float, start: Point, end: Point, g: Geometry
     q = 0.5 * math.sqrt(c2) / g.sn(radius)
     if q > 1.0 + _CHORD_SLACK:
         raise SpindleError("OUT_OF_RANGE", "chord longer than the circle diameter")
-    extent = 2.0 * math.asin(min(1.0, q))
     u0 = log_dir(center, start, g)
-    ccw = turn_toward(center, u0, end, g) % TWO_PI
-    # the chord determines extent or 2*pi - extent; pick the CCW-consistent one
-    if abs(ccw - extent) > abs(ccw - (TWO_PI - extent)):
-        extent = TWO_PI - extent
-    return Arc(center, radius, start, end, extent, g, u0)
+    if -math.pi + ANGLE_EPS < turn_toward(center, u0, end, g) < -ANGLE_EPS:
+        raise SpindleError("MALFORMED_BOUNDARY", "arc runs clockwise about its center")
+    return Arc(center, radius, start, end, 2.0 * math.asin(min(1.0, q)), g, u0)
 
 
 def full_circle_arc(center: Point, radius: float, g: Geometry) -> Arc:
@@ -142,16 +142,13 @@ class DiskPolygon:
     """Intersection of radius-r disks, boundary stored as CCW arcs.
 
     arcs[i] runs from vertex i to vertex i+1 (cyclically); one arc of
-    extent 2*pi encodes a full disk.  `boundary_degenerate` marks inputs
-    whose smallest enclosing disk radius sits within tolerance of r, where
-    the radius-r disks holding them shrink to that one disk.  The
-    properties derived from arcs are built once, on first use.
+    extent 2*pi encodes a full disk, which has no vertices.  The properties
+    derived from arcs are built once, on first use.
     """
 
     geometry: Geometry
     r: float
     arcs: tuple[Arc, ...]
-    boundary_degenerate: bool = False
 
     @cached_property
     def is_full_disk(self) -> bool:
@@ -190,7 +187,7 @@ class DiskPolygon:
             verts = [as_point(v, g, i) for i, v in enumerate(rec["vertices"])]
         except (KeyError, TypeError, ValueError) as e:
             raise SpindleError("MALFORMED_BOUNDARY", f"bad disk_polygon record: {e}")
-        g.check_radius(r)
+        g.sn_radius(r)
         if not centers:
             raise SpindleError("MALFORMED_BOUNDARY", "record has no arc centers")
         if not verts:
@@ -226,39 +223,29 @@ def load_region(path: str):
 
 
 # --------------------------------------------------------------------------
-# two-point hull (lens)
+# r-hulls
 
 def r_segment(x: Point, y: Point, r: float, g: Geometry) -> DiskPolygon:
-    """Intersection of the two radius-r disks whose boundary circles pass
-    through both x and y: the smallest r-convex set containing the pair.
-    BAD_RANGE names a non-finite or off-surface point by index (x 0, y 1)."""
+    """The spindle of x and y, ball_hull([x, y], r, g): the lens cut by the
+    two radius-r circles through both, or the one disk they fit when they
+    are 2r apart (within about 2 _ONE_DISK_EPS).  Points farther apart than
+    2r + _LENGTH_EPS are TOO_FAR; BAD_RANGE names a non-finite or
+    off-surface point by index (x 0, y 1)."""
     g.sn_radius(r)
     x, y = as_point(x, g, 0), as_point(y, g, 1)
-    d = distance(x, y, g)
-    if d < _LENGTH_EPS:
-        raise SpindleError("DEGENERATE_POINT", "the two points coincide")
-    if d > 2.0 * r + _LENGTH_EPS:
+    if distance(x, y, g) > 2.0 * r + _LENGTH_EPS:
         raise SpindleError("TOO_FAR", "points farther apart than 2r")
-    tangent = d >= 2.0 * r - _LENGTH_EPS
-    hits = () if tangent else circle_circle_intersection(Circle(x, r), Circle(y, r), g)
-    if len(hits) < 2:
-        # tangent circles, also one point just inside 2r: half circles about the midpoint
-        c = midpoint(x, y, g)
-        arcs = (make_arc(c, r, x, y, g), make_arc(c, r, y, x, g))
-        return DiskPolygon(g, r, arcs, boundary_degenerate=True)
-    arcs = (make_arc(hits[0], r, x, y, g), make_arc(hits[1], r, y, x, g))
-    return DiskPolygon(g, r, arcs)
+    return ball_hull([x, y], r, g)
 
-
-# --------------------------------------------------------------------------
-# hull of many points
 
 def ball_hull(points: Sequence[Point], r: float, g: Geometry) -> DiskPolygon:
     """Smallest r-convex region containing the points.
 
-    When the smallest enclosing disk B(o, R) has radius r (within
-    _TIGHT_EPS), it is the only radius-r disk holding the points and so
-    their hull, split at the points on its rim.  Otherwise, in O(n log n):
+    When the smallest enclosing disk B(o, R) has radius r, from _ONE_DISK_EPS
+    below it (which covers the rounding of R on points exactly r from a
+    center, up to 4.6e-12 in H at r = 5) to _TIGHT_EPS above, it is the
+    only radius-r disk holding the points and so their hull: the full disk
+    B(o, r), with no vertices.  Otherwise, in O(n log n):
     in the chart x -> form(x - o, e_i) / cs d(o, x) on the frame e_i at o
     (gnomonic on the sphere, Beltrami-Klein on the hyperboloid) geodesics
     are straight, so Andrew's monotone chain gives the extreme points,
@@ -290,14 +277,8 @@ def ball_hull(points: Sequence[Point], r: float, g: Geometry) -> DiskPolygon:
     o, radius, _ = smallest_enclosing_disk(kept, g)
     if radius > r + _TIGHT_EPS:
         raise SpindleError("NOT_ENCLOSABLE", "points do not fit in any radius-r disk")
-    degenerate = radius > r - _TIGHT_EPS  # critically tight
-    if degenerate:
-        rim = sorted(
-            (p for p in kept if abs(distance(o, p, g) - radius) <= _TIGHT_EPS),
-            key=lambda p: angle_coord(o, p, g),
-        )
-        arcs = tuple(make_arc(o, r, a, b, g) for a, b in zip(rim, rim[1:] + rim[:1]))
-        return DiskPolygon(g, r, arcs, boundary_degenerate=True)
+    if radius > r - _ONE_DISK_EPS:
+        return DiskPolygon(g, r, (full_circle_arc(o, r, g),))
 
     # chart at o (tangent_dot(x - o, e_i) / cs, written out), then the
     # counterclockwise extreme points as kept indices
@@ -334,7 +315,7 @@ def ball_hull(points: Sequence[Point], r: float, g: Geometry) -> DiskPolygon:
     tested = kept if r + _COVER_SLACK >= g.radius_limit else [kept[i] for i in chain]
     if not _covered(tested, centers, 2.0 * g.vers(r + _COVER_SLACK), g):
         raise SpindleError("MALFORMED_BOUNDARY", "hull does not cover its input")
-    return DiskPolygon(g, r, arcs, boundary_degenerate=degenerate)
+    return DiskPolygon(g, r, arcs)
 
 
 def _covered(points: Sequence[Point], centers: Sequence[Point], bound: float, g: Geometry) -> bool:

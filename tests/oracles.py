@@ -3,10 +3,11 @@
 Nothing here calls into the package's measurement pipeline: areas come
 from integrating the polar exit distance of a region with mpmath,
 inradii from re-solving the defining contact equations by bisection,
-widths from brute-force support sampling or from enumerating double
-normals family by family with the package's geometry primitives, the
-width's pieces and pair screen on unit directions and chords, r-hulls
-by gift-wrapping, the incircle from a refining grid search, the MERGE_EPS
+widths from brute-force support sampling, from enumerating double
+normals family by family with the package's geometry primitives or (a
+two-point lens) from the right triangle at its midpoint, the width's
+pieces and pair screen on unit directions and chords, r-hulls by
+gift-wrapping, the incircle from a refining grid search, the MERGE_EPS
 dedup by comparing every pair, the distance and tangent normalization
 written once per plane, and geodesic directions, midpoints, circle
 intersections and arcs by way of the inverse-trigonometric distance.  Tests compare package output
@@ -198,6 +199,25 @@ def hyperbolic_triangle_area_reference(w, r):
         rho = _hyperbolic_inradius(w, r)
         theta = mp.pi - apex_angle(r, r - rho)
         return mp.pi - 3 * theta + 3 * apex_angle(r, w - rho) * mp.cosh(r)
+
+
+# ---------------------------------------------------------------------------
+# two-point lens width (mpmath)
+
+def lens_width_reference(x, y, r, g):
+    """Width 2r - 2h of the lens of embedded points x and y: h is the
+    distance from their midpoint to either circle center, by the right
+    triangle center-midpoint-x, cs r = cs(d/2) cs h, in mpmath on the
+    points' coordinates (cs(d/2) = sqrt(1 - kappa chord2 / 4))."""
+    with mp.workdps(50):
+        c2 = sum(w * (mp.mpf(b) - mp.mpf(a)) ** 2 for w, a, b in zip((1, 1, g.kappa), x, y))
+        if g.kappa == 0:
+            h = mp.sqrt(r * r - c2 / 4)
+        elif g.kappa > 0:
+            h = mp.acos(mp.cos(r) / mp.sqrt(1 - c2 / 4))
+        else:
+            h = mp.acosh(mp.cosh(r) / mp.sqrt(1 + c2 / 4))
+        return float(2 * r - 2 * h)
 
 
 # ---------------------------------------------------------------------------

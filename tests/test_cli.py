@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from spindle.cli import main
+from spindle.geometry import GEOMETRIES, exp_map, from_polar, tangent_from_angle
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +106,49 @@ def test_hull_and_measure(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "measure", "--in", out)
     assert code == 0
     assert parse_kv(stdout.splitlines()[0])["type"] == "disk_polygon"
+
+
+def test_hull_of_points_on_a_circle_of_radius_r_is_that_disk(tmp_path, capsys):
+    # the points fit one radius-r disk, so the stored hull is that full disk,
+    # with no vertices, and it measures width 2r
+    r = 0.8
+    for name, g in GEOMETRIES.items():
+        c = from_polar(g, 0.3, 0.2)
+        ring = [exp_map(c, tangent_from_angle(c, 0.4 + 2.0 * math.pi * k / 5, g), r, g)
+                for k in range(5)]
+        pts = tmp_path / f"ring_{name}.json"
+        pts.write_text(json.dumps({"points": [[p.x, p.y] for p in ring]}))
+        out = os.fspath(tmp_path / f"disk_{name}.json")
+        code, stdout, _ = run_cli(capsys, "hull", "--geom", name, "--r", str(r),
+                                  "--in", os.fspath(pts), "--out", out)
+        assert code == 0
+        assert parse_kv(stdout.splitlines()[0])["vertices"] == "0"
+        rec = json.loads(open(out).read())
+        assert rec["vertices"] == [] and len(rec["centers"]) == 1
+        code, stdout, _ = run_cli(capsys, "measure", "--in", out)
+        assert code == 0
+        assert float(parse_kv(stdout.splitlines()[1])["width"]) == 2.0 * r
+
+
+def test_measure_refuses_a_record_with_clockwise_arcs(tmp_path, capsys):
+    # the vertex cycle of a stored hull reversed, each center moved along
+    # with its arc: every arc runs clockwise, and the record is refused
+    # rather than measured with its arcs flipped past pi
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"points": [[0, 0], [0.5, 0], [0.5, 0.5], [0, 0.5]]}))
+    out = tmp_path / "hull.json"
+    code, _, _ = run_cli(capsys, "hull", "--r", "1", "--in", os.fspath(pts),
+                         "--out", os.fspath(out))
+    assert code == 0
+    rec = json.loads(out.read_text())
+    n = len(rec["vertices"])
+    assert n == 4
+    rec["centers"] = [rec["centers"][(n - 2 - i) % n] for i in range(n)]
+    rec["vertices"] = rec["vertices"][::-1]
+    out.write_text(json.dumps(rec))
+    code, stdout, err = run_cli(capsys, "measure", "--in", os.fspath(out))
+    assert code == 2
+    assert "MALFORMED_BOUNDARY" in err and "area=" not in stdout
 
 
 def test_measure_monte_carlo_and_tolerance(tmp_path, capsys):

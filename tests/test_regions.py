@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from oracles import gift_wrap_reference, make_arc_reference
+from oracles import gift_wrap_reference, lens_width_reference, make_arc_reference
 from spindle import geometry, measure, regions
 from spindle.extremal import (
     regular_disk_hexagon,
@@ -92,18 +92,16 @@ def test_r_segment_shape():
 
 
 def test_r_segment_tangent_pair_is_full_disk_slice():
-    # points exactly 2r apart: the lens is the intersection of two tangent
-    # disks, both arcs are half circles around the midpoint
+    # points exactly 2r apart fit one radius-r disk, about their midpoint:
+    # the lens is that full disk, with no vertices
     for g in ALL:
         r = 0.5
         x = from_polar(g, 1.0, 0.1)
         u = tangent_from_angle(x, 0.8, g)
         y = exp_map(x, u, 2.0 * r, g)
         lens = r_segment(x, y, r, g)
-        m = midpoint(x, y, g)
-        for a in lens.arcs:
-            assert distance(a.center, m, g) < 1e-9
-            assert a.extent == pytest.approx(math.pi, abs=1e-6)
+        assert lens.is_full_disk and lens.vertices == ()
+        assert distance(lens.arcs[0].center, midpoint(x, y, g), g) < 1e-9
 
 
 def test_r_segment_errors():
@@ -115,12 +113,15 @@ def test_r_segment_errors():
     with pytest.raises(SpindleError) as err:
         r_segment(p, embed(g, 3.0, 0.0), 1.0, g)
     assert err.value.code == "TOO_FAR"
+    with pytest.raises(SpindleError) as err:
+        r_segment(p, embed(g, 0.5, 0.0), -1.0, g)
+    assert err.value.code == "BAD_RANGE"
 
 
 def test_r_segment_and_ball_hull_near_tangency():
-    # at d = 2r (1 - 1e-12) the circles meet in one point, though d is still
-    # short of 2r - _LENGTH_EPS: there both builders must give the split disk,
-    # and on the way there they must build with no exception and agree
+    # r_segment is ball_hull of its pair, so the two give one body at every
+    # gap: a lens while r - d/2 is well past _ONE_DISK_EPS, and the full disk
+    # about the midpoint once it is well inside
     for g in ALL:
         for r in (0.7, 1.0, 1.4):
             x = from_polar(g, 0.3, 0.2)
@@ -128,9 +129,31 @@ def test_r_segment_and_ball_hull_near_tangency():
             for k in range(4, 16):
                 y = exp_map(x, u, 2.0 * r * (1.0 - 10.0 ** -k), g)
                 lens, hull = r_segment(x, y, r, g), ball_hull([x, y], r, g)
-                assert len(lens.arcs) == len(hull.arcs) == 2, (g.name, r, k)
-                assert sorted(a.extent for a in lens.arcs) == pytest.approx(
-                    sorted(a.extent for a in hull.arcs), abs=1e-12), (g.name, r, k)
+                assert lens.to_record() == hull.to_record(), (g.name, r, k)
+                if k <= 10:
+                    assert len(lens.arcs) == 2, (g.name, r, k)
+                if k >= 12:
+                    assert lens.is_full_disk, (g.name, r, k)
+
+
+def test_near_tangent_pairs_build_a_lens_or_the_disk():
+    # d = 2r (1 - 10^-k): each pair builds, to the full disk or to a lens
+    # about two distinct centers, and while the lens is one (k <= 10) its
+    # width is the mpmath lens width, not the 2r of the disk (off by up to
+    # 1.1e-4 at k = 9 and 10 when a 1e-9 band took the disk)
+    for g in ALL:
+        for r in (0.7, 1.0, 1.4):
+            for x, theta in ((from_polar(g, 0.3, 0.2), 1.1), (from_polar(g, 2.0, 0.9), 4.0)):
+                u = tangent_from_angle(x, theta, g)
+                for k in range(4, 17):
+                    y = exp_map(x, u, 2.0 * r * (1.0 - 10.0 ** -k), g)
+                    hull = ball_hull([x, y], r, g)
+                    assert hull.is_full_disk or (
+                        len(hull.arcs) == 2 and distance(*hull.centers, g) > MERGE_EPS
+                    ), (g.name, r, k)
+                    if k <= 10:
+                        want = lens_width_reference(x, y, r, g)
+                        assert abs(thickness(hull).value - want) <= 1e-9, (g.name, r, k)
 
 
 # --------------------------------------------------------------------------
@@ -457,16 +480,16 @@ def test_ball_hull_matches_the_gift_wrap_reference():
 
 
 def test_ball_hull_near_circumradius_marks_degenerate():
-    # enclosing radius within tolerance of r: hull pinches to a point/lens tip
+    # enclosing radius within tolerance of r: the hull is that one disk
     g = EUCLIDEAN
     pts = [embed(g, math.cos(t), math.sin(t)) for t in (0.0, 2.1, 4.2)]
     hull = ball_hull(pts, 1.0 + 1e-13, g)
-    assert hull.boundary_degenerate
+    assert hull.is_full_disk and hull.vertices == ()
 
 
 def test_ball_hull_on_a_circle_of_radius_r_is_that_disk():
     # the smallest enclosing disk has radius r, so it is the only radius-r
-    # disk holding the points: the hull is the whole disk, every point a vertex
+    # disk holding the points: the hull is the whole disk, with no vertices
     r = 0.8
     for g in ALL:
         c = from_polar(g, 0.3, 0.2)
@@ -474,13 +497,59 @@ def test_ball_hull_on_a_circle_of_radius_r_is_that_disk():
             pts = [exp_map(c, tangent_from_angle(c, 0.4 + TWO_PI * k / n, g), r, g)
                    for k in range(n)]
             hull = ball_hull(pts, r, g)
-            assert hull.boundary_degenerate
-            assert len(hull.vertices) == n
+            assert hull.is_full_disk and hull.vertices == ()
             assert all(hull.contains(p, tol=1e-7) for p in pts)
             w = thickness(hull)
             assert (w.value, w.kind) == (2.0 * r, "arc-arc")
             assert incircle(hull).radius == pytest.approx(r, abs=1e-15)
             assert area(hull) == pytest.approx(disk_area(g, r), abs=2e-15)
+
+
+# the largest radii are where R rounds furthest from r (H 4.6e-12 at r = 5,
+# S 7.8e-13 at r = 1.5707), which _ONE_DISK_EPS must still cover
+RIM_RADII = {"euclidean": (0.7, 1.0, 1.4), "hyperbolic": (0.7, 1.4, 3.0, 5.0),
+             "spherical": (0.7, 1.4, 1.55, 1.5707)}
+
+
+def test_exact_rim_sets_are_the_full_disk():
+    # n = 2..13 points exactly r from a center up to 1 from the origin, evenly
+    # spaced: the hull is the full disk, of width 2r, inradius r and the
+    # disk's area
+    rng = np.random.default_rng(211)
+    for g in ALL:
+        for r in RIM_RADII[g.name]:
+            for t in (0.0, 0.5, 1.0):
+                c = from_polar(g, rng.uniform(0.0, TWO_PI), t)
+                for n in range(2, 14):
+                    phase = rng.uniform(0.0, TWO_PI)
+                    pts = [exp_map(c, tangent_from_angle(c, (phase + TWO_PI * k / n) % TWO_PI, g),
+                                   r, g) for k in range(n)]
+                    hull = ball_hull(pts, r, g)
+                    assert hull.is_full_disk, (g.name, r, t, n)
+                    assert thickness(hull).value == 2.0 * r
+                    assert incircle(hull).radius == r
+                    assert area(hull) == disk_area(g, r)
+
+
+def test_split_disk_records_measure_as_the_disk(tmp_path):
+    # records that store the one-disk hull split at its rim points, n arcs
+    # about one center (as ball_hull once saved it), load and measure as
+    # the disk
+    r = 0.8
+    for g in ALL:
+        c = from_polar(g, 0.3, 0.2)
+        for n in (2, 3, 5, 8):
+            verts = [exp_map(c, tangent_from_angle(c, 0.4 + TWO_PI * k / n, g), r, g)
+                     for k in range(n)]
+            path = tmp_path / f"split_{g.name}_{n}.json"
+            path.write_text(json.dumps({"type": "disk_polygon", "geometry": g.name, "r": r,
+                                        "centers": [list(c)] * n,
+                                        "vertices": [list(v) for v in verts]}))
+            poly = load_region(os.fspath(path))
+            assert len(poly.vertices) == n
+            assert abs(thickness(poly).value - 2.0 * r) <= 2e-15
+            assert abs(incircle(poly).radius - r) <= 2e-15
+            assert abs(area(poly) - disk_area(g, r)) <= 2e-15
 
 
 def test_ball_hull_errors():
@@ -760,10 +829,11 @@ def test_cap_domain_on_touching_footprints_is_the_triangle(g, w, r):
     assert abs(area(dom) / triangle_area(w, r, g) - 1.0) <= 4e-15
 
 
-@pytest.mark.parametrize("build", ("ball_hull", "r_segment", "cap_domain"))
+@pytest.mark.parametrize("build", ("ball_hull", "r_segment", "cap_domain", "from_record"))
 def test_builders_past_the_float_range_are_range_errors(build):
     # sinh r and cosh r leave the float range past r = 710.47 on the
-    # hyperboloid; the builders refuse such r at entry
+    # hyperboloid; the builders refuse such r at entry, and so does a
+    # stored hull with its r rewritten
     g = HYPERBOLIC
     pts = [from_polar(g, 1.2 * k, 0.3) for k in range(5)]
     calls = {
@@ -771,6 +841,8 @@ def test_builders_past_the_float_range_are_range_errors(build):
         "r_segment": lambda: r_segment(pts[0], pts[1], 720.0, g),
         "cap_domain": lambda: cap_domain(Circle(origin(g), 0.3), [from_polar(g, 0.0, 0.5)],
                                          720.0, g),
+        "from_record": lambda: DiskPolygon.from_record(
+            dict(ball_hull(pts, 1.0, g).to_record(), r=720.0)),
     }
     with pytest.raises(SpindleError, match="r=720") as err:
         calls[build]()
@@ -813,6 +885,21 @@ def test_cap_domain_round_trip(tmp_path):
             assert width == pytest.approx(width2, abs=1e-12)
 
 
+def square_hull_record():
+    rec = ball_hull([embed(EUCLIDEAN, x, y) for x, y in ((0, 0), (0.5, 0), (0.5, 0.5), (0, 0.5))],
+                    1.0, EUCLIDEAN).to_record()
+    assert len(rec["vertices"]) == 4
+    return rec
+
+
+def reversed_record(rec):
+    """The record with its vertex cycle reversed, each arc's center moved
+    along with its arc: every arc then runs clockwise about its center."""
+    n = len(rec["vertices"])
+    return dict(rec, vertices=rec["vertices"][::-1],
+                centers=[rec["centers"][(n - 2 - i) % n] for i in range(n)])
+
+
 def test_load_region_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"type": "mystery"}))
@@ -821,6 +908,10 @@ def test_load_region_rejects_malformed(tmp_path):
     assert err.value.code == "MALFORMED_BOUNDARY"
     bad.write_text(json.dumps({"type": "disk_polygon", "geometry": "euclidean", "r": 1.0}))
     with pytest.raises(SpindleError) as err:
+        load_region(os.fspath(bad))
+    assert err.value.code == "MALFORMED_BOUNDARY"
+    bad.write_text(json.dumps(reversed_record(square_hull_record())))
+    with pytest.raises(SpindleError, match="clockwise") as err:
         load_region(os.fspath(bad))
     assert err.value.code == "MALFORMED_BOUNDARY"
     bad.write_text(json.dumps({
