@@ -129,6 +129,8 @@ def cmd_hull(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    if args.seed < 0:
+        raise SpindleError("BAD_RANGE", f"seed must be non-negative, got {args.seed}")
     region = load_region(args.infile)
     g = region.geometry
     a = area(region)
@@ -262,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="area, width and inradius of a stored region")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--n", type=int, help="Monte Carlo sample count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="non-negative")
     p.add_argument("--tolerance", type=float, help="fail if |mc - exact| exceeds this")
     add_common(p)
     p.set_defaults(func=cmd_measure)
@@ -270,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="randomized check of the extremal bounds")
     p.add_argument("--geom", default="all")
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="non-negative")
     p.add_argument("--out", help="write the JSON summary here")
     add_common(p)
     p.set_defaults(func=cmd_verify)

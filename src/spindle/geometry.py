@@ -548,7 +548,11 @@ def smallest_enclosing_disk(
     Farthest-point pivoting, after Gärtner ("Fast and Robust Smallest
     Enclosing Balls", ESA 1999): from the disk at points[0], while the point
     f farthest from the center lies outside, the next disk is the smallest
-    with f on its rim that holds the support (at most three points).  The
+    with f on its rim that holds the support (at most three points): the
+    pair disk on f and the support point s farthest from f if it holds the
+    rest (a disk through f and t has radius at least d(f, t) / 2, so no pair
+    disk on a nearer t holds s), else the least by (misses the support,
+    radius) of it and the disks through f and two support points.  The
     radius strictly grows, as f lay outside, so no support set comes back:
     the loop ends within n + C(n, 2) + C(n, 3) steps (NO_CONVERGENCE past
     them).  Valid in every plane since disks are convex (spherical radii
@@ -584,10 +588,9 @@ def smallest_enclosing_disk(
         return min((disk_about(midpoint(points[a], points[b], g), (a, b, c))
                     for a, b, c in ((i, j, k), (i, k, j), (j, k, i))), key=lambda d: d[1])
 
-    def rank(d):
-        # disks that hold the support first, then the smaller; the points a
-        # disk was built on lie within its reach, so only the rest are tested
-        return any(chord2(d[0], points[k], g) > d[3] for k in support if k not in d[2]), d[1]
+    def misses(d) -> bool:
+        # whether d misses a support point; those it was built on lie within its reach
+        return any(chord2(d[0], points[k], g) > d[3] for k in support if k not in d[2])
 
     disk = (points[0], 0.0, (0,), shifted(0.0))
     for _ in range(n * (n * n + 5) // 6):  # n + C(n, 2) + C(n, 3)
@@ -597,13 +600,12 @@ def smallest_enclosing_disk(
         far = max(reach)
         if far <= disk[3]:
             break
-        # about the midpoint of f and a support point, else through f and two: a disk
-        # through f and s has radius >= d(f, s) / 2, so a pair disk holding the support wins
         f, support = reach.index(far), disk[2]
-        pairs = [disk_about(midpoint(points[f], points[s], g), (f, s)) for s in support]
-        disk = min(pairs, key=rank)
-        if rank(disk)[0]:
-            disk = min([disk] + [triple(f, s, t) for s, t in combinations(support, 2)], key=rank)
+        s = max(support, key=lambda k: chord2(points[f], points[k], g))
+        disk = disk_about(midpoint(points[f], points[s], g), (f, s))
+        if misses(disk):
+            disk = min([disk] + [triple(f, a, b) for a, b in combinations(support, 2)],
+                       key=lambda d: (misses(d), d[1]))
     else:
         raise SpindleError("NO_CONVERGENCE", f"no smallest enclosing disk of {n} points")
     # radius and support (the points on the rim) of the last disk only

@@ -263,6 +263,8 @@ def run_verification(config: VerifyConfig) -> dict:
     reported, last, as an "area-bound-closed-form" violation."""
     if config.trials < 1:
         raise SpindleError("BAD_RANGE", f"trials must be at least 1, got {config.trials}")
+    if config.seed < 0:
+        raise SpindleError("BAD_RANGE", f"seed must be non-negative, got {config.seed}")
     summary: dict = {
         "config": {
             "geometries": list(config.geometries),

@@ -15,6 +15,7 @@ written by repr, the shortest form parsing back to the same double).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -321,7 +322,9 @@ def ball_hull(points: Sequence[Point], r: float, g: Geometry) -> DiskPolygon:
 def _covered(points: Sequence[Point], centers: Sequence[Point], bound: float, g: Geometry) -> bool:
     """Whether chord2(c, x) <= bound for every center c and point x, in one
     array pass with chord2's own arithmetic."""
-    dx, dy, dz = (np.array(points)[:, None, :] - np.array(centers)[None, :, :]).transpose(2, 0, 1)
+    xs = np.fromiter(itertools.chain.from_iterable(points), float, 3 * len(points)).reshape(-1, 1, 3)
+    cs = np.fromiter(itertools.chain.from_iterable(centers), float, 3 * len(centers)).reshape(1, -1, 3)
+    dx, dy, dz = (xs - cs).transpose(2, 0, 1)
     return bool((dx * dx + dy * dy + g.kappa * dz * dz <= bound).all())
 
 

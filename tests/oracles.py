@@ -8,7 +8,8 @@ normals family by family with the package's geometry primitives or (a
 two-point lens) from the right triangle at its midpoint, the width's
 pieces and pair screen on unit directions and chords, r-hulls by
 gift-wrapping, the incircle from a refining grid search, the MERGE_EPS
-dedup by comparing every pair, the distance and tangent normalization
+dedup by comparing every pair, the smallest enclosing disk by pivoting on
+every pair disk, the distance and tangent normalization
 written once per plane, and geodesic directions, midpoints, circle
 intersections and arcs by way of the inverse-trigonometric distance.  Tests compare package output
 against digits these routines produce (see the constants in the test
@@ -751,6 +752,63 @@ def distinct_reference(points, g):
             kept.append(i)
             kept_points.append(p)
     return kept
+
+
+# ---------------------------------------------------------------------------
+# smallest enclosing disk, every pair disk per pivot step (package primitives)
+
+def smallest_enclosing_disk_reference(points, g):
+    """Farthest-point pivoting that builds, at each step, the pair disk on
+    the new rim point f and every support point, ranks them by (misses the
+    support, reach) and adds the disks through f and two support points
+    when none holds the support: the all-pairs form the one-pair step
+    replaced, with the same containment tests.  Returns ((center, radius,
+    support), pivot steps)."""
+    from itertools import combinations
+
+    from spindle.geometry import SED_SLACK, SpindleError, chord2, circumcenter, distance, midpoint
+
+    n, kappa = len(points), g.kappa
+    if not n:
+        raise SpindleError("BAD_RANGE", "need at least one point")
+    v_eps, s_eps = g.vers(SED_SLACK), g.sn(SED_SLACK)
+
+    def shifted(c2):
+        v = 0.5 * c2
+        sn = math.sqrt(max(v * (2.0 - kappa * v), 0.0))
+        return 2.0 * (v + v_eps - kappa * v * v_eps + sn * s_eps)
+
+    def disk_about(center, idx):
+        reach2 = max([chord2(center, points[k], g) for k in idx])
+        return center, reach2, idx, shifted(reach2)
+
+    def triple(i, j, k):
+        cc = circumcenter(points[i], points[j], points[k], g)
+        if cc is not None:
+            return disk_about(cc, (i, j, k))
+        return min((disk_about(midpoint(points[a], points[b], g), (a, b, c))
+                    for a, b, c in ((i, j, k), (i, k, j), (j, k, i))), key=lambda d: d[1])
+
+    def rank(d):
+        return any(chord2(d[0], points[k], g) > d[3] for k in support if k not in d[2]), d[1]
+
+    disk, steps = (points[0], 0.0, (0,), shifted(0.0)), 0
+    for _ in range(n * (n * n + 5) // 6):
+        reach = [chord2(disk[0], p, g) for p in points]
+        far = max(reach)
+        if far <= disk[3]:
+            break
+        steps += 1
+        f, support = reach.index(far), disk[2]
+        disk = min([disk_about(midpoint(points[f], points[s], g), (f, s)) for s in support], key=rank)
+        if rank(disk)[0]:
+            disk = min([disk] + [triple(f, s, t) for s, t in combinations(support, 2)], key=rank)
+    else:
+        raise SpindleError("NO_CONVERGENCE", f"no smallest enclosing disk of {n} points")
+    center, _, idx, _ = disk
+    reach = [distance(center, points[k], g) for k in idx]
+    radius = max(reach)
+    return (center, radius, tuple(k for k, d in zip(idx, reach) if d >= radius - SED_SLACK)), steps
 
 
 # ---------------------------------------------------------------------------

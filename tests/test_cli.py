@@ -209,6 +209,20 @@ def test_verify_refuses_an_empty_battery(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_negative_seeds_exit_2(tmp_path, capsys):
+    rec = os.fspath(tmp_path / "t.json")
+    run_cli(capsys, "triangle", "--w", "0.8", "--r", "1.2", "--out", rec)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    for argv in (("verify", "--geom", "euclidean", "--trials", "2", "--seed", "-1"),
+                 ("measure", "--in", rec, "--n", "1000", "--seed", "-1"),
+                 ("measure", "--in", rec, "--n", "1000", "--config", os.fspath(cfg))):
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert "BAD_RANGE" in err and "seed" in err and "-1" in err
+        assert "mc_area" not in stdout
+
+
 def test_hull_past_the_float_range_exits_2(tmp_path, capsys):
     pts = tmp_path / "pts.json"
     pts.write_text(json.dumps({"points": [[0.1, 0.0], [0.0, 0.1], [-0.1, 0.0], [0.0, -0.1]]}))

@@ -53,6 +53,7 @@ from oracles import (
     midpoint_reference,
     normalize_tangent_reference,
     side_from_cosine_law,
+    smallest_enclosing_disk_reference,
 )
 from spindle.regions import ball_hull
 from test_regions import jittered_ring
@@ -864,6 +865,59 @@ def test_smallest_enclosing_disk_pivots_on_ties_and_large_sets():
         check([random_point(g, rng, scale=0.6) for _ in range(200)], g)
     ring = jittered_ring(SPHERICAL, 42, 1.4, np.random.default_rng((8, 17)))
     check_enclosing_disk(ring, SPHERICAL)
+
+
+def sed_corpus(g, rng):
+    """Uniform sets and jittered rings of n = 2..48 points, the arc centers
+    of their hulls, exactly cocircular k-gons, MERGE_EPS twins, n = 200 and
+    (on the sphere) the 42-point ring of near-tied support sets."""
+    for n in range(2, 49):
+        for pts in ([random_point(g, rng, scale=0.6) for _ in range(n)],
+                    jittered_ring(g, n, 1.0, rng)):
+            yield pts
+            yield list(ball_hull(pts, 1.0, g).centers)
+    for k in range(4, 49):
+        yield [from_polar(g, 0.3 + 2.0 * math.pi * i / k, 0.6) for i in range(k)]
+    base = [random_point(g, rng, scale=0.6) for _ in range(12)]
+    twins = [exp_map(p, tangent_from_angle(p, rng.uniform(0.0, 2.0 * math.pi), g), MERGE_EPS, g)
+             for p in base]
+    yield base + twins
+    yield [base[0]] * 4 + [twins[0]]
+    yield [random_point(g, rng, scale=0.6) for _ in range(200)]
+    if g is SPHERICAL:
+        yield jittered_ring(g, 42, 1.4, np.random.default_rng((8, 17)))
+
+
+def test_smallest_enclosing_disk_builds_one_pair_disk_per_step(monkeypatch):
+    # the pair disk on f and the support point farthest from it gives the
+    # same bits as ranking the pair disks on every support point (the
+    # reference), with one midpoint per pivot step while every triple has
+    # a circle (the all-pairs step took up to three)
+    calls = {"midpoint": 0, "no_circle": 0}
+
+    def counted_midpoint(p, q, g):
+        calls["midpoint"] += 1
+        return midpoint(p, q, g)
+
+    def counted_circumcenter(a, b, c, g):
+        cc = circumcenter(a, b, c, g)
+        calls["no_circle"] += cc is None
+        return cc
+
+    rng = np.random.default_rng(119)
+    for g in ALL:
+        one_per_step = 0
+        for pts in sed_corpus(g, rng):
+            want, steps = smallest_enclosing_disk_reference(pts, g)
+            calls.update(midpoint=0, no_circle=0)
+            with monkeypatch.context() as m:
+                m.setattr(geometry, "midpoint", counted_midpoint)
+                m.setattr(geometry, "circumcenter", counted_circumcenter)
+                assert smallest_enclosing_disk(pts, g) == want, (g.name, len(pts))
+            if not calls["no_circle"]:
+                assert calls["midpoint"] <= steps, (g.name, len(pts))
+                one_per_step += 1
+        assert one_per_step >= 200
 
 
 def tiny_triangle(g, offset=0.3):

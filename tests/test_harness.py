@@ -254,6 +254,12 @@ def test_run_verification_refuses_an_empty_battery(config):
     assert err.value.code == "BAD_RANGE"
 
 
+def test_run_verification_refuses_a_negative_seed():
+    with pytest.raises(SpindleError) as err:
+        run_verification(VerifyConfig(trials=1, seed=-1))
+    assert err.value.code == "BAD_RANGE" and "seed" in str(err.value)
+
+
 def test_inscribed_cap_domain_battery():
     rng = np.random.default_rng(403)
     oks = 0
