@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import GEOMETRIES, Geometry, Point, SpindleError, embed
 from .measure import area, area_monte_carlo, incircle, thickness
-from .regions import DiskPolygon, ball_hull, load_region
+from .regions import DiskPolygon, ball_hull, load_region, save_region, write_json
 from .extremal import regular_disk_hexagon, regular_disk_triangle
 from .harness import VerifyConfig, monotonicity_sweep, run_verification
 from .render import render_svg
@@ -53,12 +53,6 @@ def _parse_grid(spec: str) -> list[float]:
     if n == 1:
         return [a]
     return [a + (b - a) * i / (n - 1) for i in range(n)]
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def _load_points(path: str, g: Geometry) -> list[Point]:
@@ -103,7 +97,7 @@ def cmd_triangle(args) -> int:
             else:
                 rec["rho0"] = body.rho0
                 rec["incenter"] = [body.incenter.x, body.incenter.y, body.incenter.z]
-            _write_json(args.out, rec)
+            write_json(args.out, rec)
         if args.svg:
             inc = incircle(region)
             with open(args.svg, "w") as f:
@@ -121,7 +115,7 @@ def cmd_hull(args) -> int:
         f"inradius={incircle(poly).radius:.12g}"
     )
     if args.out:
-        _write_json(args.out, poly.to_record())
+        save_region(poly, args.out)
     if args.svg:
         with open(args.svg, "w") as f:
             f.write(render_svg([poly]))
@@ -171,7 +165,7 @@ def cmd_verify(args) -> int:
     total = summary["violations_total"]
     print(f"total violations: {total}")
     if args.out:
-        _write_json(args.out, summary)
+        write_json(args.out, summary)
     return 1 if total else 0
 
 
@@ -327,10 +321,7 @@ def main(argv: Optional[list] = None) -> int:
         if getattr(args, "config", None):
             _apply_config(args)
         return args.func(args)
-    except SpindleError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (SpindleError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as e:

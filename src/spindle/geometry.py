@@ -157,15 +157,22 @@ class Geometry:
                 "BAD_RANGE", f"{what} must be below pi/2 on the sphere, got {r}"
             )
 
+    def sn_cs(self, t: float, what: str = "t") -> tuple[float, float]:
+        """(sn t, cs t) for 0 <= t < 2 radius_limit (pi on the sphere); BAD_RANGE
+        names t off that range or past the float range of sn (H, t > 710.47)."""
+        if not 0.0 <= t < 2.0 * self.radius_limit:
+            raise SpindleError("BAD_RANGE", f"{what}={t} is off [0, {2.0 * self.radius_limit})")
+        try:
+            return self.sn(t), self.cs(t)
+        except OverflowError:
+            raise SpindleError("BAD_RANGE", f"sn {what} is past the float range at {what}={t}") from None
+
     def sn_radius(self, r: float) -> float:
         """sn r of a body's arc radius r, which check_radius accepts; past
         the float range of sn (H, r > 710.47) no body is built or measured,
         and BAD_RANGE names r."""
         self.check_radius(r)
-        try:
-            return self.sn(r)
-        except OverflowError:
-            raise SpindleError("BAD_RANGE", f"sn r is past the float range at r={r}") from None
+        return self.sn_cs(r, "r")[0]
 
     def __repr__(self) -> str:  # keeps records and error text short
         return f"Geometry({self.name})"
@@ -315,11 +322,7 @@ def _normalize_tangent(p: Point, ux: float, uy: float, uz: float, g: Geometry) -
 def exp_map(p: Point, u: Tangent, t: float, g: Geometry) -> Point:
     """Walk distance t from p along the geodesic with initial direction u."""
     _check_tangent(p, u, g)
-    if t < 0.0 or not math.isfinite(t):
-        raise SpindleError("BAD_RANGE", f"exp_map needs t >= 0, got {t}")
-    if t >= 2.0 * g.radius_limit:
-        raise SpindleError("BAD_RANGE", "spherical exp_map needs t < pi")
-    c, s = g.cs(t), g.sn(t)
+    s, c = g.sn_cs(t)
     return _normalize_point(g, c * p.x + s * u.x, c * p.y + s * u.y, c * p.z + s * u.z)
 
 
@@ -415,8 +418,10 @@ def tangent_from_angle(p: Point, theta: float, g: Geometry) -> Tangent:
 
 
 def from_polar(g: Geometry, theta: float, t: float) -> Point:
-    """Point at distance t from the chart origin, direction angle theta."""
-    return exp_map(origin(g), tangent_from_angle(origin(g), theta, g), t, g)
+    """Point at distance t from the chart origin, direction angle theta, in
+    closed form: a walk's rescaling cancels to noise in H past t = 10."""
+    s, c = g.sn_cs(t)
+    return Point(s * math.cos(theta), s * math.sin(theta), c)
 
 
 def frame_angle(p: Point, u: Tangent, g: Geometry) -> float:

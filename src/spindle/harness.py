@@ -45,7 +45,7 @@ from .geometry import (
     turn_angle,
 )
 from .measure import area, incircle, sample_in_disk, thickness
-from .regions import CapDomain, DiskPolygon, _covered, angle_in, ball_hull, cap_domain
+from .regions import CapDomain, DiskPolygon, angle_in, ball_hull, cap_domain
 from .extremal import (
     regular_disk_hexagon,
     regular_disk_triangle,
@@ -63,7 +63,7 @@ POINT_COUNTS = tuple(range(2, 13))
 
 MARGIN_SLACK = 1e-7   # inequalities may dip this far below zero numerically
 NEAR_EQUALITY = 1e-6  # treat margins under this as equality cases
-BATTERY_SLACK = 1e-6  # a cap domain's test points may sit this far outside the hull's disks
+BATTERY_SLACK = 1e-6  # a cap domain's generators may reach this far past the hull's disks
 _WIDTH_OVER_R = 1e-9  # a hull's width may pass r by this much before OUT_OF_RANGE
 _APEX_CLEARANCE = 1e-9  # cap apexes at w - rho must clear the incircle radius by more than this
 _STRIP_SLACK = 1e-6   # a support strip may fall this far short of the width
@@ -184,7 +184,8 @@ def inscribed_cap_domain(
     supporting geodesic; the farthest hull point from each line yields an
     apex direction, and the apexes sit at distance width - inradius from
     the incenter.  Returns (domain or None, status, details); the domain
-    must land inside the hull with area at most the hull's.
+    must land inside the hull with area at most the hull's: it does when its
+    generators, B(p, rho) and the apexes, do within BATTERY_SLACK (it is their r-hull).
     """
     g = poly.geometry
     r = poly.r
@@ -212,21 +213,28 @@ def inscribed_cap_domain(
     except SpindleError as e:
         return None, e.code, {}
 
-    battery = list(dom.apexes)
-    for arc in dom.arcs:
-        battery.extend((arc.start, arc.midpoint()))
-    contained = _covered(battery, poly.centers, 2.0 * g.vers(r + BATTERY_SLACK), g)
+    # B(p, rho) lies in a hull disk B(c, r) when p lies in B(c, r - rho)
+    contained = (poly.contains(p, BATTERY_SLACK - rho)
+                 and all(poly.contains(q, BATTERY_SLACK) for q in dom.apexes))
     return dom, "ok", {"containment": contained, "area_margin": bounds["area"] - area(dom)}
 
 
 # --------------------------------------------------------------------------
 # the randomized run
 
+def _check_config(config: VerifyConfig) -> None:
+    if config.trials < 1:
+        raise SpindleError("BAD_RANGE", f"trials must be at least 1, got {config.trials}")
+    if config.seed < 0:
+        raise SpindleError("BAD_RANGE", f"seed must be non-negative, got {config.seed}")
+
+
 def run_trial(g: Geometry, trial: int, config: VerifyConfig) -> dict:
     """The trial's record: check_extremal_bounds's dict for its sampled
     hull, with the trial's geometry, index, n_points and r, the cap
     certificate's cap_status and cap_area_margin (None without a domain),
     and the cap checks appended to its violations."""
+    _check_config(config)
     gi = list(GEOMETRIES).index(g.name)
     rng = np.random.default_rng((config.seed, gi, trial))
     radii = DEFAULT_RADII[g.name]
@@ -261,10 +269,7 @@ def run_verification(config: VerifyConfig) -> dict:
     earliest on ties), the battery builds the triangle and measures it: a
     bound off by more than MARGIN_SLACK could flip a verdict, and is
     reported, last, as an "area-bound-closed-form" violation."""
-    if config.trials < 1:
-        raise SpindleError("BAD_RANGE", f"trials must be at least 1, got {config.trials}")
-    if config.seed < 0:
-        raise SpindleError("BAD_RANGE", f"seed must be non-negative, got {config.seed}")
+    _check_config(config)
     summary: dict = {
         "config": {
             "geometries": list(config.geometries),

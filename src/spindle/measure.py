@@ -157,11 +157,9 @@ def _polygon_area(verts: Sequence[Point], g: Geometry) -> float:
 
 
 def area(region) -> float:
-    """Exact area of a DiskPolygon or CapDomain."""
+    """Exact area of a DiskPolygon or CapDomain (a full disk: 0 + its 2 pi segment)."""
     g = region.geometry
     arcs: Sequence[Arc] = region.arcs
-    if len(arcs) == 1 and arcs[0].extent >= TWO_PI - ANGLE_EPS:
-        return disk_area(g, arcs[0].radius)
     verts = [a.start for a in arcs]
     total = _polygon_area(verts, g)
     for a in arcs:

@@ -84,14 +84,9 @@ class Arc(NamedTuple):
         g = self.geometry
         return exp_map(self.center, rotate_tangent(self.center, self.u0, s, g), self.radius, g)
 
-    def midpoint(self) -> Point:
-        return self.point_at(0.5 * self.extent)
-
     def contains_ray_angle(self, x: Point, tol: float = ANGLE_EPS) -> bool:
         """Whether the ray center -> x falls inside the arc's angular span."""
         g = self.geometry
-        if self.extent >= TWO_PI - tol:
-            return True
         return angle_in(turn_toward(self.center, self.u0, x, g), 0.0, self.extent, tol)
 
 
@@ -206,10 +201,14 @@ class DiskPolygon:
         return DiskPolygon(g, r, arcs)
 
 
-def save_region(region, path: str) -> None:
+def write_json(path: str, payload: dict) -> None:
     with open(path, "w") as f:
-        json.dump(region.to_record(), f, indent=2, sort_keys=True)
+        json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def save_region(region, path: str) -> None:
+    write_json(path, region.to_record())
 
 
 def load_region(path: str):

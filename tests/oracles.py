@@ -327,7 +327,7 @@ def double_normal_reference(poly):
             dij = distance(ci, cj, g)
             if dij <= MERGE_EPS:
                 # same supporting circle on both sides: a diameter
-                m = arcs[i].midpoint()
+                m = arcs[i].point_at(0.5 * arcs[i].extent)
                 anti = exp_map(ci, _negate(log_dir(ci, m, g)), r, g)
                 if arcs[j].contains_ray_angle(anti):
                     consider(2.0 * r, "arc-arc", m, anti)

@@ -8,7 +8,8 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from spindle.cli import main
-from spindle.geometry import GEOMETRIES, exp_map, from_polar, tangent_from_angle
+from spindle.geometry import GEOMETRIES, embed, exp_map, from_polar, tangent_from_angle
+from spindle.regions import ball_hull, save_region
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +107,20 @@ def test_hull_and_measure(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "measure", "--in", out)
     assert code == 0
     assert parse_kv(stdout.splitlines()[0])["type"] == "disk_polygon"
+
+
+def test_hull_out_is_the_saved_region(tmp_path, capsys):
+    # one JSON writer: the CLI's --out file and save_region's are the same bytes
+    raw = [[0, 0], [0.5, 0], [0.2, 0.4], [0.25, 0.1]]
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"points": raw}))
+    out = tmp_path / "hull.json"
+    run_cli(capsys, "hull", "--r", "1", "--in", os.fspath(pts), "--out", os.fspath(out))
+    g = GEOMETRIES["euclidean"]
+    saved = tmp_path / "saved.json"
+    save_region(ball_hull([embed(g, x, y) for x, y in raw], 1.0, g), os.fspath(saved))
+    assert out.read_bytes() == saved.read_bytes()
+    assert out.read_text().endswith("}\n") and '\n  "centers"' in out.read_text()
 
 
 def test_hull_of_points_on_a_circle_of_radius_r_is_that_disk(tmp_path, capsys):

@@ -244,6 +244,36 @@ def test_from_polar_round_trip():
             assert distance(o, p, g) == pytest.approx(t, abs=1e-12)
 
 
+@pytest.mark.parametrize("t", (15.0, 18.0, 20.0, 40.0, 700.0))
+def test_from_polar_stays_on_the_hyperboloid_far_out(t):
+    # the closed form (sinh t cos theta, sinh t sin theta, cosh t): a walk
+    # from the origin renormalizes by z^2 - x^2 - y^2, which cancels out here
+    for k in range(64):
+        theta = 2.0 * math.pi * k / 64
+        p = from_polar(HYPERBOLIC, theta, t)
+        assert p.z == math.cosh(t)
+        assert math.hypot(p.x, p.y) == pytest.approx(math.sinh(t), rel=1e-15)
+
+
+@pytest.mark.parametrize("name, t", (
+    ("euclidean", -0.5), ("hyperbolic", -1e-300), ("euclidean", math.inf),
+    ("hyperbolic", math.nan), ("spherical", math.pi), ("spherical", 4.0),
+    ("hyperbolic", 710.5), ("hyperbolic", 1e6),
+))
+def test_from_polar_refuses_a_distance_out_of_range(name, t):
+    with pytest.raises(SpindleError) as err:
+        from_polar(GEOMETRIES[name], 0.3, t)
+    assert err.value.code == "BAD_RANGE" and str(t) in str(err.value)
+
+
+def test_exp_map_refuses_a_walk_past_the_float_range():
+    # cosh t overflows past t = 710.47: a coded error naming t, not OverflowError
+    o = origin(HYPERBOLIC)
+    with pytest.raises(SpindleError) as err:
+        exp_map(o, tangent_from_angle(o, 0.3, HYPERBOLIC), 711.0, HYPERBOLIC)
+    assert err.value.code == "BAD_RANGE" and "t=711.0" in str(err.value)
+
+
 def test_midpoint_bisects():
     rng = np.random.default_rng(108)
     for g in ALL:

@@ -260,6 +260,33 @@ def test_run_verification_refuses_a_negative_seed():
     assert err.value.code == "BAD_RANGE" and "seed" in str(err.value)
 
 
+def test_run_trial_refuses_a_negative_seed():
+    # the same BAD_RANGE as run_verification, not numpy's bare ValueError
+    for g in ALL:
+        with pytest.raises(SpindleError) as err:
+            run_trial(g, 0, VerifyConfig(trials=1, seed=-1))
+        assert err.value.code == "BAD_RANGE" and "seed" in str(err.value)
+
+
+@pytest.mark.parametrize("grow", (1e-5, 1e-3))
+def test_inscribed_cap_domain_refuses_a_grown_disk(grow):
+    # the incircle grown past the inradius by more than BATTERY_SLACK pokes
+    # out of the hull at its contacts, so no domain built on it is contained
+    built = 0
+    for g in ALL:
+        rng = np.random.default_rng(403)
+        for _ in range(60):
+            poly = sample_disk_polygon(g, int(rng.integers(3, 13)), 1.0, rng)
+            bounds = check_extremal_bounds(poly)
+            inc = bounds["incircle"]
+            bounds["incircle"] = dataclasses.replace(inc, radius=inc.radius + grow)
+            dom, status, details = inscribed_cap_domain(poly, bounds)
+            if dom is not None:
+                built += 1
+                assert details["containment"] is False, (g.name, status)
+    assert built > 100
+
+
 def test_inscribed_cap_domain_battery():
     rng = np.random.default_rng(403)
     oks = 0

@@ -5,7 +5,7 @@ integral, everything at 40 significant digits.
 """
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import mpmath as mp
 import numpy as np
@@ -163,13 +163,15 @@ def test_cap_domain_areas_frozen():
 
 
 def test_full_disk_area():
-    for g in ALL:
-        dom = cap_domain(Circle(origin(g), 0.4), [], 1.0, g)
-        assert area(dom) == pytest.approx(disk_area(g, 0.4), rel=1e-14)
-        rec = {"type": "disk_polygon", "geometry": g.name, "r": 0.7,
+    # a full disk is one arc of extent 2 pi: the polygon on its one start has
+    # area 0.0 and its segment is disk_area, so area returns disk_area's bits
+    for g, r in product(ALL, (0.3, 0.4, 1.0, 1.4)):
+        dom = cap_domain(Circle(from_polar(g, 0.9, 0.2), r), [], 1.5, g)
+        assert area(dom) == disk_area(g, r)
+        rec = {"type": "disk_polygon", "geometry": g.name, "r": r,
                "centers": [[0.0, 0.0, 1.0]], "vertices": []}
         disk = DiskPolygon.from_record(rec)
-        assert area(disk) == pytest.approx(disk_area(g, 0.7), rel=1e-14)
+        assert area(disk) == disk_area(g, r)
 
 
 def test_disk_area_small_radius_limits():
