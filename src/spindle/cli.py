@@ -135,7 +135,7 @@ def cmd_measure(args) -> int:
         inc = incircle(region)
         print(f"width={wit.value:.12g} kind={wit.kind}")
         print(f"inradius={inc.radius:.12g} contacts={len(inc.contacts)}")
-    if args.n:
+    if args.n is not None:
         rng = np.random.default_rng(args.seed)
         est, se = area_monte_carlo(region, args.n, rng)
         dev = abs(est - a)
@@ -321,7 +321,7 @@ def main(argv: Optional[list] = None) -> int:
         if getattr(args, "config", None):
             _apply_config(args)
         return args.func(args)
-    except (SpindleError, FileNotFoundError) as e:
+    except (SpindleError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as e:

@@ -37,6 +37,8 @@ Conventions used throughout the package:
   a numpy float64 scalar costs about three times a float per operation,
   and every point derived from one stays one;
 * `make_arc` tests its endpoints and takes its extent on chord2, with no distance;
+* a counterclockwise arc is the part of its circle right of its chord,
+  det3(start, end, x) <= 0, for any extent below 2 pi: a side test, not an angle;
 * `circle_circle_intersection` rotates u once, to v: the right point takes 2 cos(beta) u - v.
 * the points equidistant from a and b lie on the plane through the origin with
   normal l(a, b) = (dx, dy, -(dx (a.x + b.x) + dy (a.y + b.y)) / (a.z + b.z)), d = a - b:
@@ -64,6 +66,7 @@ _DEGENERATE_CHORD2 = 1e-24
 # a spherical chord2 = 2 - 2 p.q at or past this (p.q <= -1 + 1e-12) is ANTIPODAL
 _ANTIPODAL_CHORD2 = 4.0 - 2e-12
 _ZERO_NORM = 1e-14      # a vector shorter than this has no direction to normalize
+_NORM_ROUNDING = 4.0 * 2.0 ** -52  # rounding of a norm q per z^2 + kappa^2 (x^2 + y^2)
 _TANGENT_EPS = 1e-9     # a unit tangent's slack in length and off its tangent plane
 _AXIS_EPS = 1e-9        # hyperboloid points with |x|, |y| below this frame on the x axis
 _MISS_SLACK = 1e-9      # circles whose |cos beta| passes 1 by at most this still meet
@@ -206,9 +209,12 @@ def det3(a, b, c) -> float:
 
 
 def _normalize_point(g: Geometry, x: float, y: float, z: float) -> Point:
-    # scale onto z^2 + kappa (x^2 + y^2) = 1: exact in the plane, where z = 1
-    q = z * z + g.kappa * (x * x + y * y)
-    if q < _ZERO_NORM * _ZERO_NORM or (z <= 0.0 and g.kappa <= 0):
+    # scale onto z^2 + kappa (x^2 + y^2) = 1, exact in the plane (z = 1); a norm q
+    # not above its rounding (nor nan or inf: `not >`) has no correct digit
+    zz, xy = z * z, g.kappa * (x * x + y * y)
+    q = zz + xy
+    if (not q > _NORM_ROUNDING * (zz + g.kappa * xy) or q < _ZERO_NORM * _ZERO_NORM
+            or (z <= 0.0 and g.kappa <= 0)):
         raise SpindleError("BAD_RANGE", f"no point of the {g.name} surface on ({x}, {y}, {z})")
     n = math.sqrt(q)
     return Point(x / n, y / n, z / n)
@@ -427,11 +433,6 @@ def from_polar(g: Geometry, theta: float, t: float) -> Point:
 def frame_angle(p: Point, u: Tangent, g: Geometry) -> float:
     """Angle of tangent u in the frame at p, in [0, 2*pi); inverts tangent_from_angle."""
     return turn_angle(p, tangent_basis(p, g)[0], u, g) % (2.0 * math.pi)
-
-
-def angle_coord(o: Point, x: Point, g: Geometry) -> float:
-    """Angle of the direction o -> x in the frame at o, in [0, 2*pi)."""
-    return turn_toward(o, tangent_basis(o, g)[0], x, g) % (2.0 * math.pi)
 
 
 def midpoint(p: Point, q: Point, g: Geometry) -> Point:

@@ -18,7 +18,8 @@ form(x - c, x - c) = 2 vers d(x, c) for the form of tangent_dot (_inside_disks).
 Sample directions come from the half-angle tangent t = tan(theta / 2), as
 ((1 - t^2), 2 t) / (1 + t^2), and both the sampler and the hit count run in
 blocks of _BLOCK rows, so that each numpy pass works on a few MB in cache
-rather than streaming 1e6-row temporaries through memory.
+rather than streaming 1e6-row temporaries through memory.  A cap domain's
+samples off its disk take no angle: one product per cap with its chord normal.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .geometry import (
     _negate,
     _normalize_point,
     chord2,
+    det3,
     distance,
     exp_map,
     frame_angle,
@@ -432,7 +434,7 @@ def bounding_disk(region) -> tuple[Point, float]:
             radius = max(radius, a.radius)
             continue
         far = exp_map(a.center, _negate(log_dir(a.center, o, g)), a.radius, g)
-        if a.contains_ray_angle(far):
+        if det3(a.start, a.end, far) <= 0.0:  # right of the chord: on the arc
             radius = max(radius, distance(o, far, g))
     return o, radius + _BOUND_PAD
 
@@ -488,22 +490,18 @@ def _inside_disks(pts: np.ndarray, centers: Sequence[Point], radius: float, g: G
 
 
 def _inside_cap_domain(pts: np.ndarray, dom, g: Geometry) -> np.ndarray:
-    """CapDomain.contains over a point batch: the wedge angle about the
-    center p is atan2(form(x - p, e2), form(x - p, e1)), taken, with the
-    cap tests, only for the points off the disk B(p, rho)."""
-    p = dom.center
-    w = _form_weights(g)
-    xx = (pts * pts) @ w
-    inside = _inside_disks(pts, [p], dom.rho, g, xx)
+    """CapDomain.contains over a point batch: the points off the disk
+    B(p, rho) are tested against each cap, its chord side by one product
+    with n and its lens by _inside_disks."""
+    xx = (pts * pts) @ _form_weights(g)
+    inside = _inside_disks(pts, [dom.center], dom.rho, g, xx)
     off = np.flatnonzero(~inside)
     pts, xx = pts[off], xx[off]
-    e1, e2 = (w * e for e in tangent_basis(p, g))
-    theta = np.arctan2(pts @ e2 - e2 @ p, pts @ e1 - e1 @ p)
     capped = np.zeros(len(off), dtype=bool)
-    for (cl, cr), (lo, width) in zip(dom.cap_disks, dom.cap_wedges):
-        wedge = angle_in(theta, lo, width)
-        if wedge.any():
-            capped |= wedge & _inside_disks(pts, [cl.center, cr.center], dom.r, g, xx)
+    for cl, cr, n in dom.caps:
+        side = pts @ n >= 0.0
+        if side.any():
+            capped |= side & _inside_disks(pts, [cl, cr], dom.r, g, xx)
     inside[off[capped]] = True
     return inside
 

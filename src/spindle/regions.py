@@ -7,7 +7,8 @@ Two region kinds are provided:
   The boundary is a counterclockwise cycle of arcs of radius exactly r,
   each bulging away from the region.
 * CapDomain: a smaller disk with "caps" attached at apex points outside
-  it, each cap bounded by two radius-r arcs internally tangent to the disk.
+  it, each cap the lens of two radius-r disks internally tangent to the
+  disk, on the apex side of the chord through the two tangency points.
 
 Both serialize to plain JSON records that round-trip exactly (floats are
 written by repr, the shortest form parsing back to the same double).
@@ -36,7 +37,6 @@ from .geometry import (
     _distinct,
     _intersection_angle,
     _points_off_axis,
-    angle_coord,
     as_point,
     chord2,
     circle_circle_intersection,
@@ -83,11 +83,6 @@ class Arc(NamedTuple):
         """Point reached after central angle s of counterclockwise travel."""
         g = self.geometry
         return exp_map(self.center, rotate_tangent(self.center, self.u0, s, g), self.radius, g)
-
-    def contains_ray_angle(self, x: Point, tol: float = ANGLE_EPS) -> bool:
-        """Whether the ray center -> x falls inside the arc's angular span."""
-        g = self.geometry
-        return angle_in(turn_toward(self.center, self.u0, x, g), 0.0, self.extent, tol)
 
 
 def angle_in(theta, lo: float, width: float, tol: float = ANGLE_EPS):
@@ -214,6 +209,8 @@ def save_region(region, path: str) -> None:
 def load_region(path: str):
     with open(path) as f:
         rec = json.load(f)
+    if not isinstance(rec, dict):
+        raise SpindleError("MALFORMED_BOUNDARY", "a region record must be a JSON object")
     kind = rec.get("type")
     if kind == "disk_polygon":
         return DiskPolygon.from_record(rec)
@@ -355,8 +352,11 @@ class CapDomain:
     A cap at apex q is bounded by the two radius-r arcs through q whose
     circles are internally tangent to the disk; the domain is the union of
     the disk and its caps, r-convex whenever the caps do not overlap.
-    cap_wedges holds each cap's angular footprint about the center as
-    (lo, width), the interval angle_in tests.
+    The lens of a cap's two disks meets the chord through its tangency points
+    t_out, t_in only inside the disk (spindle convexity), so the cap is that
+    lens on the apex side of the chord.  caps holds (c_left, c_right, n) per
+    cap: the arc centers and n = t_out x t_in, n . x = det3(t_out, t_in, x) > 0
+    on the apex side; at full reach 2r - rho t_out = t_in, n = 0: the whole lens.
     """
 
     geometry: Geometry
@@ -365,23 +365,16 @@ class CapDomain:
     rho: float
     apexes: tuple[Point, ...]
     arcs: tuple[Arc, ...] = field(repr=False)
-    cap_disks: tuple[tuple[Circle, Circle], ...] = field(repr=False)
-    cap_wedges: tuple[tuple[float, float], ...] = field(repr=False)
+    caps: tuple[tuple[Point, Point, tuple[float, float, float]], ...] = field(repr=False)
 
     def contains(self, x: Point, tol: float = GEOM_EPS) -> bool:
         g = self.geometry
-        if distance(self.center, x, g) <= self.rho + tol:
+        if chord2(self.center, x, g) <= 2.0 * g.vers(self.rho + tol):
             return True
-        theta = angle_coord(self.center, x, g)
-        for (cl, cr), (lo, width) in zip(self.cap_disks, self.cap_wedges):
-            if not angle_in(theta, lo, width):
-                continue
-            if (
-                distance(cl.center, x, g) <= self.r + tol
-                and distance(cr.center, x, g) <= self.r + tol
-            ):
-                return True
-        return False
+        bound = 2.0 * g.vers(self.r + tol)
+        return any(n[0] * x.x + n[1] * x.y + n[2] * x.z >= 0.0
+                   and chord2(cl, x, g) <= bound and chord2(cr, x, g) <= bound
+                   for cl, cr, n in self.caps)
 
     def to_record(self) -> dict:
         return {
@@ -448,11 +441,10 @@ def cap_domain(disk: Circle, apexes: Iterable[Point], r: float, g: Geometry) -> 
 
     m = len(caps)
     if m == 0:
-        return CapDomain(g, r, p, rho, (), (full_circle_arc(p, rho, g),), (), ())
+        return CapDomain(g, r, p, rho, (), (full_circle_arc(p, rho, g),), ())
 
     arcs: list[Arc] = []
-    pairs: list[tuple[Circle, Circle]] = []
-    wedges: list[tuple[float, float]] = []
+    chords = []  # (c_left, c_right, t_out x t_in) per cap
     for i, (th, q, c_left, c_right, t_in, t_out, half) in enumerate(caps):
         # the disk arc between this footprint and the next; footprints that
         # touch within ANGLE_EPS, as in the regular triangle, leave none
@@ -462,8 +454,9 @@ def cap_domain(disk: Circle, apexes: Iterable[Point], r: float, g: Geometry) -> 
             raise SpindleError("CAP_OVERLAP", "cap footprints overlap on the disk")
         arcs.append(make_arc(c_left, r, t_in, q, g))
         arcs.append(make_arc(c_right, r, q, t_out, g))
-        pairs.append((Circle(c_left, r), Circle(c_right, r)))
-        wedges.append(((th - half) % TWO_PI, 2.0 * half))
+        chords.append((c_left, c_right, (t_out.y * t_in.z - t_out.z * t_in.y,
+                                         t_out.z * t_in.x - t_out.x * t_in.z,
+                                         t_out.x * t_in.y - t_out.y * t_in.x)))
         if span > ANGLE_EPS:
             arcs.append(Arc(p, rho, t_out, t_in_next, span, g, log_dir(p, t_out, g)))
-    return CapDomain(g, r, p, rho, tuple(c[1] for c in caps), tuple(arcs), tuple(pairs), tuple(wedges))
+    return CapDomain(g, r, p, rho, tuple(c[1] for c in caps), tuple(arcs), tuple(chords))

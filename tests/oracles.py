@@ -14,7 +14,8 @@ written once per plane, and geodesic directions, midpoints, circle
 intersections and arcs by way of the inverse-trigonometric distance.  Tests compare package output
 against digits these routines produce (see the constants in the test
 modules).  The last sections hold helpers that only tests call: the wedge
-angle and the law of cosines on package primitives, and the proof-step
+angle, arc spans and cap-domain membership by angular wedges, the law of
+cosines on package primitives, and the proof-step
 reproductions of acceptance criterion 10, which build cap domains and
 take their areas with the package.
 """
@@ -317,7 +318,7 @@ def double_normal_reference(poly):
                 if psi is not None:
                     consider(r, "vertex-arc", v, exp_map(v, tangent_from_angle(v, psi, g), r, g))
                 continue
-            if not arc.contains_ray_angle(v) or not in_cone(v, log_dir(v, c, g), *cones[k]):
+            if not contains_ray_angle(arc, v) or not in_cone(v, log_dir(v, c, g), *cones[k]):
                 continue
             consider(r - d_cv, "vertex-arc", v, exp_map(c, log_dir(c, v, g), r, g))
 
@@ -329,12 +330,12 @@ def double_normal_reference(poly):
                 # same supporting circle on both sides: a diameter
                 m = arcs[i].point_at(0.5 * arcs[i].extent)
                 anti = exp_map(ci, _negate(log_dir(ci, m, g)), r, g)
-                if arcs[j].contains_ray_angle(anti):
+                if contains_ray_angle(arcs[j], anti):
                     consider(2.0 * r, "arc-arc", m, anti)
                 continue
             xi = exp_map(ci, log_dir(ci, cj, g), r, g)
             xj = exp_map(cj, log_dir(cj, ci, g), r, g)
-            if arcs[i].contains_ray_angle(xi) and arcs[j].contains_ray_angle(xj):
+            if contains_ray_angle(arcs[i], xi) and contains_ray_angle(arcs[j], xj):
                 consider(2.0 * r - dij, "arc-arc", xj, xi)
 
     for i in range(len(verts)):
@@ -814,6 +815,58 @@ def smallest_enclosing_disk_reference(points, g):
 # ---------------------------------------------------------------------------
 # angles and sides (package primitives)
 
+def angle_coord(o, x, g):
+    """Angle of the direction o -> x in the frame at o, in [0, 2*pi)."""
+    from spindle.geometry import tangent_basis, turn_toward
+
+    return turn_toward(o, tangent_basis(o, g)[0], x, g) % (2.0 * math.pi)
+
+
+def contains_ray_angle(arc, x):
+    """Whether the ray arc.center -> x falls inside the arc's angular span,
+    within ANGLE_EPS at both ends."""
+    from spindle.geometry import turn_toward
+    from spindle.regions import angle_in
+
+    return angle_in(turn_toward(arc.center, arc.u0, x, arc.geometry), 0.0, arc.extent)
+
+
+def cap_wedges(dom):
+    """Per cap of a CapDomain, (c_left, c_right, t_in, t_out, lo, width):
+    its two arc centers, its tangency points (where the left arc starts and
+    the right arc ends) and its angular footprint about the disk center,
+    from the frame angle of t_in counterclockwise to that of t_out; the
+    full circle when the two coincide, at full reach 2r - rho."""
+    g = dom.geometry
+    cap_arcs = [a for a in dom.arcs if a.radius == dom.r]
+    out = []
+    for left, right in zip(cap_arcs[0::2], cap_arcs[1::2]):
+        t_in, t_out = left.start, right.end
+        lo = angle_coord(dom.center, t_in, g)
+        width = (angle_coord(dom.center, t_out, g) - lo) % (2.0 * math.pi)
+        if t_in == t_out:
+            width = 2.0 * math.pi
+        out.append((left.center, right.center, t_in, t_out, lo, width))
+    return out
+
+
+def cap_domain_contains_reference(dom, x):
+    """CapDomain membership by angular wedges: x within rho + GEOM_EPS of
+    the disk center, or, for some cap, the direction center -> x within
+    ANGLE_EPS of the cap's footprint (cap_wedges) and x within r + GEOM_EPS
+    of both arc centers."""
+    from spindle.geometry import GEOM_EPS, distance
+    from spindle.regions import angle_in
+
+    g = dom.geometry
+    if distance(dom.center, x, g) <= dom.rho + GEOM_EPS:
+        return True
+    theta = angle_coord(dom.center, x, g)
+    return any(angle_in(theta, lo, width) and distance(cl, x, g) <= dom.r + GEOM_EPS
+               and distance(cr, x, g) <= dom.r + GEOM_EPS
+               for cl, cr, _, _, lo, width in cap_wedges(dom))
+
+
 def angle_at(a, b, c, g):
     """Interior angle at b of the geodesic wedge a-b-c, in [0, pi]."""
     from spindle.geometry import log_dir, turn_angle
@@ -856,7 +909,7 @@ def symmetric_cap_domain(dom):
     are preserved).  Returns None when the rotated caps would overlap,
     which cannot happen for three congruent caps that fit disjointly."""
     from spindle.geometry import (
-        Circle, SpindleError, angle_coord, distance, exp_map, tangent_from_angle,
+        Circle, SpindleError, distance, exp_map, tangent_from_angle,
     )
     from spindle.regions import cap_domain
 
@@ -946,7 +999,6 @@ def distance_monotonicity_check(g, pairs, seed=0, steps=8):
         GEOMETRIES,
         Circle,
         _negate,
-        angle_coord,
         circle_circle_intersection,
         distance,
         exp_map,

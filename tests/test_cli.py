@@ -183,6 +183,16 @@ def test_measure_monte_carlo_and_tolerance(tmp_path, capsys):
     assert code == 1
 
 
+def test_measure_sample_counts_below_one_are_range_errors(tmp_path, capsys):
+    # --n 0 is refused as --n -1 is, not read as "no Monte Carlo check"
+    out = os.fspath(tmp_path / "t.json")
+    run_cli(capsys, "triangle", "--geom", "euclidean", "--w", "1", "--r", "1", "--out", out)
+    for n in ("0", "-1"):
+        code, stdout, err = run_cli(capsys, "measure", "--in", out, "--n", n)
+        assert code == 2, n
+        assert "BAD_RANGE" in err and "mc_area" not in stdout
+
+
 def test_verify_deterministic_and_scriptable(tmp_path, capsys):
     out1 = os.fspath(tmp_path / "v1.json")
     out2 = os.fspath(tmp_path / "v2.json")
@@ -381,3 +391,25 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, err = run_cli(capsys, "measure", "--in", os.fspath(bad))
     assert code == 2
+
+
+def test_region_records_that_are_not_objects_exit_2(tmp_path, capsys):
+    rec = tmp_path / "list.json"
+    rec.write_text("[1, 2]")
+    svg = os.fspath(tmp_path / "out.svg")
+    for argv in (("measure", "--in", os.fspath(rec)), ("render", "--in", os.fspath(rec), "--svg", svg)):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert "MALFORMED_BOUNDARY" in err and "Traceback" not in err
+
+
+def test_directories_given_as_files_exit_2(tmp_path, capsys):
+    rec = os.fspath(tmp_path / "t.json")
+    run_cli(capsys, "triangle", "--w", "0.8", "--r", "1.2", "--out", rec)
+    folder = os.fspath(tmp_path)
+    for argv in (("measure", "--in", folder),
+                 ("triangle", "--w", "0.8", "--r", "1.2", "--out", folder),
+                 ("measure", "--in", rec, "--config", folder)):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: ") and folder in err

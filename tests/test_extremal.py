@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    angle_coord,
     disk_intersection_exit,
     hyperbolic_inradius_reference,
     hyperbolic_triangle_area_reference,
@@ -31,7 +32,6 @@ from spindle.geometry import (
     HYPERBOLIC,
     SPHERICAL,
     SpindleError,
-    angle_coord,
     distance,
     from_polar,
     origin,

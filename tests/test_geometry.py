@@ -22,7 +22,6 @@ from spindle.geometry import (
     SpindleError,
     Tangent,
     _distinct,
-    angle_coord,
     chord2,
     circle_circle_intersection,
     circumcenter,
@@ -46,6 +45,7 @@ from spindle.geometry import (
 )
 from oracles import (
     angle_at,
+    angle_coord,
     circle_circle_intersection_reference,
     distance_reference,
     distinct_reference,
@@ -272,6 +272,20 @@ def test_exp_map_refuses_a_walk_past_the_float_range():
     with pytest.raises(SpindleError) as err:
         exp_map(o, tangent_from_angle(o, 0.3, HYPERBOLIC), 711.0, HYPERBOLIC)
     assert err.value.code == "BAD_RANGE" and "t=711.0" in str(err.value)
+
+
+@pytest.mark.parametrize("t", (30.0, 100.0, 350.0, 400.0, 700.0))
+def test_exp_map_refuses_a_walk_lost_to_rounding(t):
+    # past t = 17 on the hyperboloid z^2 - x^2 - y^2 = 1 cancels below the
+    # rounding of z^2: rescaled by it, the walk has no correct digit (z =
+    # 7.8e7 at t = 30, where cosh t = 5.3e12), and from t = 400 it is nan; a
+    # walk to t = 17, whose norm keeps a few digits, still runs
+    o = origin(HYPERBOLIC)
+    u = tangent_from_angle(o, 0.3, HYPERBOLIC)
+    with pytest.raises(SpindleError) as err:
+        exp_map(o, u, t, HYPERBOLIC)
+    assert err.value.code == "BAD_RANGE"
+    assert exp_map(o, u, 17.0, HYPERBOLIC).z == pytest.approx(math.cosh(17.0), rel=1e-2)
 
 
 def test_midpoint_bisects():

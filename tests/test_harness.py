@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import cap_rotation_check, distance_monotonicity_check, symmetric_cap_domain
+from oracles import angle_coord, cap_rotation_check, distance_monotonicity_check, symmetric_cap_domain
 from spindle import harness
 from spindle.extremal import regular_disk_triangle, triangle_inradius
 from spindle.geometry import GEOMETRIES, EUCLIDEAN, Geometry, SpindleError, distance, origin
@@ -386,8 +386,6 @@ def test_symmetric_cap_domain_area_direct():
         assert sym is not None
         assert area(sym) == pytest.approx(area(dom), abs=1e-9)
         # the symmetrized apexes really are a third of a turn apart
-        from spindle.geometry import angle_coord
-
         angles = sorted(angle_coord(o, q, g) for q in sym.apexes)
         gap1 = angles[1] - angles[0]
         gap2 = angles[2] - angles[1]

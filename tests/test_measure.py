@@ -12,6 +12,9 @@ import numpy as np
 import pytest
 
 from oracles import (
+    angle_coord,
+    cap_domain_contains_reference,
+    cap_wedges,
     double_normal_reference,
     euclidean_width_reference,
     incircle_grid_reference,
@@ -32,13 +35,13 @@ from spindle.geometry import (
     Point,
     SpindleError,
     _negate,
-    angle_coord,
     distance,
     exp_map,
     from_polar,
     log_dir,
     origin,
     rotate_tangent,
+    signed_distance_to_geodesic,
     tangent_dot,
     tangent_from_angle,
     turn_angle,
@@ -709,14 +712,18 @@ def disk_polygon_margin(poly, x):
 
 
 def cap_domain_margin(dom, x):
-    # distance of x from every decision boundary CapDomain.contains tests
+    # distance of x from every decision boundary of CapDomain.contains and
+    # of the wedge reference: the disk's rim, and per cap its wedge edges,
+    # lens circles and chord (the geodesic through its tangency points)
     g = dom.geometry
     gaps = [abs(distance(dom.center, x, g) - dom.rho - GEOM_EPS)]
     theta = angle_coord(dom.center, x, g)
-    for (cl, cr), (lo, width) in zip(dom.cap_disks, dom.cap_wedges):
+    for cl, cr, t_in, t_out, lo, width in cap_wedges(dom):
         a = (theta - lo) % TWO_PI
         gaps += [abs(a - width - ANGLE_EPS), abs(a - TWO_PI + ANGLE_EPS)]
-        gaps += [abs(distance(c.center, x, g) - dom.r - GEOM_EPS) for c in (cl, cr)]
+        gaps += [abs(distance(c, x, g) - dom.r - GEOM_EPS) for c in (cl, cr)]
+        if t_in != t_out:
+            gaps.append(abs(signed_distance_to_geodesic(x, t_out, log_dir(t_out, t_in, g), g)))
     return min(gaps)
 
 
@@ -747,6 +754,74 @@ def test_batch_membership_matches_scalar_contains():
                 checked += 1
                 inside += want
             assert checked >= 2990 and 0 < inside < checked
+
+
+def random_cap_domains(g, rng, r=1.0):
+    """Seeded cap domains: single caps, single caps at full reach 2r - rho
+    (whose chord normal is 0), the regular triangle's caps (footprints that
+    touch) and three caps about an off-origin center."""
+    doms = []
+    while len(doms) < 8:
+        o = from_polar(g, rng.uniform(0.0, TWO_PI), rng.uniform(0.0, 0.6))
+        rho = r * rng.uniform(0.15, 0.5)
+        u = tangent_from_angle(o, rng.uniform(0.0, TWO_PI), g)
+        far = len(doms) % 2 == 1
+        d = 2.0 * r - rho if far else rho + (2.0 * r - 2.0 * rho) * rng.uniform(0.05, 0.95)
+        dom = cap_domain(Circle(o, rho), [exp_map(o, u, d, g)], r, g)
+        assert (dom.caps[0][2] == (0.0, 0.0, 0.0)) is far
+        doms.append(dom)
+    for w in (0.5, 0.8):
+        tri = regular_disk_triangle(w, r, g)
+        doms.append(cap_domain(Circle(tri.incenter, tri.rho0), tri.region.vertices, r, g))
+    while len(doms) < 14:
+        o = from_polar(g, rng.uniform(0.0, TWO_PI), rng.uniform(0.2, 0.6))
+        rho = r * rng.uniform(0.2, 0.35)
+        base = rng.uniform(0.0, TWO_PI)
+        apexes = [exp_map(o, tangent_from_angle(o, base + TWO_PI * k / 3.0 + rng.uniform(-0.2, 0.2), g),
+                          rho * rng.uniform(1.15, 1.5), g) for k in range(3)]
+        try:
+            doms.append(cap_domain(Circle(o, rho), apexes, r, g))
+        except SpindleError:
+            continue
+    return doms
+
+
+@pytest.mark.parametrize("g", ALL, ids=lambda g: g.name)
+def test_cap_domain_membership_matches_the_wedge_reference(g):
+    # a cap as its lens on the apex side of its tangency chord decides as
+    # the angular-wedge reference does, in the scalar and the batch test,
+    # away from every decision boundary
+    rng = np.random.default_rng(310)
+    for dom in random_cap_domains(g, rng):
+        o, big_r = bounding_disk(dom)
+        pts = sample_in_disk(o, 1.1 * big_r, 1000, rng, g)
+        got = _inside_cap_domain(pts, dom, g)
+        checked = inside = 0
+        for row, hit in zip(pts, got):
+            x = Point(*row)
+            if cap_domain_margin(dom, x) <= 1e-9:
+                continue
+            want = cap_domain_contains_reference(dom, x)
+            assert dom.contains(x) == want
+            assert hit == want
+            checked += 1
+            inside += want
+        assert checked >= 990 and 0 < inside < checked
+
+
+# area_monte_carlo(build_cap_domain(g), 200_000, default_rng(24)), bit for
+# bit; membership by angular wedges (the oracles' reference) gives the same
+CAP_MONTE_CARLO = {
+    "euclidean": (0.3268651007447309, 0.0005787550557325701),
+    "hyperbolic": (0.3314320592565291, 0.0005907133667545596),
+    "spherical": (0.3217254649950887, 0.0005667966103961148),
+}
+
+
+def test_cap_domain_monte_carlo_bits_are_pinned():
+    for g in ALL:
+        got = area_monte_carlo(build_cap_domain(g), 200_000, np.random.default_rng(24))
+        assert got == CAP_MONTE_CARLO[g.name]
 
 
 def test_monte_carlo_rejects_bad_samples():

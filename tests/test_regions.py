@@ -7,7 +7,13 @@ import os
 import numpy as np
 import pytest
 
-from oracles import gift_wrap_reference, lens_width_reference, make_arc_reference
+from oracles import (
+    cap_wedges,
+    contains_ray_angle,
+    gift_wrap_reference,
+    lens_width_reference,
+    make_arc_reference,
+)
 from spindle import geometry, measure, regions
 from spindle.extremal import (
     regular_disk_hexagon,
@@ -719,7 +725,9 @@ def test_arc_point_at_endpoints_and_midpoint():
             assert distance(a.point_at(a.extent), a.end, g) < 1e-9
             mid = a.point_at(0.5 * a.extent)
             assert distance(a.center, mid, g) == pytest.approx(a.radius, abs=1e-12)
-            assert a.contains_ray_angle(mid)
+            assert contains_ray_angle(a, mid)
+            # a counterclockwise arc lies right of its chord
+            assert geometry.det3(a.start, a.end, mid) < 0.0
 
 
 def test_angle_in_wraps_and_is_tolerant_at_both_ends():
@@ -745,11 +753,13 @@ def build_cap_domain(g, rho=0.3, r=1.0, dists=(0.35, 0.38, 0.42),
 
 def test_cap_at_full_reach_covers_the_whole_footprint():
     # apex at distance 2r - rho: both arc centers coincide, the cap is the
-    # disk B(c, r) about that center, and its footprint is the full circle
+    # disk B(c, r) about that center, its footprint is the full circle, and
+    # its tangency points coincide, so its chord normal is 0: the whole lens
     for g in ALL:
         o = origin(g)
         dom = cap_domain(Circle(o, 0.3), [exp_map(o, tangent_from_angle(o, 0.5, g), 1.7, g)], 1.0, g)
-        assert dom.cap_wedges[0][1] == pytest.approx(TWO_PI)
+        assert cap_wedges(dom)[0][5] == pytest.approx(TWO_PI)
+        assert dom.caps[0][2] == (0.0, 0.0, 0.0)
         for theta, t in ((0.5, 1.0), (2.0, 0.4)):
             assert dom.contains(exp_map(o, tangent_from_angle(o, theta, g), t, g))
 
@@ -758,17 +768,18 @@ def test_cap_domain_structure():
     for g in ALL:
         dom = build_cap_domain(g)
         assert len(dom.apexes) == 3
-        assert len(dom.cap_disks) == 3
-        assert len(dom.cap_wedges) == 3
+        assert len(dom.caps) == 3
         # 2 cap arcs per apex + a disk arc between consecutive caps
         assert len(dom.arcs) == 9
         o = origin(g)
-        for (cl, cr), apex in zip(dom.cap_disks, dom.apexes):
+        for (cl, cr, n), apex in zip(dom.caps, dom.apexes):
             for c in (cl, cr):
                 # tangent circles: touch the core disk internally, pass
                 # through the apex
-                assert distance(o, c.center, g) == pytest.approx(dom.r - dom.rho, abs=1e-9)
-                assert distance(c.center, apex, g) == pytest.approx(dom.r, abs=1e-9)
+                assert distance(o, c, g) == pytest.approx(dom.r - dom.rho, abs=1e-9)
+                assert distance(c, apex, g) == pytest.approx(dom.r, abs=1e-9)
+            # n . x = det3(t_out, t_in, x) is positive on the apex side
+            assert n[0] * apex.x + n[1] * apex.y + n[2] * apex.z > 0.0
 
 
 def test_cap_domain_membership():
@@ -879,10 +890,10 @@ def test_cap_domain_round_trip(tmp_path):
         assert isinstance(back, CapDomain)
         assert back.rho == pytest.approx(dom.rho)
         assert len(back.arcs) == len(dom.arcs)
-        assert len(back.cap_wedges) == len(dom.cap_wedges)
-        for (lo, width), (lo2, width2) in zip(dom.cap_wedges, back.cap_wedges):
-            assert lo == pytest.approx(lo2, abs=1e-12)
-            assert width == pytest.approx(width2, abs=1e-12)
+        assert len(back.caps) == len(dom.caps)
+        for (cl, cr, n), (cl2, cr2, n2) in zip(dom.caps, back.caps):
+            assert distance(cl, cl2, g) < 1e-12 and distance(cr, cr2, g) < 1e-12
+            assert n == pytest.approx(n2, abs=1e-12)
 
 
 def square_hull_record():
