@@ -36,7 +36,8 @@ Conventions used throughout the package:
   `r_segment` and `cap_domain`, which pass their points through `as_point`:
   a numpy float64 scalar costs about three times a float per operation,
   and every point derived from one stays one;
-* `make_arc` tests its endpoints and takes its extent on chord2, with no distance;
+* `make_arc` tests its endpoints and takes its extent on chord2, with no distance, and
+  its turn t on det3(c, start - c, end - c) = sn^2 r sin t, on the chords from c;
 * a counterclockwise arc is the part of its circle right of its chord,
   det3(start, end, x) <= 0, for any extent below 2 pi: a side test, not an angle;
 * `circle_circle_intersection` rotates u once, to v: the right point takes 2 cos(beta) u - v.
@@ -147,10 +148,6 @@ class Geometry:
         """2 sn(x/2)^2, that is x^2/2, 1 - cos x or cosh x - 1, exact near 0."""
         s = self.sn(0.5 * x)
         return 2.0 * s * s
-
-    def avers(self, v: float) -> float:
-        """Inverse of vers on [0, pi] (sphere) or [0, inf)."""
-        return 2.0 * self.asn(math.sqrt(0.5 * v))
 
     def check_radius(self, r: float, what: str = "r") -> None:
         if not (r > 0.0) or not math.isfinite(r):

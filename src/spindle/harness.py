@@ -42,10 +42,9 @@ from .geometry import (
     origin,
     perp,
     signed_distance_to_geodesic,
-    turn_angle,
 )
 from .measure import area, incircle, sample_in_disk, thickness
-from .regions import CapDomain, DiskPolygon, angle_in, ball_hull, cap_domain
+from .regions import CapDomain, DiskPolygon, ball_hull, cap_domain
 from .extremal import (
     regular_disk_hexagon,
     regular_disk_triangle,
@@ -155,8 +154,11 @@ def _farthest_from_support_line(
     through base with direction u (region on the positive side).
 
     det3(base, u, x) is sn of that distance, so candidates are ranked on it
-    and the distance is taken once, for the winner."""
+    and the distance is taken once, for the winner.  An arc's candidate
+    cs r c + sn r grad is walked to only when it falls right of the arc's
+    chord, cs r det3(s, e, c) + sn r det3(s, e, grad) <= 0."""
     g = poly.geometry
+    sn, cs = g.sn(poly.r), g.cs(poly.r)
     pole = perp(base, u, g)
     candidates = list(poly.vertices)
     for arc in poly.arcs:
@@ -167,7 +169,7 @@ def _farthest_from_support_line(
             grad = _normalize_tangent(arc.center, pole.x, pole.y, pole.z, g)
         except SpindleError:
             continue
-        if angle_in(turn_angle(arc.center, arc.u0, grad, g), 0.0, arc.extent):
+        if cs * det3(arc.start, arc.end, arc.center) + sn * det3(arc.start, arc.end, grad) <= 0.0:
             candidates.append(exp_map(arc.center, grad, arc.radius, g))
     best_x = max(candidates, key=lambda x: det3(base, u, x))
     return best_x, signed_distance_to_geodesic(best_x, base, u, g)
@@ -223,6 +225,11 @@ def inscribed_cap_domain(
 # the randomized run
 
 def _check_config(config: VerifyConfig) -> None:
+    names = config.geometries
+    if not (isinstance(names, (tuple, list)) and names
+            and all(isinstance(name, str) and name in GEOMETRIES for name in names)
+            and len(set(names)) == len(names)):
+        raise SpindleError("BAD_RANGE", f"geometries must be distinct plane names, got {names!r}")
     if config.trials < 1:
         raise SpindleError("BAD_RANGE", f"trials must be at least 1, got {config.trials}")
     if config.seed < 0:
@@ -280,8 +287,6 @@ def run_verification(config: VerifyConfig) -> dict:
         "violations_total": 0,
     }
     for name in config.geometries:
-        if name not in GEOMETRIES:
-            raise SpindleError("BAD_RANGE", f"unknown geometry {name!r}")
         g = GEOMETRIES[name]
         records = [run_trial(g, t, config) for t in range(config.trials)]
         violations = [_violation(rec, v) for rec in records for v in rec["violations"]]

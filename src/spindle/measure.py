@@ -4,8 +4,9 @@ Area is exact: a signed geodesic-polygon part over the boundary vertices
 plus closed-form circular-segment corrections, one per arc.  Width
 (minimal double-normal length) treats every boundary piece as a circle
 with a span of outward normals, an arc as radius r and a vertex as radius
-0, and checks the one candidate chord of each pair of pieces, on the
-geodesic through their centers: two form products turn every center
+0, each span starting at a direction taken from points (no arc stores one),
+and checks the one candidate chord of each vertex-arc and arc-arc pair, on
+the geodesic through their centers: two form products turn every center
 toward every other and drop the pairs whose normals miss a span by more
 than a rounding slack, and the scalar test runs on the few pairs left.  The
 inradius comes from a minimax reduction: the largest inscribed disk of an
@@ -54,7 +55,7 @@ from .geometry import (
     turn_angle,
     turn_toward,
 )
-from .regions import Arc, DiskPolygon, TWO_PI, angle_in
+from .regions import Arc, DiskPolygon, TWO_PI
 
 
 # rows per numpy pass (screen pairs, Monte Carlo samples), so that its
@@ -177,9 +178,16 @@ class ThicknessWitness:
     """Minimal double normal: its length and the chord realizing it."""
 
     value: float
-    kind: str  # "vertex-arc" | "arc-arc" | "vertex-vertex"
+    kind: str  # "vertex-arc" | "arc-arc": a chord between two vertices is never the shortest
     a: Point
     b: Point
+
+
+def angle_in(theta, lo: float, width: float, tol: float = ANGLE_EPS):
+    """Whether the angle theta lies in the circular interval [lo, lo + width],
+    with slack tol at both ends; theta may be a float or a numpy array."""
+    a = (theta - lo) % TWO_PI
+    return (a <= width + tol) | (a >= TWO_PI - tol)
 
 
 def _intervals_overlap(lo1: float, w1: float, lo2: float, w2: float) -> Optional[float]:
@@ -190,8 +198,6 @@ def _intervals_overlap(lo1: float, w1: float, lo2: float, w2: float) -> Optional
         return lo1
     return None
 
-
-_KINDS = ("vertex-vertex", "vertex-arc", "arc-arc")  # by the number of arc ends
 
 # span slack of the screen: the turns it judges differ from turn_toward's by
 # rounding, <= 3.1e-9 on the width corpus (hyperbolic rings to D = 6) and
@@ -204,7 +210,7 @@ _SCREEN_NEAR = 1e-6
 # measured <= 1.25 eps Z^2 on the short chords of hyperbolic rings to D = 8
 _SCREEN_ROUNDING = 4.0 * 2.0 ** -52
 
-_Piece = tuple[Point, float, Tangent, float]  # (center, rho, u0, span)
+_Piece = tuple[Point, float, Tangent, float]  # (center, rho, first normal, span)
 # a row (c, u) in the column orders (y, z, x) and (z, x, y): c x u by columns
 _ROTATIONS = np.array([1, 2, 0, 4, 5, 3, 2, 0, 1, 5, 3, 4])
 
@@ -212,29 +218,31 @@ _ROTATIONS = np.array([1, 2, 0, 4, 5, 3, 2, 0, 1, 5, 3, 4])
 def _pieces(poly: DiskPolygon) -> list[_Piece]:
     """The boundary pieces, vertices first, then arcs, both in arc order.
 
-    A vertex v's outward normal off the arc about c is the tangent part of
-    v - c at v, (v - c) - kappa form(v - c, v) v, over sn r: parallel to
-    -log_dir(v, c) for any v, and of unit length for v on the circle.  Its
-    length is read nowhere (turn_angle, turn_toward and the screen's arctan2
-    take only its direction), so it is not normalized.
+    Every normal is the tangent part of a chord over sn r, d - kappa form(d,
+    p) p for the chord d at its base p: at a vertex v, d = v - c off the arc
+    about c (parallel to -log_dir(v, c)); at an arc's center c, d = start -
+    c (parallel to log_dir(c, start)).  It has unit length for points r
+    apart, and its length is read nowhere (turn_angle, turn_toward and the
+    screen's arctan2 take only its direction), so it is not normalized.
     """
     g = poly.geometry
     arcs = poly.arcs
     kappa, s = g.kappa, 1.0 / g.sn(poly.r)
 
-    def normal(v: Point, c: Point) -> Tangent:
-        dx, dy, dz = v.x - c.x, v.y - c.y, v.z - c.z
-        t = kappa * (dx * v.x + dy * v.y + kappa * dz * v.z)
-        return Tangent((dx - t * v.x) * s, (dy - t * v.y) * s, (dz - t * v.z) * s)
+    def normal(p: Point, q: Point, scale: float) -> Tangent:
+        # scale times the tangent part of q - p at p
+        dx, dy, dz = q.x - p.x, q.y - p.y, q.z - p.z
+        t = kappa * (dx * p.x + dy * p.y + kappa * dz * p.z)
+        return Tangent((dx - t * p.x) * scale, (dy - t * p.y) * scale, (dz - t * p.z) * scale)
 
     vert_pieces = []
     for k, arc in enumerate(arcs):
         v = arc.start
-        n_in = normal(v, arcs[k - 1].center)
+        n_in = normal(v, arcs[k - 1].center, -s)
         # signed, not reduced mod 2 pi: a smooth vertex turning by -1e-17
         # must not read as a full cone
-        vert_pieces.append((v, 0.0, n_in, turn_angle(v, n_in, normal(v, arc.center), g)))
-    arc_pieces = [(a.center, poly.r, a.u0, a.extent) for a in arcs]
+        vert_pieces.append((v, 0.0, n_in, turn_angle(v, n_in, normal(v, arc.center, -s), g)))
+    arc_pieces = [(a.center, poly.r, normal(a.center, a.start, s), a.extent) for a in arcs]
     return vert_pieces + arc_pieces
 
 
@@ -246,13 +254,12 @@ def _screen(pieces: Sequence[_Piece], g: Geometry) -> np.ndarray:
     (form(u_f, c_g - c_f), det3(c_f, u_f, c_g - c_f)), here two matrix
     products per block of rows (_BLOCK pairs), (U w) C^T and (C x U) C^T,
     minus their values at c_g = c_f (zero up to rounding, but for form(u_f,
-    c_f) in the plane, where w drops z); two vertices flip both signs.  A
-    pair survives when at each end its turn falls in the span within
-    _SCREEN_EPS or the tangent part T of its chord, T^2 = along^2 + left^2 =
-    chord2 (1 - kappa chord2 / 4), is short: at most b (1 + b), b = 2 vers
-    _SCREEN_NEAR (so every chord2 <= b passes), or so short that the
-    products' rounding, _SCREEN_ROUNDING Z^2, could turn it by _SCREEN_EPS /
-    2 (T 2e-4 at D = 6 in H, 1.1e-2 at D = 8).
+    c_f) in the plane, where w drops z).  A pair survives when at each end
+    its turn falls in the span within _SCREEN_EPS or the tangent part T of
+    its chord, T^2 = along^2 + left^2 = chord2 (1 - kappa chord2 / 4), is
+    short: at most b (1 + b), b = 2 vers _SCREEN_NEAR (so every chord2 <= b
+    passes), or so short that the products' rounding, _SCREEN_ROUNDING Z^2,
+    could turn it by _SCREEN_EPS / 2 (T 2e-4 at D = 6 in H, 1.1e-2 at D = 8).
     """
     m = len(pieces)
     cu = np.fromiter(chain.from_iterable(p[0] + p[2] for p in pieces), float, 6 * m).reshape(m, 6)
@@ -263,7 +270,6 @@ def _screen(pieces: Sequence[_Piece], g: Geometry) -> np.ndarray:
     np.multiply(cu[:, 3:], _form_weights(g), out=uv[0])
     np.subtract(r[:, :3] * r[:, 9:], r[:, 6:9] * r[:, 3:6], out=uv[1])
     row_terms = (uv * c).sum(2)[:, :, None]
-    h = m // 2  # the vertices, which _pieces puts first
     b = 2.0 * g.vers(_SCREEN_NEAR)
     reach = max(b * (1.0 + b), (2.0 * _SCREEN_ROUNDING * np.abs(c).max() ** 2 / _SCREEN_EPS) ** 2)
     keep = np.empty((m, m), dtype=bool)
@@ -272,7 +278,6 @@ def _screen(pieces: Sequence[_Piece], g: Geometry) -> np.ndarray:
         f = slice(s, s + rows)
         t = uv[:, f] @ c.T
         t -= row_terms[:, f]
-        t[:, :max(h - s, 0), :h] *= -1.0  # rows and columns that are vertices
         along, left = t
         turn = np.arctan2(left, along)  # in (-pi, pi]; spans are >= 0 but for rounding
         top_f = top[f]
@@ -295,26 +300,27 @@ def _chord_normals(pf: _Piece, pg: _Piece, common: bool, g: Geometry
         if phi is None:
             return None
         return tangent_from_angle(cf, phi, g), tangent_from_angle(cg, phi + math.pi, g)
-    # two vertices: each normal points away from the other vertex
-    flip = 0.0 if rf + rg else math.pi
-    if not angle_in(turn_toward(cf, uf, cg, g) + flip, 0.0, sf):
+    if not angle_in(turn_toward(cf, uf, cg, g), 0.0, sf):
         return None
-    if not angle_in(turn_toward(cg, ug, cf, g) + flip, 0.0, sg):
+    if not angle_in(turn_toward(cg, ug, cf, g), 0.0, sg):
         return None
-    nf, ng = log_dir(cf, cg, g), log_dir(cg, cf, g)
-    return (_negate(nf), _negate(ng)) if flip else (nf, ng)
+    return log_dir(cf, cg, g), log_dir(cg, cf, g)
 
 
 def thickness(poly: DiskPolygon) -> ThicknessWitness:
     """Width of a disk polygon: the shortest double normal.
 
     A double normal is a chord meeting the boundary perpendicularly at both
-    ends.  Each boundary piece is a circle (center, rho, u0, span) whose
-    outward normals leave the center turned 0..span from u0: an arc has
+    ends.  Each boundary piece is a circle (center, rho, n, span) whose
+    outward normals leave the center turned 0..span from n: an arc has
     rho = r, a vertex rho = 0 and the turn between its two arcs' normals.
     A chord normal to two pieces lies on the geodesic through their centers,
-    so each pair has one candidate, of length rho_F + rho_G - d (two
-    vertices: d), kept when both end normals fall in their pieces' spans.
+    so each pair has one candidate, of length rho_F + rho_G - d, kept when
+    both end normals fall in their pieces' spans.  No two vertices are
+    paired, as a polygon's width is a vertex-edge pair (Houle and Toussaint,
+    IEEE TPAMI 10(5), 1988): inside both cones their chord is a local maximum
+    of the strip width, and on the edge of v1's cone, normal to its arc about
+    c, the chord from v2 to that arc is as long, r - d(c, v2) = d(v1, v2).
     An array screen (_screen) first drops, in numpy passes over all ~2h^2
     pairs, those whose normals certainly miss a span; only the survivors
     get the scalar test.
@@ -332,36 +338,28 @@ def thickness(poly: DiskPolygon) -> ThicknessWitness:
         )
 
     pieces = _pieces(poly)
-    keep = _screen(pieces, g)
-    # vertex-arc pairs first, then arc-arc, then vertex-vertex, each in
-    # product / combinations order: on an exact tie (at w = r one chord of
-    # the regular triangle is all three) the first family found is the one
-    # reported
-    i, j = np.nonzero(keep)
-    upper = i < j
-    i, j = i[upper], j[upper]
-    arc_ends = (i >= h).astype(int) + (j >= h)
-    order = np.argsort((arc_ends + 2) % 3, kind="stable")  # arc ends 1, 2, then 0
-
-    def foot(c: Point, rho: float, u: Tangent) -> Point:
-        return exp_map(c, u, rho, g) if rho else c
-
+    # pairs (i, j), i < j, with an arc j >= h, in row-major order: vertex-arc
+    # pairs first, then arc-arc, so on an exact tie (at w = r one chord of the
+    # regular triangle is both) the vertex-arc chord is reported
+    i, j = np.nonzero(_screen(pieces, g))
+    paired = (i < j) & (j >= h)
     best: Optional[ThicknessWitness] = None
-    for f, k in zip(i[order].tolist(), j[order].tolist()):
+    for f, k in zip(i[paired].tolist(), j[paired].tolist()):
         pf, pg = pieces[f], pieces[k]
         cf, rf, cg, rg = pf[0], pf[1], pg[0], pg[1]
         d = distance(cf, cg, g)
         common = d <= MERGE_EPS
-        # with an arc end the chord runs toward the other center
-        length = (rf + rg if common else rf + rg - d) if rf + rg else d
-        # zero length: a vertex on its own arc, or two merged vertices
+        # the chord runs from each end toward the other center
+        length = rf + rg if common else rf + rg - d
+        # zero length: a vertex on its own arc
         if length <= MERGE_EPS or (best is not None and length >= best.value):
             continue
         normals = _chord_normals(pf, pg, common, g)
         if normals is None:
             continue
-        kind = _KINDS[(rf > 0.0) + (rg > 0.0)]
-        best = ThicknessWitness(length, kind, foot(cf, rf, normals[0]), foot(cg, rg, normals[1]))
+        a = exp_map(cf, normals[0], rf, g) if rf else cf  # a vertex is its own foot
+        best = ThicknessWitness(length, "arc-arc" if rf else "vertex-arc", a,
+                                exp_map(cg, normals[1], rg, g))
 
     if best is None:
         raise SpindleError("MALFORMED_BOUNDARY", "no double normal found")

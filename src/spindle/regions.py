@@ -10,7 +10,8 @@ Two region kinds are provided:
   it, each cap the lens of two radius-r disks internally tangent to the
   disk, on the apex side of the chord through the two tangency points.
 
-Both serialize to plain JSON records that round-trip exactly (floats are
+Arcs store no direction: orientation is a determinant test.  Both
+serialize to plain JSON records that round-trip exactly (floats are
 written by repr, the shortest form parsing back to the same double).
 """
 
@@ -33,7 +34,6 @@ from .geometry import (
     GEOMETRIES,
     Point,
     SpindleError,
-    Tangent,
     _distinct,
     _intersection_angle,
     _points_off_axis,
@@ -48,7 +48,6 @@ from .geometry import (
     rotate_tangent,
     smallest_enclosing_disk,
     tangent_basis,
-    turn_toward,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -68,7 +67,7 @@ class Arc(NamedTuple):
     The region an arc bounds lies on the center side, so the center stays
     on the left while walking the boundary.  `extent` is the central angle
     of the traversal, in (0, 2*pi]; start == end with extent 2*pi encodes
-    a full circle.  `u0` is the unit direction from the center to start.
+    a full circle.  point_at walks from start, turning log_dir(center, start).
     """
 
     center: Point
@@ -77,19 +76,11 @@ class Arc(NamedTuple):
     end: Point
     extent: float
     geometry: Geometry
-    u0: Tangent
 
     def point_at(self, s: float) -> Point:
         """Point reached after central angle s of counterclockwise travel."""
-        g = self.geometry
-        return exp_map(self.center, rotate_tangent(self.center, self.u0, s, g), self.radius, g)
-
-
-def angle_in(theta, lo: float, width: float, tol: float = ANGLE_EPS):
-    """Whether the angle theta lies in the circular interval [lo, lo + width],
-    with slack tol at both ends; theta may be a float or a numpy array."""
-    a = (theta - lo) % TWO_PI
-    return (a <= width + tol) | (a >= TWO_PI - tol)
+        g, c = self.geometry, self.center
+        return exp_map(c, rotate_tangent(c, log_dir(c, self.start, g), s, g), self.radius, g)
 
 
 def make_arc(center: Point, radius: float, start: Point, end: Point, g: Geometry) -> Arc:
@@ -101,7 +92,8 @@ def make_arc(center: Point, radius: float, start: Point, end: Point, g: Geometry
     it.  An end that turns clockwise from the start by more than ANGLE_EPS
     and less than pi - ANGLE_EPS (a stored cycle run backwards, say) is
     refused as MALFORMED_BOUNDARY, not taken the long way round; a half
-    circle may round to either side of pi.
+    circle may round to either side of pi.  The turn t is read off det3(c,
+    start - c, end - c) = sn^2 r sin t, on chords that keep their digits.
     """
     lo = 2.0 * g.vers(radius - _ON_CIRCLE_EPS) if radius > _ON_CIRCLE_EPS else 0.0
     hi = 2.0 * g.vers(radius + _ON_CIRCLE_EPS)
@@ -110,19 +102,22 @@ def make_arc(center: Point, radius: float, start: Point, end: Point, g: Geometry
     c2 = chord2(start, end, g)
     if c2 < _ZERO_ARC * _ZERO_ARC:
         raise SpindleError("MALFORMED_BOUNDARY", "zero-extent arc")
-    q = 0.5 * math.sqrt(c2) / g.sn(radius)
+    sn = g.sn(radius)
+    q = 0.5 * math.sqrt(c2) / sn
     if q > 1.0 + _CHORD_SLACK:
         raise SpindleError("OUT_OF_RANGE", "chord longer than the circle diameter")
-    u0 = log_dir(center, start, g)
-    if -math.pi + ANGLE_EPS < turn_toward(center, u0, end, g) < -ANGLE_EPS:
+    ax, ay, az = start.x - center.x, start.y - center.y, start.z - center.z
+    bx, by, bz = end.x - center.x, end.y - center.y, end.z - center.z
+    det = (center.x * (ay * bz - az * by) - center.y * (ax * bz - az * bx)
+           + center.z * (ax * by - ay * bx))
+    if det < -math.sin(ANGLE_EPS) * sn * sn:
         raise SpindleError("MALFORMED_BOUNDARY", "arc runs clockwise about its center")
-    return Arc(center, radius, start, end, 2.0 * math.asin(min(1.0, q)), g, u0)
+    return Arc(center, radius, start, end, 2.0 * math.asin(min(1.0, q)), g)
 
 
 def full_circle_arc(center: Point, radius: float, g: Geometry) -> Arc:
-    u0 = tangent_basis(center, g)[0]
-    start = exp_map(center, u0, radius, g)
-    return Arc(center, radius, start, start, TWO_PI, g, u0)
+    start = exp_map(center, tangent_basis(center, g)[0], radius, g)
+    return Arc(center, radius, start, start, TWO_PI, g)
 
 
 # --------------------------------------------------------------------------
@@ -458,5 +453,5 @@ def cap_domain(disk: Circle, apexes: Iterable[Point], r: float, g: Geometry) -> 
                                          t_out.z * t_in.x - t_out.x * t_in.z,
                                          t_out.x * t_in.y - t_out.y * t_in.x)))
         if span > ANGLE_EPS:
-            arcs.append(Arc(p, rho, t_out, t_in_next, span, g, log_dir(p, t_out, g)))
+            arcs.append(Arc(p, rho, t_out, t_in_next, span, g))
     return CapDomain(g, r, p, rho, tuple(c[1] for c in caps), tuple(arcs), tuple(chords))

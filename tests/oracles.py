@@ -15,7 +15,7 @@ intersections and arcs by way of the inverse-trigonometric distance.  Tests comp
 against digits these routines produce (see the constants in the test
 modules).  The last sections hold helpers that only tests call: the wedge
 angle, arc spans and cap-domain membership by angular wedges, the law of
-cosines on package primitives, and the proof-step
+cosines on package primitives, the inverse versine, and the proof-step
 reproductions of acceptance criterion 10, which build cap domains and
 take their areas with the package.
 """
@@ -270,7 +270,7 @@ def double_normal_reference(poly):
         tangent_dot,
         tangent_from_angle,
     )
-    from spindle.regions import angle_in
+    from spindle.measure import angle_in
 
     g = poly.geometry
     r = poly.r
@@ -355,7 +355,7 @@ def double_normal_reference(poly):
 
 def pieces_reference(poly):
     """The boundary pieces of measure.thickness, vertices first, then arcs,
-    both in arc order, with each vertex normal a unit log_dir."""
+    both in arc order, with each vertex normal and arc direction a unit log_dir."""
     from spindle.geometry import _negate, log_dir, turn_angle
 
     g = poly.geometry
@@ -368,7 +368,7 @@ def pieces_reference(poly):
         # signed, not reduced mod 2 pi: a smooth vertex turning by -1e-17
         # must not read as a full cone
         vert_pieces.append((v, 0.0, n_in, turn_angle(v, n_in, n_out, g)))
-    arc_pieces = [(a.center, poly.r, a.u0, a.extent) for a in arcs]
+    arc_pieces = [(a.center, poly.r, log_dir(a.center, a.start, g), a.extent) for a in arcs]
     return vert_pieces + arc_pieces
 
 
@@ -378,19 +378,18 @@ def screen_reference(pieces, g):
 
     Array passes over blocks of rows (measure._BLOCK pairs each) take
     turn_toward from every center toward every other: the angle of the chord
-    c_g - c_f in the frame (u, perp u) at c_f, with the pi flip for two
-    vertices.  A pair survives when both turns fall in their spans within
-    _SCREEN_EPS, or when its centers lie within _SCREEN_NEAR.
+    c_g - c_f in the frame (u, perp u) at c_f.  A pair survives when both
+    turns fall in their spans within _SCREEN_EPS, or when its centers lie
+    within _SCREEN_NEAR.
     """
     from spindle import measure
     from spindle.geometry import perp
-    from spindle.regions import angle_in
+    from spindle.measure import angle_in
 
     a = np.array([(*c, *u, *perp(c, u, g), span) for c, _, u, span in pieces])
     c, frame, span = a[:, :3], a[:, 3:9].reshape(-1, 2, 3), a[:, 9:]
     w = measure._form_weights(g)
     m = len(pieces)
-    h = m // 2  # the vertices, which the pieces put first
     hit = np.empty((m, m), dtype=bool)
     near = np.empty((m, m), dtype=bool)
     rows = max(1, measure._BLOCK // m)
@@ -399,7 +398,6 @@ def screen_reference(pieces, g):
         chord = c - c[f, None]  # [f, g] = c_g - c_f
         along, left = np.einsum("fik,fgk->ifg", frame[f] * w, chord)
         turn = np.arctan2(left, along)
-        turn[:max(h - s, 0), :h] += math.pi  # rows and columns that are vertices
         hit[f] = angle_in(turn, 0.0, span[f], measure._SCREEN_EPS)
         near[f] = (chord * chord) @ w <= 2.0 * g.vers(measure._SCREEN_NEAR)
     return hit & hit.T | near
@@ -730,11 +728,10 @@ def make_arc_reference(center, radius, start, end, g):
     if q > 1.0 + 1e-9:
         raise SpindleError("OUT_OF_RANGE", "chord longer than the circle diameter")
     extent = 2.0 * math.asin(min(1.0, q))
-    u0 = log_dir(center, start, g)
-    ccw = turn_toward(center, u0, end, g) % two_pi
+    ccw = turn_toward(center, log_dir(center, start, g), end, g) % two_pi
     if abs(ccw - extent) > abs(ccw - (two_pi - extent)):
         extent = two_pi - extent
-    return Arc(center, radius, start, end, extent, g, u0)
+    return Arc(center, radius, start, end, extent, g)
 
 
 # ---------------------------------------------------------------------------
@@ -825,10 +822,11 @@ def angle_coord(o, x, g):
 def contains_ray_angle(arc, x):
     """Whether the ray arc.center -> x falls inside the arc's angular span,
     within ANGLE_EPS at both ends."""
-    from spindle.geometry import turn_toward
-    from spindle.regions import angle_in
+    from spindle.geometry import log_dir, turn_toward
+    from spindle.measure import angle_in
 
-    return angle_in(turn_toward(arc.center, arc.u0, x, arc.geometry), 0.0, arc.extent)
+    c, g = arc.center, arc.geometry
+    return angle_in(turn_toward(c, log_dir(c, arc.start, g), x, g), 0.0, arc.extent)
 
 
 def cap_wedges(dom):
@@ -856,7 +854,7 @@ def cap_domain_contains_reference(dom, x):
     ANGLE_EPS of the cap's footprint (cap_wedges) and x within r + GEOM_EPS
     of both arc centers."""
     from spindle.geometry import GEOM_EPS, distance
-    from spindle.regions import angle_in
+    from spindle.measure import angle_in
 
     g = dom.geometry
     if distance(dom.center, x, g) <= dom.rho + GEOM_EPS:
@@ -897,7 +895,12 @@ def side_from_cosine_law(b, c, alpha, g):
         if v > 1.0:
             # the arcsine form of avers loses digits past a right angle
             return math.acos(max(-1.0, 1.0 - v))
-    return g.avers(v)
+    return avers(g, v)
+
+
+def avers(g, v):
+    """Inverse of g.vers on [0, pi] (sphere) or [0, inf): 2 asn(sqrt(v / 2))."""
+    return 2.0 * g.asn(math.sqrt(0.5 * v))
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,16 @@ def test_run_verification_rejects_unknown_geometry():
     assert err.value.code == "BAD_RANGE"
 
 
+@pytest.mark.parametrize("names", (("euclidean", "euclidean"), (), "euclidean", ("flatland",)),
+                         ids=("repeated", "empty", "bare-string", "unknown"))
+def test_run_verification_refuses_a_bad_geometry_list(names):
+    # a repeated plane ran twice and counted its violations twice, an empty
+    # list passed with 0 violations, and a bare string was read letter by letter
+    with pytest.raises(SpindleError) as err:
+        run_verification(VerifyConfig(geometries=names, trials=1))
+    assert err.value.code == "BAD_RANGE" and repr(names) in str(err.value)
+
+
 @pytest.mark.parametrize("config", (VerifyConfig(trials=0), VerifyConfig(trials=-3)),
                          ids=("no-trials", "negative-trials"))
 def test_run_verification_refuses_an_empty_battery(config):

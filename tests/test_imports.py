@@ -6,9 +6,9 @@ src/spindle and tests with ast and reports imported names that are never
 read.  Package __init__ modules are exempt: their imports are re-exports.
 A module-level private name (one leading underscore) in src/spindle must
 be read by some src/spindle module; tests do not count as readers.  A
-module-level public function in src/spindle must be called by the package
-or the benchmark, or be named in README's Library section: one that only
-tests call belongs in tests/oracles.py.  In every module of src/spindle a tolerance is a named
+module-level public function or public method in src/spindle must be read by
+the package or the benchmark, or be named in README's Library section: one
+that only tests call belongs in tests/oracles.py.  In every module of src/spindle a tolerance is a named
 module-level constant: no literal with a negative exponent (1e-9) appears
 outside a `NAME = value` line.  In every module of src/spindle formulas
 are curvature-generic: the sign of kappa is tested only in the functions
@@ -107,22 +107,31 @@ def test_unread_private_name_check_flags_and_accepts():
 
 
 def called_only_by_tests(trees: dict, library: str) -> list[str]:
-    """Public module-level functions of the package modules in trees that no
-    tree reads, other than in the function's own body, and that library
-    does not name.  A tree named with a leading '-' reads but defines
-    nothing counted (the benchmark)."""
+    """Public module-level functions, and public methods of module-level
+    classes, of the package modules in trees that no tree reads, other than
+    in the function's own body, and that library does not name.  A tree
+    named with a leading '-' reads but defines nothing counted (the
+    benchmark)."""
     defined = {}
     read = set()
     for module, tree in trees.items():
         own = set()
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+        functions = [(node, node.name) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                functions += [(node, f"{cls.name}.{node.name}") for node in cls.body
+                              if isinstance(node, ast.FunctionDef)]
+        for node, where in functions:
+            if not node.name.startswith("_"):
                 if not module.startswith("-"):
-                    defined[node.name] = f"{module}.{node.name} (line {node.lineno})"
+                    defined[node.name] = f"{module}.{where} (line {node.lineno})"
                 own |= {id(n) for n in ast.walk(node)
-                        if isinstance(n, ast.Name) and n.id == node.name}
+                        if isinstance(n, ast.Name) and n.id == node.name
+                        or isinstance(n, ast.Attribute) and n.attr == node.name}
         for n in ast.walk(tree):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and id(n) not in own:
+            if id(n) in own:
+                continue
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 read.add(n.id)
             elif isinstance(n, ast.Attribute):
                 read.add(n.attr)
@@ -146,10 +155,13 @@ def test_test_only_function_check_flags_and_accepts():
     trees = {
         "a": ast.parse("def used(x):\n    return x\ndef named(x):\n    return x\n"
                        "def lonely(n):\n    return lonely(n - 1) if n else 0\n"
-                       "def benched():\n    return used(1)\n"),
-        "-run": ast.parse("import a\nY = a.benched()\n"),
+                       "def benched():\n    return used(1)\n"
+                       "class Box:\n    def read(self):\n        return 1\n"
+                       "    def dead(self, n):\n        return self.dead(n - 1) if n else 0\n"),
+        "-run": ast.parse("import a\nY = a.benched() + a.Box().read()\n"),
     }
-    assert called_only_by_tests(trees, "call `named` for x") == ["a.lonely (line 5)"]
+    assert called_only_by_tests(trees, "call `named` for x") == [
+        "a.Box.dead (line 12)", "a.lonely (line 5)"]
 
 
 def unnamed_tolerances(source: str) -> list[str]:

@@ -22,6 +22,7 @@ from spindle.extremal import (
     triangle_inradius,
 )
 from spindle.geometry import (
+    ANGLE_EPS,
     EUCLIDEAN,
     GEOMETRIES,
     HYPERBOLIC,
@@ -38,14 +39,14 @@ from spindle.geometry import (
     log_dir,
     midpoint,
     origin,
+    rotate_tangent,
     tangent_from_angle,
     turn_toward,
 )
-from spindle.measure import area, disk_area, incircle, thickness
+from spindle.measure import angle_in, area, disk_area, incircle, thickness
 from spindle.regions import (
     CapDomain,
     DiskPolygon,
-    angle_in,
     ball_hull,
     cap_domain,
     load_region,
@@ -285,16 +286,16 @@ def test_ball_hull_jittered_rings_keep_every_point():
 def test_make_arc_matches_the_distance_reference():
     # make_arc tests its endpoints and takes its extent on chord2; the
     # reference takes three distances.  Over the arcs of ring hulls the extent
-    # agrees within 1e-14 and u0 bit for bit, and an endpoint moved 1.5e-7 off
-    # its circle (either way) is refused by both with the same code, one moved
-    # 0.5e-7 accepted by both
+    # agrees within 1e-14, and an endpoint moved 1.5e-7 off its circle (either
+    # way) is refused by both with the same code, one moved 0.5e-7 accepted
+    # by both
     rng = np.random.default_rng(212)
     for g in ALL:
         for r, n in ((0.7, 16), (1.0, 29), (1.4, 48)):
             for a in ball_hull(jittered_ring(g, n, r, rng), r, g).arcs:
                 got = make_arc(a.center, r, a.start, a.end, g)
                 want = make_arc_reference(a.center, r, a.start, a.end, g)
-                assert abs(got.extent - want.extent) <= 1e-14 and got.u0 == want.u0, (g, r, n)
+                assert abs(got.extent - want.extent) <= 1e-14, (g, r, n)
                 for off in (1.5e-7, -1.5e-7, 0.5e-7, -0.5e-7):
                     end = exp_map(a.center, log_dir(a.center, a.end, g), r + off, g)
                     start = exp_map(a.center, log_dir(a.center, a.start, g), r + off, g)
@@ -310,11 +311,12 @@ def test_make_arc_matches_the_distance_reference():
 
 
 def test_hull_and_width_build_few_directions(monkeypatch):
-    # the r-scan builds one direction per arc (in make_arc), and its arcs test
-    # their endpoints and take their extents on chord2, so ball_hull takes no
-    # distance of its own; the width screens all piece pairs in one array
-    # pass: log_dir, distance and turn_toward run O(h) times, not once per
-    # pair, and the width's log_dir only for the vertex-vertex chords it accepts
+    # the r-scan builds one direction per arc (in its circle intersection),
+    # and its arcs store none, test their endpoints and take their extents on
+    # chord2, so ball_hull takes no distance of its own; the width screens all
+    # piece pairs in one array pass: log_dir, distance and turn_toward run
+    # O(h) times, not once per pair, and the width's log_dir two per chord
+    # that shortens the best so far
     calls = {"log_dir": 0, "distance": 0, "turn_toward": 0}
 
     def counted(fn):
@@ -323,6 +325,7 @@ def test_hull_and_width_build_few_directions(monkeypatch):
             return fn(*args)
         return spy
 
+    monkeypatch.setattr(geometry, "log_dir", counted(log_dir))
     monkeypatch.setattr(regions, "log_dir", counted(log_dir))
     monkeypatch.setattr(regions, "distance", counted(distance))
     monkeypatch.setattr(measure, "log_dir", counted(log_dir))
@@ -335,11 +338,11 @@ def test_hull_and_width_build_few_directions(monkeypatch):
         hull = ball_hull(pts, 1.0, g)
         h = len(hull.vertices)
         assert h == 48
-        assert calls["log_dir"] <= 3 * h
+        assert calls["log_dir"] <= h
         assert calls["distance"] == 0
         calls.update(log_dir=0, distance=0, turn_toward=0)
         thickness(hull)
-        assert calls["log_dir"] <= h // 4  # vertex normals take none: only vertex-vertex chords
+        assert calls["log_dir"] <= h // 4  # the pieces' normals take none
         assert calls["distance"] <= 2 * h
         assert calls["turn_toward"] <= 2 * h
 
@@ -728,6 +731,45 @@ def test_arc_point_at_endpoints_and_midpoint():
             assert contains_ray_angle(a, mid)
             # a counterclockwise arc lies right of its chord
             assert geometry.det3(a.start, a.end, mid) < 0.0
+
+
+def test_make_arc_refuses_the_parent_clockwise_window():
+    # an end turned clockwise from the start by more than ANGLE_EPS and less
+    # than pi - ANGLE_EPS is refused, by det3 on the chords from the center;
+    # the window is the one turn_toward from log_dir(center, start) gave, on
+    # small circles too, where det3 on the raw coordinates loses the sign
+    rng = np.random.default_rng(315)
+    turns = [sign * t for sign in (1.0, -1.0) for t in (
+        0.5 * ANGLE_EPS, 2.0 * ANGLE_EPS, math.pi - 2.0 * ANGLE_EPS, math.pi - 0.5 * ANGLE_EPS)]
+    decisions = 0
+    for g in ALL:
+        for r in (1e-4, 0.7, 1.4):
+            for _ in range(3):
+                c = from_polar(g, float(rng.uniform(0.0, TWO_PI)), float(rng.uniform(0.0, 1.0)))
+                u = tangent_from_angle(c, float(rng.uniform(0.0, TWO_PI)), g)
+                start = exp_map(c, u, r, g)
+                for t in turns:
+                    end = exp_map(c, rotate_tangent(c, u, t, g), r, g)
+                    turn = turn_toward(c, log_dir(c, start, g), end, g)
+                    refused = -math.pi + ANGLE_EPS < turn < -ANGLE_EPS
+                    assert refused == (-math.pi + ANGLE_EPS < t < -ANGLE_EPS)
+                    try:
+                        make_arc(c, r, start, end, g)
+                        assert not refused, (g.name, r, t)
+                    except SpindleError as e:
+                        assert refused and e.code == "MALFORMED_BOUNDARY", (g.name, r, t)
+                    decisions += 1
+    assert decisions == 216
+    # full-reach caps are two half circles, each from one end of a diameter
+    # to the other, det3 about 0: built on small circles away from the origin
+    for g in ALL:
+        for r in (1e-4, 1e-5):
+            for _ in range(20):
+                p = from_polar(g, float(rng.uniform(0.0, TWO_PI)), float(rng.uniform(0.0, 1.0)))
+                rho = float(rng.uniform(0.2, 0.8)) * r
+                q = exp_map(p, tangent_from_angle(p, float(rng.uniform(0.0, TWO_PI)), g), 2.0 * r - rho, g)
+                halves = cap_domain(Circle(p, rho), [q], r, g).arcs[:2]
+                assert [a.extent for a in halves] == pytest.approx([math.pi] * 2, abs=1e-3)
 
 
 def test_angle_in_wraps_and_is_tolerant_at_both_ends():
