@@ -29,7 +29,7 @@ from .regions import DiskPolygon, ball_hull, make_arc
 
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 _SIN_THIRD = math.sqrt(0.75)  # sin(2pi/3)
-_RHO_SLACK = 1e-9  # a hexagon's rho may leave [rho0, w - rho0] by this much
+_RHO_SLACK = 1e-9  # length: a hexagon's rho may leave [rho0, w - rho0] by this much
 
 
 def _check_width_radius(w: float, r: float, g: Geometry) -> None:

@@ -54,26 +54,27 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, NamedTuple, Optional, Sequence
 
-GEOM_EPS = 1e-10    # tolerance for geometric predicates
-ANGLE_EPS = 1e-9    # angular tolerance for cone / arc-span tests
-MERGE_EPS = 10 * GEOM_EPS  # boundary vertices closer than this are merged
-# relative residual of the surface equation an input point may carry
+# Each tolerance's comment opens with its unit: a length, a share (relative, or of
+# a unit quantity), an angle (radians), a chord2 (= 2 vers of a length) or an area.
+GEOM_EPS = 1e-10    # length: a disk's radius grows by this in containment tests
+ANGLE_EPS = 1e-9    # angle: slack of cone and arc-span tests
+MERGE_EPS = 10 * GEOM_EPS  # length: boundary vertices closer than this are merged
+# share: relative residual of the surface equation an input point may carry
 ON_SURFACE_EPS = 1e-9
-# smallest_enclosing_disk: a point this far past a disk's rim counts as
-# inside it, and one this close to the rim of the last disk as support
+# length: smallest_enclosing_disk counts a point this far past a disk's rim
+# as inside it, and one this close to the rim of the last disk as support
 SED_SLACK = 1e-9
-# log_dir's DEGENERATE cut-off d < 1e-12 on chord2 = 2 vers d = d^2 (1 + O(d^2))
+# chord2: log_dir's DEGENERATE cut-off d < 1e-12, as chord2 = 2 vers d = d^2 (1 + O(d^2))
 _DEGENERATE_CHORD2 = 1e-24
-# a spherical chord2 = 2 - 2 p.q at or past this (p.q <= -1 + 1e-12) is ANTIPODAL
+# chord2: a spherical chord2 = 2 - 2 p.q at or past this (p.q <= -1 + 1e-12) is ANTIPODAL
 _ANTIPODAL_CHORD2 = 4.0 - 2e-12
-_ZERO_NORM = 1e-14      # a vector shorter than this has no direction to normalize
-_NORM_ROUNDING = 4.0 * 2.0 ** -52  # rounding of a norm q per z^2 + kappa^2 (x^2 + y^2)
-_TANGENT_EPS = 1e-9     # a unit tangent's slack in length and off its tangent plane
-_AXIS_EPS = 1e-9        # hyperboloid points with |x|, |y| below this frame on the x axis
-_MISS_SLACK = 1e-9      # circles whose |cos beta| passes 1 by at most this still meet
-_TOUCH_EPS = 1e-12      # a |cos beta| this close to 1 is a tangency: one point
-_CONCENTRIC_EPS = 1e-12  # concentric circles with radii this close coincide
-_COLLINEAR_SIN = 1e-13  # circumcenter: chords meeting at a smaller sine give None
+_ZERO_NORM = 1e-14      # length: a vector shorter than this has no direction to normalize
+_NORM_ROUNDING = 4.0 * 2.0 ** -52  # share: rounding of a norm q per z^2 + kappa^2 (x^2 + y^2)
+_TANGENT_EPS = 1e-9     # share: a unit tangent's slack in length and off its tangent plane
+_AXIS_EPS = 1e-9        # length: hyperboloid points with |x|, |y| below this frame on the x axis
+_MISS_SLACK = 1e-9      # share: circles whose |cos beta| passes 1 by at most this still meet
+_TOUCH_EPS = 1e-12      # share: a |cos beta| this close to 1 is a tangency, one point
+_COLLINEAR_SIN = 1e-13  # angle (its sine): circumcenter gives None for chords meeting at less
 
 
 class SpindleError(ValueError):
@@ -499,7 +500,7 @@ def circle_circle_intersection(
     g.check_radius(r2)
     vers_d = 0.5 * chord2(p, q, g)
     if vers_d <= 0.5 * _DEGENERATE_CHORD2:
-        if abs(r1 - r2) <= _CONCENTRIC_EPS:
+        if r1 == r2:
             raise SpindleError("COINCIDENT", "the circles coincide")
         return ()
     u = log_dir(p, q, g)  # raises ANTIPODAL before sn d can vanish

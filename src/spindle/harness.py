@@ -60,17 +60,17 @@ DEFAULT_RADII = {
 }
 POINT_COUNTS = tuple(range(2, 13))
 
-MARGIN_SLACK = 1e-7   # inequalities may dip this far below zero numerically
-NEAR_EQUALITY = 1e-6  # treat margins under this as equality cases
-BATTERY_SLACK = 1e-6  # a cap domain's generators may reach this far past the hull's disks
-_WIDTH_OVER_R = 1e-9  # a hull's width may pass r by this much before OUT_OF_RANGE
-_APEX_CLEARANCE = 1e-9  # cap apexes at w - rho must clear the incircle radius by more than this
-_STRIP_SLACK = 1e-6   # a support strip may fall this far short of the width
-_CAP_AREA_SLACK = 1e-9  # a cap domain's area may pass the hull's by this much
-_DIFF_STEP = 1e-6     # central-difference step for the triangle calculus checks
-_TRIANGLE_WIDTH_TOL = 1e-6  # a regular triangle's measured width may miss w by this much
-_HEXAGON_MARGIN_MIN = 1e-9  # a hexagon area margin must pass this to count as positive
-_PARTIAL_TOL = 1e-5   # analytic inradius partials may miss central differences by this much
+MARGIN_SLACK = 1e-7   # length or area: the inradius and area margins may dip this far below 0
+NEAR_EQUALITY = 1e-6  # length and area: both margins under this make an equality case
+BATTERY_SLACK = 1e-6  # length: a cap domain's generators may reach this far past the hull's disks
+_WIDTH_OVER_R = 1e-9  # length: a hull's width may pass r by this much before OUT_OF_RANGE
+_APEX_CLEARANCE = 1e-9  # length: cap apexes at w - rho must clear the incircle radius by more
+_STRIP_SLACK = 1e-6   # length: a support strip may fall this far short of the width
+_CAP_AREA_SLACK = 1e-9  # area: a cap domain's area may pass the hull's by this much
+_DIFF_STEP = 1e-6     # length: central-difference step for the triangle calculus checks
+_TRIANGLE_WIDTH_TOL = 1e-6  # length: a regular triangle's measured width may miss w by this
+_HEXAGON_MARGIN_MIN = 1e-9  # area: a hexagon area margin must pass this to count as positive
+_PARTIAL_TOL = 1e-5   # share: analytic inradius partials may miss central differences by this
 
 
 @dataclass(frozen=True)

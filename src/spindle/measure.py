@@ -69,10 +69,6 @@ def disk_area(g: Geometry, rho: float) -> float:
 
 # max(1, cs^2) tan^2(phi / 2) up to which _segment_minor sums its series
 _SEGMENT_SERIES = 0.25
-# the series stops at the first term this small relative to the sum so far
-_SERIES_STOP = 1e-17
-# central angles this close to pi measure exactly half the disk
-_HALF_CIRCLE_EPS = 1e-9
 
 
 def _segment_minor(phi: float, rho: float, g: Geometry) -> float:
@@ -99,10 +95,10 @@ def _segment_minor(phi: float, rho: float, g: Geometry) -> float:
         total, qk, xk, n = 0.0, 1.0, x, 3  # qk and xk carry the sign (-1)^(k+1)
         while True:
             term = qk / n
-            total += term
-            if abs(term) <= _SERIES_STOP * total:
+            if total + term == total:  # the alternating tail is smaller than term
                 st = g.sn(rho) * t
                 return 2.0 * ct * st * st * total
+            total += term
             qk, xk, n = -(y * qk + xk), -xk * x, n + 2
     if c < 0.5:
         return g.kappa * (2.0 * math.atan(c * t) - phi * c)
@@ -119,8 +115,6 @@ def segment_area(phi: float, rho: float, g: Geometry) -> float:
         raise SpindleError("BAD_RANGE", f"segment angle out of range: {phi}")
     if phi >= TWO_PI - ANGLE_EPS:
         return disk_area(g, rho)
-    if abs(phi - math.pi) <= _HALF_CIRCLE_EPS:
-        return 0.5 * disk_area(g, rho)
     if phi > math.pi:
         return disk_area(g, rho) - _segment_minor(TWO_PI - phi, rho, g)
     return _segment_minor(phi, rho, g)
@@ -199,14 +193,14 @@ def _intervals_overlap(lo1: float, w1: float, lo2: float, w2: float) -> Optional
     return None
 
 
-# span slack of the screen: the turns it judges differ from turn_toward's by
+# angle: span slack of the screen, as the turns it judges differ from turn_toward's by
 # rounding, <= 3.1e-9 on the width corpus (hyperbolic rings to D = 6) and
 # 4.2e-8 on rings of near twins to D = 6; past that it grows like cosh^3 D,
 # to 2.3e-6 at D = 8 (the chord-tensor screen's: 2.1e-6)
 _SCREEN_EPS = 1e-6
-# centers closer than this pass the screen unjudged: the common-center branch stays scalar
+# length: centers closer than this pass the screen unjudged (the common-center branch)
 _SCREEN_NEAR = 1e-6
-# rounding of a screen form product per Z^2, Z the largest center coordinate:
+# share: rounding of a screen form product per Z^2, Z the largest center coordinate:
 # measured <= 1.25 eps Z^2 on the short chords of hyperbolic rings to D = 8
 _SCREEN_ROUNDING = 4.0 * 2.0 ** -52
 
@@ -382,7 +376,7 @@ class Incircle:
     support: tuple[int, ...]
 
 
-# arcs whose centers lie within this of the centers' enclosing circle support the incircle
+# length: arcs with centers this close to the centers' enclosing circle support the incircle
 _SUPPORT_EPS = 1e-9
 
 
@@ -408,9 +402,9 @@ def incircle(poly: DiskPolygon) -> Incircle:
 # --------------------------------------------------------------------------
 # Monte Carlo area
 
-# outward pad on the bounding disk's radius, so rounding cannot cut the region
+# length: outward pad on the bounding disk's radius, so rounding cannot cut the region
 _BOUND_PAD = 1e-9
-# an arc center this close to the disk's center gives no direction away from it:
+# length: an arc center this close to the disk's center gives no direction away from it:
 # the arc's far point is then taken at the arc's radius
 _CENTER_EPS = 1e-12
 
@@ -437,6 +431,12 @@ def bounding_disk(region) -> tuple[Point, float]:
     return o, radius + _BOUND_PAD
 
 
+def _check_count(name: str, count, least: int) -> None:
+    # count must be an integer (numpy's too), not a float or a bool, and >= least
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < least:
+        raise SpindleError("BAD_RANGE", f"{name} must be an integer >= {least}, got {count!r}")
+
+
 def sample_in_disk(
     o: Point, big_r: float, count: int, rng: np.random.Generator, g: Geometry
 ) -> np.ndarray:
@@ -449,8 +449,12 @@ def sample_in_disk(
     direction takes t = tan(theta / 2), cos theta = (1 - t^2) / (1 + t^2)
     and sin theta = 2 t / (1 + t^2): one vectorized tan in place of cos and
     sin, which numpy evaluates by scalar libm calls.  All theta are drawn
-    first, then all v; the points are built _BLOCK rows per pass.
+    first, then all v; the points are built _BLOCK rows per pass.  BAD_RANGE
+    names a count that is not an integer >= 0, or a radius not finite and >= 0.
     """
+    _check_count("count", count, 0)
+    if not 0.0 <= big_r < math.inf:
+        raise SpindleError("BAD_RANGE", f"disk radius must be finite and >= 0, got {big_r!r}")
     theta = rng.uniform(0.0, TWO_PI, count)
     v = g.vers(big_r) * rng.uniform(0.0, 1.0, count)
     frame = np.array([o, *tangent_basis(o, g)])
@@ -513,8 +517,7 @@ def area_monte_carlo(
     hits with the batch forms of DiskPolygon.contains and
     CapDomain.contains, _BLOCK samples per pass.
     """
-    if samples <= 0:
-        raise SpindleError("BAD_RANGE", "need a positive sample count")
+    _check_count("samples", samples, 1)
     g = region.geometry
     o, big_r = bounding_disk(region)
     pts = sample_in_disk(o, big_r, samples, rng, g)

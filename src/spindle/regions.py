@@ -51,14 +51,14 @@ from .geometry import (
 )
 
 TWO_PI = 2.0 * math.pi
-_TIGHT_EPS = 1e-9     # an enclosing radius past r by more than this fits no radius-r disk
-_ONE_DISK_EPS = 1e-11  # an enclosing radius this close to r makes the hull that one disk
-_POP_SLACK = 1e-12    # the r-scan pops when the next point is this close to the top arc's circle
-_COVER_SLACK = 1e-7   # every input point lies this close to each arc's disk
-_ON_CIRCLE_EPS = 1e-7  # an arc endpoint may lie this far off its circle
-_ZERO_ARC = 1e-15     # arc endpoints closer than this make a zero-extent arc
-_CHORD_SLACK = 1e-9   # an arc's chord may pass its circle's diameter by this share
-_LENGTH_EPS = 1e-12   # lengths this close are equal (r_segment's reach and cap_domain's apex tests)
+_TIGHT_EPS = 1e-9     # length: an enclosing radius past r by more fits no radius-r disk
+_ONE_DISK_EPS = 1e-11  # length: an enclosing radius this close to r makes the hull one disk
+_POP_SLACK = 1e-12    # length: the r-scan pops a point this close to the top arc's circle
+_COVER_SLACK = 1e-7   # length: every input point lies this close to each arc's disk
+_ON_CIRCLE_EPS = 1e-7  # length: an arc endpoint may lie this far off its circle
+_ZERO_ARC = 1e-15     # length: endpoints with a shorter chord make a zero-extent arc
+_CHORD_SLACK = 1e-9   # share: an arc's chord may pass its circle's diameter by this share
+_LENGTH_EPS = 1e-12   # length: r_segment's reach and cap_domain's apex tests call this close equal
 
 
 class Arc(NamedTuple):

@@ -28,9 +28,6 @@ ARC_SAMPLES = 256
 LINE_SAMPLES = 64
 SVG_SIZE = 600          # width and height of the viewport
 _PAD = 0.05             # margin around the drawing, as a share of its span
-_SOUTH_POLE_EPS = 1e-9  # points with 1 + z at or below this leave the chart
-_POINT_SEGMENT = 1e-12  # a geodesic segment shorter than this draws as its first point
-_MIN_SPAN = 1e-9        # the chart span never scales below this, so one point still draws
 
 _REGION_STYLES = (
     ("#1f6fb4", "rgba(31,111,180,0.12)"),
@@ -42,7 +39,7 @@ _REGION_STYLES = (
 
 def _project(p: Point) -> tuple[float, float]:
     s = 1.0 + p.z
-    if s <= _SOUTH_POLE_EPS:
+    if s <= 0.0:
         raise SpindleError("PROJECTION_DOMAIN", "the south pole has no place in the chart")
     return p.x / s, p.y / s
 
@@ -53,8 +50,6 @@ def _arc_polyline(arc: Arc) -> list[tuple[float, float]]:
 
 def _geodesic_polyline(a: Point, b: Point, g: Geometry) -> list[tuple[float, float]]:
     d = distance(a, b, g)
-    if d < _POINT_SEGMENT:
-        return [_project(a)]
     u = log_dir(a, b, g)
     return [_project(exp_map(a, u, d * k / LINE_SAMPLES, g)) for k in range(LINE_SAMPLES + 1)]
 
@@ -74,7 +69,7 @@ class _Canvas:
         ys = [y for _, pts, _ in self.items for _, y in pts]
         x0, x1 = min(xs), max(xs)
         y0, y1 = min(ys), max(ys)
-        span = max(x1 - x0, y1 - y0, _MIN_SPAN)
+        span = max(x1 - x0, y1 - y0)
         margin = span * _PAD
         x0 -= margin
         y0 -= margin

@@ -396,3 +396,12 @@ def test_hexagon_rho_range_errors():
             regular_disk_hexagon(0.8, 1.2, 0.8 - 0.5 * rho0, g)
         with pytest.raises(SpindleError):
             regular_disk_hexagon(0.0, 1.2, 0.2, g)
+
+
+def test_hexagon_at_the_measured_inradius_of_its_triangle():
+    # incircle's radius of the triangle falls 2.8e-16 under triangle_inradius
+    # here: _RHO_SLACK lets the hexagon at that rho build (BAD_RANGE without it)
+    tri = regular_disk_triangle(0.8, 1.0, HYPERBOLIC)
+    rho = incircle(tri.region).radius
+    hexa = regular_disk_hexagon(0.8, 1.0, rho, HYPERBOLIC)
+    assert area(hexa.region) == pytest.approx(area(tri.region), abs=1e-9)

@@ -708,6 +708,8 @@ def test_circle_intersection_tangent_and_empty_cases():
         # disjoint, concentric, nested: all empty
         assert circle_circle_intersection(Circle(o, 0.2), Circle(far, 0.2), g) == ()
         assert circle_circle_intersection(Circle(o, 0.2), Circle(o, 0.5), g) == ()
+        # concentric circles coincide only at equal radii: 1e-13 apart they miss
+        assert circle_circle_intersection(Circle(o, 0.3), Circle(o, 0.3 + 1e-13), g) == ()
         inner = Circle(from_polar(g, 0.0, 0.05), 0.1)
         assert circle_circle_intersection(Circle(o, 0.8), inner, g) == ()
         with pytest.raises(SpindleError) as err:
@@ -1083,3 +1085,11 @@ def test_embedding_and_domain_errors():
             g.check_radius(float("nan"))
     with pytest.raises(SpindleError):
         SPHERICAL.check_radius(math.pi / 2)
+
+
+def test_a_zero_tangent_has_no_direction():
+    # _ZERO_NORM turns the zero vector into DEGENERATE, not a ZeroDivisionError
+    for g in ALL:
+        with pytest.raises(SpindleError) as err:
+            rotate_tangent(origin(g), Tangent(0.0, 0.0, 0.0), 0.3, g)
+        assert err.value.code == "DEGENERATE"

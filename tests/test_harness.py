@@ -9,8 +9,11 @@ import pytest
 
 from oracles import angle_coord, cap_rotation_check, distance_monotonicity_check, symmetric_cap_domain
 from spindle import harness
-from spindle.extremal import regular_disk_triangle, triangle_inradius
-from spindle.geometry import GEOMETRIES, EUCLIDEAN, Geometry, SpindleError, distance, origin
+from spindle.extremal import regular_disk_hexagon, regular_disk_triangle, triangle_inradius
+from spindle.geometry import (
+    GEOMETRIES, EUCLIDEAN, HYPERBOLIC, SPHERICAL, Geometry, SpindleError, distance, from_polar,
+    origin,
+)
 from spindle.harness import (
     HEX_FRACTIONS,
     MARGIN_SLACK,
@@ -450,3 +453,57 @@ def test_monotonicity_sweep_clean_and_structured():
         for rows in by_r.values():
             rows.sort()
             assert all(a[1] < b[1] for a, b in zip(rows, rows[1:]))
+
+
+# --------------------------------------------------------------------------
+# the harness's slacks, each on an input that needs it
+
+@pytest.mark.parametrize("g, r", ((HYPERBOLIC, 0.7), (HYPERBOLIC, 1.4), (SPHERICAL, 1.4)),
+                         ids=("H-0.7", "H-1.4", "S-1.4"))
+def test_a_lens_of_width_r_is_measured_not_refused(g, r):
+    # the lens of two points 2a apart, cs r = cs a cs(r / 2), has its arc
+    # centers r apart and width 2r - r = r; measured, it passes r by 1.1e-15
+    # to 2.4e-15, which _WIDTH_OVER_R lets through (OUT_OF_RANGE without it)
+    ca = g.cs(r) / g.cs(0.5 * r)
+    a = math.acos(ca) if g.kappa > 0 else math.acosh(ca)
+    lens = ball_hull([from_polar(g, 0.0, a), from_polar(g, math.pi, a)], r, g)
+    rep = check_extremal_bounds(lens)
+    assert rep["width"] == pytest.approx(r, abs=1e-14)
+    assert rep["violations"] == []
+
+
+def test_apexes_on_the_incircle_are_an_apex_inside_disk_status():
+    # rho = w / 2: the apexes at w - rho sit on the incircle, w - 2 rho =
+    # +4.4e-16 as measured; _APEX_CLEARANCE reports them as apex-inside-disk
+    # (cap_domain's DEGENERATE without it)
+    hexa = regular_disk_hexagon(0.6, 1.0, 0.3, SPHERICAL)
+    rec = check_extremal_bounds(hexa.region)
+    assert inscribed_cap_domain(hexa.region, rec)[:2] == (None, "apex-inside-disk")
+
+
+def test_the_regular_triangle_gets_its_cap_certificate():
+    # each support strip of the regular triangle is as wide as the triangle,
+    # h - w = -1.4e-15 here: within _STRIP_SLACK, not strip-under-width
+    tri = regular_disk_triangle(0.84, 1.4, HYPERBOLIC)
+    _, status, details = inscribed_cap_domain(tri.region, check_extremal_bounds(tri.region))
+    assert status == "ok" and details["containment"]
+
+
+def test_a_trial_on_the_equality_body_has_no_violation(monkeypatch):
+    # at w = r the cap domain of the regular triangle passes its area by
+    # 6.7e-16: _CAP_AREA_SLACK keeps run_trial from a cap-area violation
+    tri = regular_disk_triangle(1.4, 1.4, HYPERBOLIC)
+    monkeypatch.setattr(harness, "sample_disk_polygon", lambda g, n, r, rng: tri.region)
+    rec = run_trial(HYPERBOLIC, 0, VerifyConfig(geometries=("hyperbolic",)))
+    assert rec["cap_status"] == "ok"
+    assert rec["violations"] == []
+
+
+def test_hexagon_margins_under_the_gate_are_not_positive(monkeypatch):
+    # at f = 1e-9 the hexagon's area margin is +1.8e-11, under
+    # _HEXAGON_MARGIN_MIN (an area, 1e-9): the sweep reports it, as it does
+    # the -1.6e-13 of rounding at f = 1e-12
+    for f in (1e-9, 1e-12):
+        monkeypatch.setattr(harness, "HEX_FRACTIONS", (f,))
+        out = monotonicity_sweep(EUCLIDEAN, (0.8,), (1.0,))
+        assert [v.split(" at ")[0] for v in out["violations"]] == ["hexagon margin not positive"]

@@ -219,7 +219,8 @@ def test_segment_area_tiny_angle():
 def test_segment_area_keeps_its_digits():
     # against 2 kappa (atan(c tan(phi/2)) - c phi/2) at 50 digits, from
     # phi = 1e-6 to the half disk and from rho = 1e-3 to a hemisphere: the
-    # closed form in doubles cancels at small phi or rho (to 1e-3 relative)
+    # closed form in doubles cancels at small phi or rho (to 1e-3 relative);
+    # and next to pi, up to pi itself, with no half-disk shortcut
     def reference(phi, rho, kappa):
         with mp.workdps(50):
             phi, rho = mp.mpf(phi), mp.mpf(rho)
@@ -230,7 +231,8 @@ def test_segment_area_keeps_its_digits():
 
     for g in ALL:
         for rho in (1e-3, 0.1, 0.3, 1.0, 1.2, 1.5 if g.kappa > 0 else 3.0):
-            for phi in np.geomspace(1e-6, 3.1, 40).tolist() + [math.pi - 1e-8]:
+            for phi in np.geomspace(1e-6, 3.1, 40).tolist() + [math.pi - 1e-8, math.pi - 5e-10,
+                                                                 math.pi - 1e-12, math.pi]:
                 rel = segment_area(phi, rho, g) / reference(phi, rho, g.kappa) - 1
                 assert abs(rel) <= 4e-15, (g.name, rho, phi)
 
@@ -722,6 +724,34 @@ def test_monte_carlo_blocks_change_nothing(monkeypatch):
                     got = [area_monte_carlo(x, count, np.random.default_rng(count)) for x in regions]
                 assert np.array_equal(pts, want_pts)
                 assert got == want
+
+
+@pytest.mark.parametrize("samples", (2.5, 1e3, True, 0, -5, "100"))
+def test_monte_carlo_refuses_a_bad_sample_count(samples):
+    with pytest.raises(SpindleError, match="samples") as err:
+        area_monte_carlo(lens_region(EUCLIDEAN), samples, np.random.default_rng(0))
+    assert err.value.code == "BAD_RANGE"
+
+
+@pytest.mark.parametrize("count, big_r, named", (
+    (-1, 0.5, "count"), (2.0, 0.5, "count"), (False, 0.5, "count"),
+    (10, -0.5, "radius"), (10, math.nan, "radius"), (10, math.inf, "radius")))
+def test_disk_sampler_refuses_a_bad_count_or_radius(count, big_r, named):
+    # a coded error naming the argument, not numpy's, nor B(o, 0.5) for -0.5
+    for g in ALL:
+        with pytest.raises(SpindleError, match=named) as err:
+            sample_in_disk(origin(g), big_r, count, np.random.default_rng(0), g)
+        assert err.value.code == "BAD_RANGE"
+
+
+def test_monte_carlo_takes_numpy_counts_and_empty_samples():
+    for g in ALL:
+        region = lens_region(g)
+        got = area_monte_carlo(region, np.int64(500), np.random.default_rng(1))
+        assert got == area_monte_carlo(region, 500, np.random.default_rng(1))
+        assert sample_in_disk(origin(g), 0.5, 0, np.random.default_rng(0), g).shape == (0, 3)
+        assert sample_in_disk(origin(g), 0.0, 2, np.random.default_rng(0), g).tolist() == [
+            [0.0, 0.0, 1.0]] * 2
 
 
 def disk_polygon_margin(poly, x):

@@ -973,3 +973,21 @@ def test_load_region_rejects_malformed(tmp_path):
     }))
     with pytest.raises(SpindleError):
         load_region(os.fspath(bad))
+
+
+def test_a_repeated_vertex_is_a_zero_extent_arc():
+    # a record that lists a vertex, and the center of the arc leaving it,
+    # twice passes the on-circle test (the vertex lies on that arc's circle);
+    # its first copy is then an arc from the vertex to itself, which
+    # make_arc refuses: with no _ZERO_ARC slack it would load as extent 0
+    for g in ALL:
+        tri = regular_disk_triangle(0.8, 1.0, g).region
+        rec = tri.to_record()
+        rec["vertices"].insert(0, rec["vertices"][0])
+        rec["centers"].insert(0, rec["centers"][0])
+        with pytest.raises(SpindleError, match="zero-extent") as err:
+            DiskPolygon.from_record(rec)
+        assert err.value.code == "MALFORMED_BOUNDARY"
+        arc = tri.arcs[0]
+        with pytest.raises(SpindleError, match="zero-extent"):
+            make_arc(arc.center, arc.radius, arc.start, arc.start, g)

@@ -7,8 +7,9 @@ import pytest
 
 from spindle.extremal import regular_disk_triangle
 from spindle.geometry import HYPERBOLIC, SPHERICAL, Point, SpindleError, from_polar
-from spindle.measure import incircle, thickness
-from spindle.render import render_svg
+from spindle.measure import ThicknessWitness, incircle, thickness
+from spindle.regions import DiskPolygon
+from spindle.render import SVG_SIZE, _PAD, render_svg
 
 
 def paths(svg):
@@ -63,3 +64,28 @@ def test_south_pole_is_outside_the_chart():
     with pytest.raises(SpindleError) as err:
         render_triangle(SPHERICAL, center=Point(0.0, 0.0, -1.0))
     assert err.value.code == "PROJECTION_DOMAIN"
+
+
+def test_a_triangle_next_to_the_south_pole_renders():
+    # its incenter, drawn as a dot, is 3e-5 from the pole, where 1 + z is
+    # 4.5e-10: only the pole itself has no place in the chart
+    svg = render_triangle(SPHERICAL, center=from_polar(SPHERICAL, 0.3, math.pi - 3e-5))
+    assert "nan" not in svg and "inf" not in svg
+    assert len(paths(svg)) == 3
+
+
+def test_a_tiny_disk_fills_the_canvas():
+    # a full disk 2e-10 across draws at the canvas's size, with no floor on the span
+    disk = DiskPolygon.from_record({"type": "disk_polygon", "geometry": "euclidean", "r": 1e-10,
+                                    "centers": [[0.3, 0.2, 1.0]], "vertices": []})
+    (ring, _), = paths(render_svg([disk]))
+    xs = [x for x, _ in ring]
+    assert max(xs) - min(xs) == pytest.approx(SVG_SIZE / (1.0 + 2.0 * _PAD), rel=1e-3)
+
+
+def test_a_witness_between_coincident_points_is_degenerate():
+    tri = regular_disk_triangle(0.8, 1.2, HYPERBOLIC).region
+    p = tri.vertices[0]
+    with pytest.raises(SpindleError) as err:
+        render_svg([tri], witnesses=[ThicknessWitness(0.0, "vertex-arc", p, p)])
+    assert err.value.code == "DEGENERATE"
