@@ -217,22 +217,24 @@ def test_segment_area_tiny_angle():
 
 
 def test_segment_area_keeps_its_digits():
-    # against 2 kappa (atan(c tan(phi/2)) - c phi/2) at 50 digits, from
-    # phi = 1e-6 to the half disk and from rho = 1e-3 to a hemisphere: the
-    # closed form in doubles cancels at small phi or rho (to 1e-3 relative);
-    # and next to pi, up to pi itself, with no half-disk shortcut
+    # against 2 kappa (atan(c tan(phi/2)) - c phi/2) at 50 digits (as atan2,
+    # which stays on its branch past pi), from phi = 1e-6 to the half disk
+    # and from rho = 1e-3 to a hemisphere: the closed form in doubles cancels
+    # at small phi or rho (to 1e-3 relative); and on both sides of pi, with
+    # no half-disk shortcut
     def reference(phi, rho, kappa):
         with mp.workdps(50):
             phi, rho = mp.mpf(phi), mp.mpf(rho)
             if kappa == 0:
                 return rho * rho * (phi - mp.sin(phi)) / 2
             c = mp.cos(rho) if kappa > 0 else mp.cosh(rho)
-            return kappa * (2 * mp.atan(c * mp.tan(phi / 2)) - phi * c)
+            return kappa * (2 * mp.atan2(c * mp.sin(phi / 2), mp.cos(phi / 2)) - phi * c)
 
+    near_pi = [math.pi - 1e-8, math.pi - 5e-10, math.pi - 1e-12, math.pi,
+               math.pi + 1e-12, math.pi + 5e-10]
     for g in ALL:
         for rho in (1e-3, 0.1, 0.3, 1.0, 1.2, 1.5 if g.kappa > 0 else 3.0):
-            for phi in np.geomspace(1e-6, 3.1, 40).tolist() + [math.pi - 1e-8, math.pi - 5e-10,
-                                                                 math.pi - 1e-12, math.pi]:
+            for phi in np.geomspace(1e-6, 3.1, 40).tolist() + near_pi:
                 rel = segment_area(phi, rho, g) / reference(phi, rho, g.kappa) - 1
                 assert abs(rel) <= 4e-15, (g.name, rho, phi)
 

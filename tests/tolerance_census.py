@@ -16,8 +16,7 @@ tolerance the suite passes at 0 is pinned by no test.  pytest does not
 collect this file (its name does not start with test_).  From the
 repository root:
 
-    python tests/tolerance_census.py                 # every tolerance
-    python tests/tolerance_census.py _ZERO_ARC _RHO_SLACK
+    python tests/tolerance_census.py
 
 The full sweep took 22 minutes on a 2-core VM.
 """
@@ -94,16 +93,12 @@ def run_mutant(path: Path, name: str, nodes: list[ast.expr]) -> str:
     return f"{where}: fails at 0, first {first.group(1) if first else done.stdout.strip()[-200:]}"
 
 
-def main(names: list[str]) -> int:
+def main() -> int:
     every = tolerances()
     per_module = Counter(path.stem for path, _, _ in every)
     print(f"{len(every)} named tolerances: "
           + ", ".join(f"{m} {k}" for m, k in sorted(per_module.items())), flush=True)
-    found = [t for t in every if t[1] not in SKIP and (not names or t[1] in names)]
-    missing = set(names) - {t[1] for t in found}
-    if missing:
-        print(f"no such tolerance: {', '.join(sorted(missing))}")
-        return 2
+    found = [t for t in every if t[1] not in SKIP]
     lines = []
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:
         for line in pool.map(lambda t: run_mutant(*t), found):
@@ -115,4 +110,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
