@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import GEOMETRIES, Geometry, Point, SpindleError, embed
-from .measure import area, area_monte_carlo, incircle, thickness
+from .measure import _check_count, area, area_monte_carlo, incircle, thickness
 from .regions import DiskPolygon, ball_hull, load_region, save_region, write_json
 from .extremal import regular_disk_hexagon, regular_disk_triangle
 from .harness import VerifyConfig, monotonicity_sweep, run_verification
@@ -123,8 +123,7 @@ def cmd_hull(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    if args.seed < 0:
-        raise SpindleError("BAD_RANGE", f"seed must be non-negative, got {args.seed}")
+    _check_count("seed", args.seed, 0)
     region = load_region(args.infile)
     g = region.geometry
     a = area(region)

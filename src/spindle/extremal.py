@@ -20,9 +20,11 @@ from .geometry import (
     Geometry,
     Point,
     SpindleError,
+    _negate,
     exp_map,
     origin,
-    tangent_from_angle,
+    rotate_tangent,
+    tangent_basis,
 )
 from .measure import _excess, segment_area
 from .regions import DiskPolygon, ball_hull, make_arc
@@ -89,8 +91,9 @@ def triangle_area(w: float, r: float, g: Geometry) -> float:
     kappa T sin(2pi/3) / (1 + kappa T cos(2pi/3)) with T = tn(a/2)^2, tn =
     sn / cs (a^2 sin(2pi/3) / 2 when flat), with no cancellation on small
     triangles.  A side s has vers s = 1.5 sn(a)^2, so each arc's central
-    angle phi (cos phi = cos_angle(r, r, s)) is taken in half-angle form,
-    sin(phi/2) = sn(s/2) / sn(r) = sqrt(3)/2 sn(a) / sn(r).
+    angle phi, opposite s in the isosceles triangle of sides r, r, s, is
+    taken in half-angle form, sin(phi/2) = sn(s/2) / sn(r) = sqrt(3)/2
+    sn(a) / sn(r).
     """
     sn_r = g.sn_radius(r)  # a < w <= r, so sn a is in range too
     a = w - triangle_inradius(w, r, g)
@@ -126,10 +129,10 @@ def regular_disk_triangle(
     g.sn_radius(r)
     rho0 = triangle_inradius(w, r, g)
     p = center if center is not None else origin(g)
-    g.check_radius(max(w - rho0, r - rho0), "triangle reach")
-    thetas = [angle + i * TWO_THIRDS_PI for i in range(3)]
-    verts = [exp_map(p, tangent_from_angle(p, th, g), w - rho0, g) for th in thetas]
-    cents = [exp_map(p, tangent_from_angle(p, th, g), r - rho0, g) for th in thetas]
+    e1 = tangent_basis(p, g)[0]
+    dirs = [rotate_tangent(p, e1, angle + i * TWO_THIRDS_PI, g) for i in range(3)]
+    verts = [exp_map(p, u, w - rho0, g) for u in dirs]
+    cents = [exp_map(p, u, r - rho0, g) for u in dirs]
     # arc from vertex i to vertex i+1 is the one opposite vertex i+2,
     # centered there
     arcs = tuple(
@@ -170,13 +173,9 @@ def regular_disk_hexagon(w: float, r: float, rho: float, g: Geometry) -> DiskHex
         )
     p = origin(g)
     g.check_radius(max(w - rho, rho), "hexagon reach")
-    apexes = tuple(
-        exp_map(p, tangent_from_angle(p, i * TWO_THIRDS_PI, g), w - rho, g)
-        for i in range(3)
-    )
-    anchors = tuple(
-        exp_map(p, tangent_from_angle(p, i * TWO_THIRDS_PI + math.pi, g), rho, g)
-        for i in range(3)
-    )
+    e1 = tangent_basis(p, g)[0]
+    dirs = [rotate_tangent(p, e1, i * TWO_THIRDS_PI, g) for i in range(3)]
+    apexes = tuple(exp_map(p, u, w - rho, g) for u in dirs)
+    anchors = tuple(exp_map(p, _negate(u), rho, g) for u in dirs)
     region = ball_hull(list(apexes) + list(anchors), r, g)
     return DiskHexagon(g, w, r, rho, apexes, anchors, region)

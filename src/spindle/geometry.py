@@ -7,7 +7,7 @@ z^2 - x^2 - y^2 = 1.  The curvature magnitude is fixed to |kappa| = 1
 (other curvatures are length rescalings).  Trigonometry is written once
 for all three planes through the model-space functions sn, cs, tn and the
 versine vers(x) = 2 sn(x/2)^2 (Bridson-Haefliger, Metric Spaces of
-Non-Positive Curvature, ch. I.2): see Geometry and cos_angle.
+Non-Positive Curvature, ch. I.2): see Geometry and _intersection_angle.
 
 Conventions used throughout the package:
 
@@ -223,9 +223,15 @@ def as_point(p: Sequence[float], g: Geometry, index: int = 0) -> Point:
     floats, checked to be a finite point of g's surface: z = 1 within
     ON_SURFACE_EPS in the plane, else x^2 + y^2 + kappa z^2 = kappa within
     ON_SURFACE_EPS (x^2 + y^2 + z^2), with z > 0 on the hyperboloid.
-    BAD_RANGE names the point by index otherwise.  A point of the plane
-    comes back with z = 1 exactly, which the kernel's walks then keep."""
-    x, y, z = map(float, p)
+    BAD_RANGE names the point by index otherwise, as it does a p that is
+    not three numbers.  A point of the plane comes back with z = 1 exactly,
+    which the kernel's walks then keep."""
+    try:
+        if isinstance(p, (str, bytes)):  # whose characters would parse as numbers
+            raise TypeError
+        x, y, z = map(float, p)
+    except (TypeError, ValueError):
+        raise SpindleError("BAD_RANGE", f"point {index} is not three numbers: {p!r}") from None
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise SpindleError("BAD_RANGE", f"point {index} is not finite: ({x}, {y}, {z})")
     if g.kappa == 0:
@@ -417,20 +423,11 @@ def tangent_basis(p: Point, g: Geometry) -> tuple[Tangent, Tangent]:
     return t1, perp(p, t1, g)
 
 
-def tangent_from_angle(p: Point, theta: float, g: Geometry) -> Tangent:
-    return rotate_tangent(p, tangent_basis(p, g)[0], theta, g)
-
-
 def from_polar(g: Geometry, theta: float, t: float) -> Point:
     """Point at distance t from the chart origin, direction angle theta, in
     closed form: a walk's rescaling cancels to noise in H past t = 10."""
     s, c = g.sn_cs(t)
     return Point(s * math.cos(theta), s * math.sin(theta), c)
-
-
-def frame_angle(p: Point, u: Tangent, g: Geometry) -> float:
-    """Angle of tangent u in the frame at p, in [0, 2*pi); inverts tangent_from_angle."""
-    return turn_angle(p, tangent_basis(p, g)[0], u, g) % (2.0 * math.pi)
 
 
 def midpoint(p: Point, q: Point, g: Geometry) -> Point:
@@ -449,16 +446,14 @@ def midpoint(p: Point, q: Point, g: Geometry) -> Point:
 # --------------------------------------------------------------------------
 # law of cosines and circles
 
-def cos_angle(a: float, b: float, c: float, g: Geometry) -> float:
-    """Cosine of the angle between sides a and b of a triangle whose third
-    side is c: (vers a - vers c + cs a vers b) / (sn a sn b)."""
-    return (g.vers(a) - g.vers(c) + g.cs(a) * g.vers(b)) / (g.sn(a) * g.sn(b))
-
-
-def _intersection_angle(cosb: float) -> Optional[float]:
-    """Angle at the first center between the line of centers and an
-    intersection point of two circles, from its cosine by the law of
-    cosines: None when they miss, 0 or pi when they touch."""
+def _intersection_angle(vers_d: float, r1: float, r2: float, g: Geometry) -> Optional[float]:
+    """Angle beta at the center of the radius-r1 circle between the line of
+    centers and a point of the radius-r2 circle about a center at vers d =
+    chord2 / 2 from it, by the law of cosines: cos beta = (vers r1 - vers r2
+    + cs r1 vers d) / (sn r1 sn d), sn d = sqrt(vers d (2 - kappa vers d)).
+    None when the circles miss, 0 or pi when they touch."""
+    sn_d = math.sqrt(max(vers_d * (2.0 - g.kappa * vers_d), 0.0))
+    cosb = (g.vers(r1) - g.vers(r2) + g.cs(r1) * vers_d) / (g.sn(r1) * sn_d)
     if abs(cosb) > 1.0 + _MISS_SLACK:
         return None
     if 1.0 - abs(cosb) <= _TOUCH_EPS:
@@ -492,8 +487,8 @@ def circle_circle_intersection(
     Returns (), a single tangency point, or two points ordered (left, right)
     of the oriented geodesic c1.center -> c2.center.  COINCIDENT circles are
     an error; concentric distinct circles (centers closer than log_dir
-    takes a direction between) return ().  cos beta is cos_angle(r1, d, r2)
-    with vers d = chord2 / 2 and sn d = sqrt(vers d (2 - kappa vers d)).
+    takes a direction between) return ().  beta is _intersection_angle's,
+    with vers d = chord2 / 2.
     """
     p, q, r1, r2 = c1.center, c2.center, c1.radius, c2.radius
     g.check_radius(r1)
@@ -504,8 +499,7 @@ def circle_circle_intersection(
             raise SpindleError("COINCIDENT", "the circles coincide")
         return ()
     u = log_dir(p, q, g)  # raises ANTIPODAL before sn d can vanish
-    sn_d = math.sqrt(max(vers_d * (2.0 - g.kappa * vers_d), 0.0))
-    beta = _intersection_angle((g.vers(r1) - g.vers(r2) + g.cs(r1) * vers_d) / (g.sn(r1) * sn_d))
+    beta = _intersection_angle(vers_d, r1, r2, g)
     return () if beta is None else _points_off_axis(p, u, r1, beta, g)
 
 

@@ -43,7 +43,7 @@ from .geometry import (
     perp,
     signed_distance_to_geodesic,
 )
-from .measure import area, incircle, sample_in_disk, thickness
+from .measure import _check_count, area, incircle, sample_in_disk, thickness
 from .regions import CapDomain, DiskPolygon, ball_hull, cap_domain
 from .extremal import (
     regular_disk_hexagon,
@@ -230,10 +230,8 @@ def _check_config(config: VerifyConfig) -> None:
             and all(isinstance(name, str) and name in GEOMETRIES for name in names)
             and len(set(names)) == len(names)):
         raise SpindleError("BAD_RANGE", f"geometries must be distinct plane names, got {names!r}")
-    if config.trials < 1:
-        raise SpindleError("BAD_RANGE", f"trials must be at least 1, got {config.trials}")
-    if config.seed < 0:
-        raise SpindleError("BAD_RANGE", f"seed must be non-negative, got {config.seed}")
+    _check_count("trials", config.trials, 1)
+    _check_count("seed", config.seed, 0)
 
 
 def run_trial(g: Geometry, trial: int, config: VerifyConfig) -> dict:

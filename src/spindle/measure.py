@@ -47,11 +47,10 @@ from .geometry import (
     det3,
     distance,
     exp_map,
-    frame_angle,
     log_dir,
+    rotate_tangent,
     smallest_enclosing_disk,
     tangent_basis,
-    tangent_from_angle,
     turn_angle,
     turn_toward,
 )
@@ -287,13 +286,14 @@ def _chord_normals(pf: _Piece, pg: _Piece, common: bool, g: Geometry
     (cf, rf, uf, sf), (cg, rg, ug, sg) = pf, pg
     if common:
         # every chord through a common center is normal to both circles:
-        # take a direction in one span whose reverse is in the other
-        phi = _intervals_overlap(
-            frame_angle(cf, uf, g), sf, frame_angle(cg, ug, g) + math.pi, sg
-        )
+        # take a direction in one span whose reverse is in the other, each
+        # as an angle in the frame at its center
+        ef, eg = tangent_basis(cf, g)[0], tangent_basis(cg, g)[0]
+        phi = _intervals_overlap(turn_angle(cf, ef, uf, g) % TWO_PI, sf,
+                                 turn_angle(cg, eg, ug, g) % TWO_PI + math.pi, sg)
         if phi is None:
             return None
-        return tangent_from_angle(cf, phi, g), tangent_from_angle(cg, phi + math.pi, g)
+        return rotate_tangent(cf, ef, phi, g), rotate_tangent(cg, eg, phi + math.pi, g)
     if not angle_in(turn_toward(cf, uf, cg, g), 0.0, sf):
         return None
     if not angle_in(turn_toward(cg, ug, cf, g), 0.0, sg):

@@ -40,14 +40,13 @@ from .geometry import (
     as_point,
     chord2,
     circle_circle_intersection,
-    cos_angle,
     distance,
     exp_map,
-    frame_angle,
     log_dir,
     rotate_tangent,
     smallest_enclosing_disk,
     tangent_basis,
+    turn_angle,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -409,17 +408,21 @@ def cap_domain(disk: Circle, apexes: Iterable[Point], r: float, g: Geometry) -> 
         raise SpindleError("BAD_RANGE", "cap domain needs 0 < rho < r")
     g.check_radius(rho)
 
+    # vers grows with the distance (to pi on the sphere, past 2r - rho), so
+    # the reach tests take chord2 and no distance; one frame at p orders the caps
+    too_near, too_far = g.vers(rho + _LENGTH_EPS), g.vers(2.0 * r - rho + _LENGTH_EPS)
+    e1 = tangent_basis(p, g)[0]
     caps = []  # (theta, apex, c_left, c_right, t_in, t_out, half_width)
     for i, q in enumerate(apexes):
         q = as_point(q, g, i)
-        d = distance(p, q, g)
-        if d <= rho + _LENGTH_EPS:
+        vers_d = 0.5 * chord2(p, q, g)
+        if vers_d <= too_near:
             raise SpindleError("DEGENERATE", "apex inside the disk")
-        if d > 2.0 * r - rho + _LENGTH_EPS:
+        if vers_d > too_far:
             raise SpindleError("APEX_TOO_FAR", "apex beyond reach of tangent arcs")
         # the arc centers sit on the circle (p, r - rho) at angle +-beta off
         # the apex direction
-        beta = _intersection_angle(cos_angle(r - rho, d, r, g))
+        beta = _intersection_angle(vers_d, r - rho, r, g)
         if beta is None:
             raise SpindleError("APEX_TOO_FAR", "no tangent arc pair for this apex")
         u = log_dir(p, q, g)
@@ -431,7 +434,8 @@ def cap_domain(disk: Circle, apexes: Iterable[Point], r: float, g: Geometry) -> 
         # touches at the clockwise end
         touch = _points_off_axis(p, u, rho, math.pi - beta, g)
         t_out, t_in = touch[0], touch[-1]
-        caps.append((frame_angle(p, u, g), q, c_left, c_right, t_in, t_out, math.pi - beta))
+        caps.append((turn_angle(p, e1, u, g) % TWO_PI, q, c_left, c_right, t_in, t_out,
+                     math.pi - beta))
     caps.sort(key=lambda cap: cap[0])
 
     m = len(caps)

@@ -15,7 +15,9 @@ intersections and arcs by way of the inverse-trigonometric distance.  Tests comp
 against digits these routines produce (see the constants in the test
 modules).  The last sections hold helpers that only tests call: the wedge
 angle, arc spans and cap-domain membership by angular wedges, the law of
-cosines on package primitives, the inverse versine, and the proof-step
+cosines on package primitives (a side from an angle, and an angle's cosine
+from three sides), the inverse versine, a tangent's angle in the frame at
+its point and the tangent at a given angle, and the proof-step
 reproductions of acceptance criterion 10, which build cap domains and
 take their areas with the package.
 """
@@ -264,11 +266,9 @@ def double_normal_reference(poly):
         det3,
         distance,
         exp_map,
-        frame_angle,
         log_dir,
         tangent_basis,
         tangent_dot,
-        tangent_from_angle,
     )
     from spindle.measure import angle_in
 
@@ -425,7 +425,6 @@ def gift_wrap_reference(points, r, g):
         SpindleError,
         _intersection_angle,
         circle_circle_intersection,
-        cos_angle,
         distance,
         log_dir,
         smallest_enclosing_disk,
@@ -454,7 +453,7 @@ def gift_wrap_reference(points, r, g):
             d_ax = distance(a, x, g)
             if d_ax <= MERGE_EPS:
                 continue
-            beta = _intersection_angle(cos_angle(r, d_ax, r, g))
+            beta = _intersection_angle(g.vers(d_ax), r, r, g)
             if beta is None:
                 continue
             ang = (turn_toward(a, ref, x, g) + beta) % two_pi
@@ -693,9 +692,9 @@ def points_off_axis_reference(p, u, t, beta, g):
 
 def circle_circle_intersection_reference(c1, c2, g):
     """Intersection points of two circles, (left, right) of c1 -> c2, with
-    the center distance taken by the inverse-trigonometric distance and cos
-    beta by cos_angle."""
-    from spindle.geometry import SpindleError, _intersection_angle, cos_angle, distance, log_dir
+    the center distance taken by the inverse-trigonometric distance and its
+    versine passed to the package's law of cosines."""
+    from spindle.geometry import SpindleError, _intersection_angle, distance, log_dir
 
     r1, r2 = c1.radius, c2.radius
     g.check_radius(r1)
@@ -705,7 +704,7 @@ def circle_circle_intersection_reference(c1, c2, g):
         if abs(r1 - r2) <= 1e-12:
             raise SpindleError("COINCIDENT", "the circles coincide")
         return ()
-    beta = _intersection_angle(cos_angle(r1, d, r2, g))
+    beta = _intersection_angle(g.vers(d), r1, r2, g)
     if beta is None:
         return ()
     return points_off_axis_reference(c1.center, log_dir(c1.center, c2.center, g), r1, beta, g)
@@ -898,9 +897,30 @@ def side_from_cosine_law(b, c, alpha, g):
     return avers(g, v)
 
 
+def cos_angle(a, b, c, g):
+    """Cosine of the angle between sides a and b of a triangle whose third
+    side is c: (vers a - vers c + cs a vers b) / (sn a sn b)."""
+    return (g.vers(a) - g.vers(c) + g.cs(a) * g.vers(b)) / (g.sn(a) * g.sn(b))
+
+
 def avers(g, v):
     """Inverse of g.vers on [0, pi] (sphere) or [0, inf): 2 asn(sqrt(v / 2))."""
     return 2.0 * g.asn(math.sqrt(0.5 * v))
+
+
+def tangent_from_angle(p, theta, g):
+    """The unit tangent at p at angle theta from the first axis of
+    tangent_basis(p), counterclockwise."""
+    from spindle.geometry import rotate_tangent, tangent_basis
+
+    return rotate_tangent(p, tangent_basis(p, g)[0], theta, g)
+
+
+def frame_angle(p, u, g):
+    """Angle of tangent u in the frame at p, in [0, 2*pi); inverts tangent_from_angle."""
+    from spindle.geometry import tangent_basis, turn_angle
+
+    return turn_angle(p, tangent_basis(p, g)[0], u, g) % (2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -911,9 +931,7 @@ def symmetric_cap_domain(dom):
     2pi/3 apart (the first apex keeps its direction, all apex distances
     are preserved).  Returns None when the rotated caps would overlap,
     which cannot happen for three congruent caps that fit disjointly."""
-    from spindle.geometry import (
-        Circle, SpindleError, distance, exp_map, tangent_from_angle,
-    )
+    from spindle.geometry import Circle, SpindleError, distance, exp_map
     from spindle.regions import cap_domain
 
     if len(dom.apexes) != 3:
@@ -941,9 +959,7 @@ def cap_rotation_check(g, trials, seed=0, r=1.0):
     around the disk it sits.  Returns max |area difference| and any
     violations beyond 1e-9.
     """
-    from spindle.geometry import (
-        GEOMETRIES, Circle, SpindleError, exp_map, origin, tangent_from_angle,
-    )
+    from spindle.geometry import GEOMETRIES, Circle, SpindleError, exp_map, origin
     from spindle.measure import area
     from spindle.regions import cap_domain
 
@@ -1007,7 +1023,6 @@ def distance_monotonicity_check(g, pairs, seed=0, steps=8):
         exp_map,
         log_dir,
         origin,
-        tangent_from_angle,
     )
 
     gi = list(GEOMETRIES).index(g.name)

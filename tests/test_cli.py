@@ -7,8 +7,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from oracles import tangent_from_angle
 from spindle.cli import main
-from spindle.geometry import GEOMETRIES, embed, exp_map, from_polar, tangent_from_angle
+from spindle.geometry import GEOMETRIES, embed, exp_map, from_polar
 from spindle.regions import ball_hull, save_region
 
 

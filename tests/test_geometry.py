@@ -22,10 +22,10 @@ from spindle.geometry import (
     SpindleError,
     Tangent,
     _distinct,
+    _intersection_angle,
     chord2,
     circle_circle_intersection,
     circumcenter,
-    cos_angle,
     det3,
     distance,
     embed,
@@ -40,7 +40,6 @@ from spindle.geometry import (
     smallest_enclosing_disk,
     tangent_basis,
     tangent_dot,
-    tangent_from_angle,
     turn_toward,
 )
 from oracles import (
@@ -48,6 +47,7 @@ from oracles import (
     angle_coord,
     avers,
     circle_circle_intersection_reference,
+    cos_angle,
     distance_reference,
     distinct_reference,
     log_dir_reference,
@@ -55,6 +55,7 @@ from oracles import (
     normalize_tangent_reference,
     side_from_cosine_law,
     smallest_enclosing_disk_reference,
+    tangent_from_angle,
 )
 from spindle.regions import ball_hull
 from test_regions import jittered_ring
@@ -596,6 +597,7 @@ def test_distinct_matches_reference_far_out_and_on_the_equator():
 
 
 def cos_angle_reference(a, b, c, g):
+    """Cosine of the angle between sides a and b opposite side c, at 50 digits."""
     with mp.workdps(50):
         a, b, c = mp.mpf(a), mp.mpf(b), mp.mpf(c)
         if g.kappa == 0:
@@ -608,6 +610,9 @@ def cos_angle_reference(a, b, c, g):
 
 
 def test_cos_angle_matches_reference():
+    # the law of cosines inside _intersection_angle: a circle of radius a
+    # about one center meets one of radius c about a center b away at beta
+    # off the line of centers, the angle between sides a and b
     sides = (
         (1e-8, 1e-8, 1e-8),
         (1e-8, 2e-8, 1.5e-8),
@@ -617,8 +622,8 @@ def test_cos_angle_matches_reference():
     )
     for g in ALL:
         for a, b, c in sides:
-            want = cos_angle_reference(a, b, c, g)
-            assert cos_angle(a, b, c, g) == pytest.approx(want, rel=1e-15)
+            want = math.acos(cos_angle_reference(a, b, c, g))
+            assert _intersection_angle(g.vers(b), a, c, g) == pytest.approx(want, rel=1e-15)
 
 
 def test_side_from_cosine_law_matches_reference():
@@ -719,7 +724,7 @@ def test_circle_intersection_tangent_and_empty_cases():
 
 def test_circle_intersection_matches_the_distance_reference():
     # cos beta from chord2 and the right point as the mirror of the left one
-    # against the distance / cos_angle form with two rotations, on r-scan
+    # against vers of the inverse-trigonometric distance and two rotations, on r-scan
     # pairs (equal radii r about ring points), cap_domain pairs (r - rho, r)
     # and near-tangent pairs (1e-12 < 1 - |cos beta| < 1e-10).  Points agree
     # within 1e-14 of their size, or where the pair is near tangent within

@@ -7,7 +7,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import angle_coord, cap_rotation_check, distance_monotonicity_check, symmetric_cap_domain
+from oracles import (
+    angle_coord, cap_rotation_check, distance_monotonicity_check, symmetric_cap_domain, tangent_from_angle,
+)
 from spindle import harness
 from spindle.extremal import regular_disk_hexagon, regular_disk_triangle, triangle_inradius
 from spindle.geometry import (
@@ -281,6 +283,18 @@ def test_run_trial_refuses_a_negative_seed():
         assert err.value.code == "BAD_RANGE" and "seed" in str(err.value)
 
 
+@pytest.mark.parametrize("field, value", (("trials", 2.5), ("seed", 1.5), ("trials", "3"),
+                                          ("trials", True), ("seed", True)),
+                         ids=("float-trials", "float-seed", "string-trials", "bool-trials", "bool-seed"))
+def test_run_verification_refuses_a_count_that_is_not_an_integer(field, value):
+    # the floats and the string raised a bare TypeError, and True ran as 1
+    config = VerifyConfig(**{"trials": 1, field: value})
+    for run in (run_verification, lambda c: run_trial(EUCLIDEAN, 0, c)):
+        with pytest.raises(SpindleError) as err:
+            run(config)
+        assert err.value.code == "BAD_RANGE" and field in str(err.value)
+
+
 @pytest.mark.parametrize("grow", (1e-5, 1e-3))
 def test_inscribed_cap_domain_refuses_a_grown_disk(grow):
     # the incircle grown past the inradius by more than BATTERY_SLACK pokes
@@ -385,7 +399,7 @@ def test_cap_rotation_preserves_area():
 
 
 def test_symmetric_cap_domain_area_direct():
-    from spindle.geometry import Circle, exp_map, origin, tangent_from_angle
+    from spindle.geometry import Circle, exp_map, origin
     from spindle.regions import cap_domain
 
     for g in ALL:

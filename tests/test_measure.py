@@ -21,6 +21,7 @@ from oracles import (
     incircle_grid_reference,
     pieces_reference,
     screen_reference,
+    tangent_from_angle,
 )
 from spindle import measure
 from spindle.extremal import regular_disk_hexagon, regular_disk_triangle
@@ -44,7 +45,6 @@ from spindle.geometry import (
     rotate_tangent,
     signed_distance_to_geodesic,
     tangent_dot,
-    tangent_from_angle,
     turn_angle,
     turn_toward,
 )
@@ -373,9 +373,11 @@ def test_thickness_matches_double_normal_reference():
                 assert (got.value, got.kind) == (value, kind)
             assert min(max(gap(got.a, a), gap(got.b, b)),
                        max(gap(got.a, b), gap(got.b, a))) <= 1e-12
-    assert ties == 4
-    # among them the regular triangles at w = r, whose vertex-vertex chords
-    # read one ulp below r
+    assert ties == 2
+    # they are the regular triangles at w = r, whose vertex-vertex chords
+    # read one ulp below r (the hexagons at rho = w - rho0, the same
+    # triangles turned by pi, walk their anchors along the apex directions
+    # negated and tie no more)
     for r in (0.5, 1.0):
         assert thickness(regular_disk_triangle(r, r, EUCLIDEAN).region).value == r
 

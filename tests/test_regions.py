@@ -13,6 +13,7 @@ from oracles import (
     gift_wrap_reference,
     lens_width_reference,
     make_arc_reference,
+    tangent_from_angle,
 )
 from spindle import geometry, measure, regions
 from spindle.extremal import (
@@ -40,7 +41,6 @@ from spindle.geometry import (
     midpoint,
     origin,
     rotate_tangent,
-    tangent_from_angle,
     turn_toward,
 )
 from spindle.measure import angle_in, area, disk_area, incircle, thickness
@@ -576,8 +576,11 @@ def test_ball_hull_errors():
 
 
 def bad_point(kind, g):
-    """A point ball_hull must refuse: a NaN or infinite coordinate, or one off
-    the surface by 1e-6 relative (on the hyperboloid also its lower sheet)."""
+    """A point ball_hull must refuse: a NaN or infinite coordinate, one off
+    the surface by 1e-6 relative (on the hyperboloid also its lower sheet),
+    or no three numbers (the string "101" would read as (1, 0, 1), on the plane)."""
+    if kind == "not-three-numbers":
+        return [[0.0, 0.0], [0.0, 0.0, 1.0, 5.0], "abc", None, [0.1, 0.0, "x"], "101"]
     p = from_polar(g, 0.7, 0.3)
     if kind == "nan":
         return [Point(p.x, math.nan, p.z)]
@@ -587,7 +590,10 @@ def bad_point(kind, g):
     return off + ([Point(-p.x, -p.y, -p.z)] if g.kappa < 0 else [])
 
 
-@pytest.mark.parametrize("kind", ("nan", "inf", "off-surface"))
+BAD_POINT_KINDS = ("nan", "inf", "off-surface", "not-three-numbers")
+
+
+@pytest.mark.parametrize("kind", BAD_POINT_KINDS)
 @pytest.mark.parametrize("g", ALL, ids=lambda g: g.name)
 def test_ball_hull_rejects_bad_points_by_index(g, kind):
     good = [from_polar(g, 0.5 * k, 0.2) for k in range(4)]
@@ -601,7 +607,7 @@ def test_ball_hull_rejects_bad_points_by_index(g, kind):
 @pytest.mark.parametrize("g", ALL, ids=lambda g: g.name)
 def test_r_segment_rejects_bad_points_by_index(g):
     good = from_polar(g, 0.5, 0.2)
-    for kind in ("nan", "inf", "off-surface"):
+    for kind in BAD_POINT_KINDS:
         for bad in bad_point(kind, g):
             for pair, index in (((bad, good), 0), ((good, bad), 1)):
                 with pytest.raises(SpindleError) as err:
@@ -614,7 +620,7 @@ def test_r_segment_rejects_bad_points_by_index(g):
 def test_cap_domain_rejects_a_bad_center_or_apex_by_index(g):
     o = origin(g)
     apexes = [exp_map(o, tangent_from_angle(o, th, g), 0.4, g) for th in (0.0, 2.3, 4.2)]
-    for kind in ("nan", "inf", "off-surface"):
+    for kind in BAD_POINT_KINDS:
         for bad in bad_point(kind, g):
             with pytest.raises(SpindleError) as err:
                 cap_domain(Circle(bad, 0.3), apexes, 1.0, g)
