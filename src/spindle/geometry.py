@@ -557,7 +557,8 @@ def smallest_enclosing_disk(
     stay below pi/2).  A disk is kept as its reach chord2 = 2 vers R and the
     bound 2 vers(R + SED_SLACK), so a containment test is one chord2 and no
     disk takes an inverse-trigonometric distance until the last.  Returns
-    (center, radius, support indices into points).
+    (center, radius, support), support indexing every point within
+    SED_SLACK of the rim: the last disk's pins first, then index order.
     """
     n, kappa = len(points), g.kappa
     if not n:
@@ -606,11 +607,12 @@ def smallest_enclosing_disk(
                        key=lambda d: (misses(d), d[1]))
     else:
         raise SpindleError("NO_CONVERGENCE", f"no smallest enclosing disk of {n} points")
-    # radius and support (the points on the rim) of the last disk only
-    center, _, idx, _ = disk
-    reach = [distance(center, points[k], g) for k in idx]
-    radius = max(reach)
-    return center, radius, tuple(k for k, d in zip(idx, reach) if d >= radius - SED_SLACK)
+    # radius: one distance, to the farthest pin; rim: off the last pass's chord2
+    center, _, pins, _ = disk
+    radius = distance(center, points[max(pins, key=reach.__getitem__)], g)
+    rim = 2.0 * g.vers(max(radius - SED_SLACK, 0.0))
+    first = [k for k in pins if reach[k] >= rim]
+    return center, radius, tuple(first + [k for k, c in enumerate(reach) if c >= rim and k not in pins])
 
 
 def signed_distance_to_geodesic(x: Point, base: Point, u: Tangent, g: Geometry) -> float:

@@ -199,7 +199,7 @@ def inscribed_cap_domain(
         return None, "apex-inside-disk", {}
     p = inc.center
 
-    # three spread contacts, each with the center of its supporting arc
+    # the three contacts that pin the incircle, each with its arc's center
     apexes = []
     for t, i in zip(inc.contacts[:3], inc.contact_arcs):
         nu_in = log_dir(t, poly.centers[i], g)

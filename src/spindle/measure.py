@@ -366,18 +366,13 @@ def thickness(poly: DiskPolygon) -> ThicknessWitness:
 @dataclass(frozen=True)
 class Incircle:
     """Largest inscribed disk; contacts are its touching points on the
-    boundary, contact_arcs the index of the arc each contact lies on, and
-    support the indices of the arcs it touches."""
+    boundary and contact_arcs the arc each lies on, one per distinct arc
+    center on the rim of the centers' enclosing disk, its pins first."""
 
     center: Point
     radius: float
     contacts: tuple[Point, ...]
     contact_arcs: tuple[int, ...]
-    support: tuple[int, ...]
-
-
-# length: arcs with centers this close to the centers' enclosing circle support the incircle
-_SUPPORT_EPS = 1e-9
 
 
 def incircle(poly: DiskPolygon) -> Incircle:
@@ -386,17 +381,13 @@ def incircle(poly: DiskPolygon) -> Incircle:
     g = poly.geometry
     r = poly.r
     centers = poly.centers
-    distinct = [centers[i] for i in _distinct(centers, g)]
-    if len(distinct) == 1:
-        return Incircle(distinct[0], r, (), (), (0,))
-    x, big_r, _ = smallest_enclosing_disk(distinct, g)
-    rho = r - big_r
-    # |d(c, x) - big_r| <= _SUPPORT_EPS, on chord2 = 2 vers d (vers is monotone)
-    lo, hi = 2.0 * g.vers(max(big_r - _SUPPORT_EPS, 0.0)), 2.0 * g.vers(big_r + _SUPPORT_EPS)
-    support = tuple(i for i, c in enumerate(centers) if lo <= chord2(c, x, g) <= hi)
-    touch = [exp_map(centers[i], log_dir(centers[i], x, g), r, g) for i in support]
-    keep = _distinct(touch, g)  # in support order
-    return Incircle(x, rho, tuple(touch[k] for k in keep), tuple(support[k] for k in keep), support)
+    keep = _distinct(centers, g)
+    if len(keep) == 1:
+        return Incircle(centers[keep[0]], r, (), ())
+    x, big_r, rim = smallest_enclosing_disk([centers[i] for i in keep], g)
+    arcs = tuple(keep[k] for k in rim)
+    touch = tuple(exp_map(centers[i], log_dir(centers[i], x, g), r, g) for i in arcs)
+    return Incircle(x, r - big_r, touch, arcs)
 
 
 # --------------------------------------------------------------------------

@@ -759,8 +759,8 @@ def smallest_enclosing_disk_reference(points, g):
     the new rim point f and every support point, ranks them by (misses the
     support, reach) and adds the disks through f and two support points
     when none holds the support: the all-pairs form the one-pair step
-    replaced, with the same containment tests.  Returns ((center, radius,
-    support), pivot steps)."""
+    replaced, with the same containment tests and the same rim step.
+    Returns ((center, radius, support), pivot steps)."""
     from itertools import combinations
 
     from spindle.geometry import SED_SLACK, SpindleError, chord2, circumcenter, distance, midpoint
@@ -802,10 +802,11 @@ def smallest_enclosing_disk_reference(points, g):
             disk = min([disk] + [triple(f, s, t) for s, t in combinations(support, 2)], key=rank)
     else:
         raise SpindleError("NO_CONVERGENCE", f"no smallest enclosing disk of {n} points")
-    center, _, idx, _ = disk
-    reach = [distance(center, points[k], g) for k in idx]
-    radius = max(reach)
-    return (center, radius, tuple(k for k, d in zip(idx, reach) if d >= radius - SED_SLACK)), steps
+    center, _, pins, _ = disk
+    radius = distance(center, points[max(pins, key=reach.__getitem__)], g)
+    rim = 2.0 * g.vers(max(radius - SED_SLACK, 0.0))
+    first = [k for k in pins if reach[k] >= rim]
+    return (center, radius, tuple(first + [k for k, c in enumerate(reach) if c >= rim and k not in pins])), steps
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ import numpy as np
 import pytest
 
 from oracles import tangent_from_angle
-from spindle.geometry import HYPERBOLIC, SPHERICAL, SpindleError, _distinct, exp_map, from_polar, origin
+from spindle.geometry import (
+    HYPERBOLIC, SPHERICAL, Circle, SpindleError, _distinct, circle_circle_intersection, distance, exp_map,
+    from_polar, origin,
+)
 from spindle.measure import thickness
 from spindle.regions import ball_hull
 
@@ -64,3 +67,16 @@ def test_hyperbolic_rim_sets_at_r_6_build_one_disk():
         pts = [exp_map(c, tangent_from_angle(c, float(t % two_pi), g), r, g) for t in turns]
         hull = ball_hull(pts, r, g)
         assert len(hull.arcs) == 1 and not hull.vertices
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="FOUND: hyperbolic circle_circle_intersection taken from a center 6 out "
+                          "puts its points 1e-7 off both circles (3.6e-12 from the origin)")
+def test_hyperbolic_circles_about_a_far_center_meet_on_both():
+    g, r = HYPERBOLIC, 6.0
+    far, near = Circle(from_polar(g, 0.0, r), r), Circle(origin(g), r)
+    points = circle_circle_intersection(far, near, g)
+    assert len(points) == 2
+    for x in points:
+        assert abs(distance(far.center, x, g) - r) <= 1e-9
+        assert abs(distance(near.center, x, g) - r) <= 1e-9

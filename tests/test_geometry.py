@@ -890,14 +890,14 @@ def test_smallest_enclosing_disk_pivots_on_ties_and_large_sets():
     # same circle), the 42-point spherical ring whose support sets
     # {10, 18, 34} and {10, 19, 34} are 1.9e-10 apart in radius,
     # near-duplicates at MERGE_EPS and n = 200.  Each disk covers its points
-    # within 1e-9 and has the radius of its support's smallest disk, found
-    # among the pair midpoints and the circumcenter, which bounds the
+    # within 1e-9 and has the radius of its pins' smallest disk (support[:3]),
+    # found among the pair midpoints and the circumcenter, which bounds the
     # smallest radius from below, so it is the smallest within 1e-9; a pivot
     # loop past its bound would raise NO_CONVERGENCE
     def check(pts, g):
         center, radius, support = smallest_enclosing_disk(pts, g)
         assert all(distance(center, p, g) <= radius + 1e-9 for p in pts)
-        few = [pts[i] for i in support]
+        few = [pts[i] for i in support[:3]]
         centers = [midpoint(p, q, g) for p, q in itertools.combinations(few, 2)]
         if len(few) == 3 and circumcenter(*few, g) is not None:
             centers.append(circumcenter(*few, g))
@@ -908,8 +908,10 @@ def test_smallest_enclosing_disk_pivots_on_ties_and_large_sets():
     rng = np.random.default_rng(118)
     for g in ALL:
         for k in range(4, 49):
-            assert check([from_polar(g, 0.3 + 2.0 * math.pi * i / k, 0.6) for i in range(k)], g) \
-                == pytest.approx(0.6, abs=1e-9)
+            gon = [from_polar(g, 0.3 + 2.0 * math.pi * i / k, 0.6) for i in range(k)]
+            assert check(gon, g) == pytest.approx(0.6, abs=1e-9)
+            # every vertex lies on the rim, so the support lists all k
+            assert sorted(smallest_enclosing_disk(gon, g)[2]) == list(range(k))
         base = [random_point(g, rng, scale=0.6) for _ in range(12)]
         twins = [exp_map(p, tangent_from_angle(p, rng.uniform(0.0, 2.0 * math.pi), g), MERGE_EPS, g)
                  for p in base]

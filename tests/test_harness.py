@@ -11,7 +11,7 @@ from oracles import (
     angle_coord, cap_rotation_check, distance_monotonicity_check, symmetric_cap_domain, tangent_from_angle,
 )
 from spindle import harness
-from spindle.extremal import regular_disk_hexagon, regular_disk_triangle, triangle_inradius
+from spindle.extremal import regular_disk_hexagon, regular_disk_triangle, triangle_area, triangle_inradius
 from spindle.geometry import (
     GEOMETRIES, EUCLIDEAN, HYPERBOLIC, SPHERICAL, Geometry, SpindleError, distance, from_polar,
     origin,
@@ -501,6 +501,22 @@ def test_the_regular_triangle_gets_its_cap_certificate():
     tri = regular_disk_triangle(0.84, 1.4, HYPERBOLIC)
     _, status, details = inscribed_cap_domain(tri.region, check_extremal_bounds(tri.region))
     assert status == "ok" and details["containment"]
+
+
+@pytest.mark.parametrize("g", ALL, ids=lambda g: g.name)
+def test_hexagons_touching_six_arcs_get_their_cap_certificate(g):
+    # the regular six-arc body touches its incircle on all six arcs; the
+    # certificate builds on the three contacts that pin the incircle, not
+    # on three neighbouring ones (CAP_OVERLAP on all 18 bodies when it did)
+    for w, r in ((0.8, 1.0), (0.6, 1.2)):
+        rho0 = triangle_inradius(w, r, g)
+        for f in (0.1, 0.3, 0.7):
+            hexa = regular_disk_hexagon(w, r, rho0 + f * (0.5 * w - rho0), g)
+            rec = check_extremal_bounds(hexa.region)
+            assert len(rec["incircle"].contacts) == 6
+            dom, status, details = inscribed_cap_domain(hexa.region, rec)
+            assert status == "ok" and details["containment"], (w, r, f)
+            assert area(dom) >= triangle_area(min(rec["width"], r), r, g), (w, r, f)
 
 
 def test_a_trial_on_the_equality_body_has_no_violation(monkeypatch):

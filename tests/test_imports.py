@@ -8,7 +8,9 @@ A module-level private name (one leading underscore) in src/spindle must
 be read by some src/spindle module; tests do not count as readers.  A
 module-level public function or public method in src/spindle must be read by
 the package or the benchmark, or be named in README's Library section: one
-that only tests call belongs in tests/oracles.py.  In every module of src/spindle a tolerance is a named
+that only tests call belongs in tests/oracles.py.  Likewise a field of a
+package dataclass or NamedTuple must be read as an attribute by the package
+or the benchmark, or be named in README's Library section.  In every module of src/spindle a tolerance is a named
 module-level constant: no literal with a negative exponent (1e-9) appears
 outside a `NAME = value` line.  In every module of src/spindle formulas
 are curvature-generic: the sign of kappa is tested only in the functions
@@ -139,7 +141,9 @@ def called_only_by_tests(trees: dict, library: str) -> list[str]:
                   if name not in read and not re.search(rf"\b{name}\b", library))
 
 
-def test_no_test_only_functions():
+def package_and_bench() -> tuple[dict, str]:
+    """The package and benchmark modules as trees (the benchmark's named
+    with a leading '-') and README's Library section."""
     package = [p for p in SOURCES if p.parent.name == "spindle" and p.name != "__init__.py"]
     bench = [p for p in sorted((ROOT / "bench").glob("*.py"))
              if not p.name.startswith("test_") and p.name != "conftest.py"]
@@ -147,8 +151,11 @@ def test_no_test_only_functions():
     trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in package}
     trees |= {"-" + p.stem: ast.parse(p.read_text(), filename=str(p)) for p in bench}
     readme = (ROOT / "README.md").read_text()
-    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    assert called_only_by_tests(trees, library) == []
+    return trees, readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_no_test_only_functions():
+    assert called_only_by_tests(*package_and_bench()) == []
 
 
 def test_test_only_function_check_flags_and_accepts():
@@ -162,6 +169,44 @@ def test_test_only_function_check_flags_and_accepts():
     }
     assert called_only_by_tests(trees, "call `named` for x") == [
         "a.Box.dead (line 12)", "a.lonely (line 5)"]
+
+
+def unread_fields(trees: dict, library: str) -> list[str]:
+    """Fields of the dataclasses and NamedTuples of the package modules in
+    trees that no tree reads as an attribute and that library does not
+    name as code (`name` or `Class.name`: a field named by a common word
+    would pass on prose).  A tree named with a leading '-' reads but
+    defines nothing counted (the benchmark)."""
+    defined = {}
+    read = set()
+    for module, tree in trees.items():
+        classes = [] if module.startswith("-") else [n for n in tree.body if isinstance(n, ast.ClassDef)]
+        for cls in classes:
+            marks = [ast.unparse(d.func if isinstance(d, ast.Call) else d) for d in cls.decorator_list]
+            if any(m.split(".")[-1] == "dataclass" for m in marks) \
+                    or any(ast.unparse(b).split(".")[-1] == "NamedTuple" for b in cls.bases):
+                for node in cls.body:
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                        defined[node.target.id] = f"{module}.{cls.name}.{node.target.id} (line {node.lineno})"
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted(where for name, where in defined.items()
+                  if name not in read and not re.search(rf"`(\w+\.)?{name}`", library))
+
+
+def test_no_unread_fields():
+    assert unread_fields(*package_and_bench()) == []
+
+
+def test_unread_field_check_flags_and_accepts():
+    trees = {
+        "a": ast.parse("from dataclasses import dataclass\nfrom typing import NamedTuple\n"
+                       "@dataclass(frozen=True)\nclass Box:\n    used: int\n    named: int\n"
+                       "    dead: int\n    LIMIT = 3\n    def size(self):\n        return self.used\n"
+                       "class Pair(NamedTuple):\n    left: float\n    right: float\n"
+                       "class Plain:\n    loose: int\n"),
+        "-run": ast.parse("import a\nY = a.Pair(1.0, 2.0).left\n"),
+    }
+    assert unread_fields(trees, "a dead box's `Box.named`") == ["a.Box.dead (line 7)", "a.Pair.right (line 13)"]
 
 
 def unnamed_tolerances(source: str) -> list[str]:
