@@ -256,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="area, width and inradius of a stored region")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--n", type=int, help="Monte Carlo sample count")
+    p.add_argument("--n", type=int, help="Monte Carlo sample count (memory: 8 bytes per sample plus a few MB)")
     p.add_argument("--seed", type=int, default=0, help="non-negative")
     p.add_argument("--tolerance", type=float, help="fail if |mc - exact| exceeds this")
     add_common(p)

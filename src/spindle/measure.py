@@ -17,10 +17,11 @@ The Monte Carlo area check is written once for all three planes: area-uniform
 disk samples have vers s uniform (sample_in_disk), and surface points satisfy
 form(x - c, x - c) = 2 vers d(x, c) for the form of tangent_dot (_inside_disks).
 Sample directions come from the half-angle tangent t = tan(theta / 2), as
-((1 - t^2), 2 t) / (1 + t^2), and both the sampler and the hit count run in
-blocks of _BLOCK rows, so that each numpy pass works on a few MB in cache
-rather than streaming 1e6-row temporaries through memory.  A cap domain's
-samples off its disk take no angle: one product per cap with its chord normal.
+((1 - t^2), 2 t) / (1 + t^2).  The estimate holds every theta (8 bytes per
+sample) and one block of _BLOCK points at a time: it builds a block, counts
+its hits and keeps only the count, so each numpy pass works on a few MB in
+cache and no (n, 3) sample array is ever held.  A cap domain's samples off
+its disk take no angle: one product per cap with its chord normal.
 """
 
 from __future__ import annotations
@@ -429,7 +430,8 @@ def _check_count(name: str, count, least: int) -> None:
 
 
 def sample_in_disk(
-    o: Point, big_r: float, count: int, rng: np.random.Generator, g: Geometry
+    o: Point, big_r: float, count: int, rng: np.random.Generator, g: Geometry,
+    theta: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Area-uniform samples in the disk B(o, big_r), as an (n, 3) array of
     embedded points.
@@ -439,25 +441,26 @@ def sample_in_disk(
     and the sample is cs s o + sn s (cos theta t1 + sin theta t2).  The
     direction takes t = tan(theta / 2), cos theta = (1 - t^2) / (1 + t^2)
     and sin theta = 2 t / (1 + t^2): one vectorized tan in place of cos and
-    sin, which numpy evaluates by scalar libm calls.  All theta are drawn
-    first, then all v; the points are built _BLOCK rows per pass.  BAD_RANGE
-    names a count that is not an integer >= 0, or a radius not finite and >= 0.
+    sin, which numpy evaluates by scalar libm calls.  All count theta are
+    drawn first, then all v, unless the caller passes the count theta it has
+    drawn already; rng then draws only v.  BAD_RANGE names a count that is
+    not an integer >= 0, or a radius not in [0, pi) on the sphere, not
+    finite, or so large that vers R (2 - kappa vers R) leaves the float
+    range (in H, R > 355.58), where samples would turn nan.
     """
     _check_count("count", count, 0)
-    if not 0.0 <= big_r < math.inf:
-        raise SpindleError("BAD_RANGE", f"disk radius must be finite and >= 0, got {big_r!r}")
-    theta = rng.uniform(0.0, TWO_PI, count)
-    v = g.vers(big_r) * rng.uniform(0.0, 1.0, count)
-    frame = np.array([o, *tangent_basis(o, g)])
-    out = np.empty((count, 3))
-    for s in range(0, count, _BLOCK):
-        b = slice(s, s + _BLOCK)
-        vb, t = v[b], np.tan(0.5 * theta[b])
-        t2 = t * t
-        sn = np.sqrt(vb * (2.0 - g.kappa * vb)) / (1.0 + t2)
-        coef = np.stack([1.0 - g.kappa * vb, sn * (1.0 - t2), sn * (2.0 * t)], axis=1)
-        np.matmul(coef, frame, out=out[b])
-    return out
+    g.sn_cs(big_r, "disk radius")
+    top = g.vers(big_r)
+    if not math.isfinite(top * (2.0 - g.kappa * top)):
+        raise SpindleError("BAD_RANGE", f"disk radius={big_r}: sn of its samples leaves the float range")
+    if theta is None:
+        theta = rng.uniform(0.0, TWO_PI, count)
+    v = top * rng.uniform(0.0, 1.0, count)
+    t = np.tan(0.5 * theta)
+    t2 = t * t
+    sn = np.sqrt(v * (2.0 - g.kappa * v)) / (1.0 + t2)
+    coef = np.stack([1.0 - g.kappa * v, sn * (1.0 - t2), sn * (2.0 * t)], axis=1)
+    return coef @ np.array([o, *tangent_basis(o, g)])
 
 
 def _form_weights(g: Geometry) -> np.ndarray:
@@ -506,17 +509,22 @@ def area_monte_carlo(
 
     Samples area-uniformly in a bounding disk (sample_in_disk) and counts
     hits with the batch forms of DiskPolygon.contains and
-    CapDomain.contains, _BLOCK samples per pass.
+    CapDomain.contains.  The draws are those of one sample_in_disk call,
+    all theta and then all v; the points are built and counted _BLOCK at a
+    time, each block's v drawn as it is built.
     """
     _check_count("samples", samples, 1)
     g = region.geometry
     o, big_r = bounding_disk(region)
-    pts = sample_in_disk(o, big_r, samples, rng, g)
-    blocks = (pts[s:s + _BLOCK] for s in range(0, samples, _BLOCK))
-    if isinstance(region, DiskPolygon):
-        hits = sum(int(_inside_disks(b, region.centers, region.r, g).sum()) for b in blocks)
-    else:
-        hits = sum(int(_inside_cap_domain(b, region, g).sum()) for b in blocks)
+    theta = rng.uniform(0.0, TWO_PI, samples)
+    hits = 0
+    for s in range(0, samples, _BLOCK):
+        tb = theta[s:s + _BLOCK]
+        pts = sample_in_disk(o, big_r, len(tb), rng, g, tb)
+        if isinstance(region, DiskPolygon):
+            hits += int(_inside_disks(pts, region.centers, region.r, g).sum())
+        else:
+            hits += int(_inside_cap_domain(pts, region, g).sum())
     p_hat = hits / samples
     a_bound = disk_area(g, big_r)
     estimate = a_bound * p_hat

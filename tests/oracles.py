@@ -13,7 +13,8 @@ every pair disk, the distance and tangent normalization
 written once per plane, and geodesic directions, midpoints, circle
 intersections and arcs by way of the inverse-trigonometric distance.  Tests compare package output
 against digits these routines produce (see the constants in the test
-modules).  The last sections hold helpers that only tests call: the wedge
+modules).  The last sections hold helpers that only tests call: the
+Monte Carlo area in one pass over the full sample array, the wedge
 angle, arc spans and cap-domain membership by angular wedges, the law of
 cosines on package primitives (a side from an angle, and an angle's cosine
 from three sides), the inverse versine, a tangent's angle in the frame at
@@ -807,6 +808,28 @@ def smallest_enclosing_disk_reference(points, g):
     rim = 2.0 * g.vers(max(radius - SED_SLACK, 0.0))
     first = [k for k in pins if reach[k] >= rim]
     return (center, radius, tuple(first + [k for k, c in enumerate(reach) if c >= rim and k not in pins])), steps
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo area in one pass (package sampler and batch membership)
+
+def area_monte_carlo_reference(region, samples, rng):
+    """measure.area_monte_carlo without streaming: the full (samples, 3)
+    array from one sample_in_disk call (all theta, then all v), then one hit
+    count over it; the estimate and its standard error."""
+    from spindle import measure
+    from spindle.regions import DiskPolygon
+
+    g = region.geometry
+    o, big_r = measure.bounding_disk(region)
+    pts = measure.sample_in_disk(o, big_r, samples, rng, g)
+    if isinstance(region, DiskPolygon):
+        hits = int(measure._inside_disks(pts, region.centers, region.r, g).sum())
+    else:
+        hits = int(measure._inside_cap_domain(pts, region, g).sum())
+    p_hat = hits / samples
+    a_bound = measure.disk_area(g, big_r)
+    return a_bound * p_hat, a_bound * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / samples)
 
 
 # ---------------------------------------------------------------------------

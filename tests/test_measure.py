@@ -5,6 +5,7 @@ integral, everything at 40 significant digits.
 """
 
 import math
+import tracemalloc
 from itertools import combinations, product
 
 import mpmath as mp
@@ -13,6 +14,7 @@ import pytest
 
 from oracles import (
     angle_coord,
+    area_monte_carlo_reference,
     avers,
     cap_domain_contains_reference,
     cap_wedges,
@@ -727,6 +729,37 @@ def test_monte_carlo_blocks_change_nothing(monkeypatch):
                 assert got == want
 
 
+def test_monte_carlo_streams_the_one_pass_draws(monkeypatch):
+    # over four blocks of 7 too: the bits of one pass over the full sample
+    # array, and rng left where 2 samples uniform draws leave a fresh one,
+    # as callers that reuse one rng across regions need
+    monkeypatch.setattr(measure, "_BLOCK", 7)
+    for g in ALL:
+        for region in (lens_region(g), build_cap_domain(g)):
+            for count in (1, 6, 7, 8, 22):
+                want = area_monte_carlo_reference(region, count, np.random.default_rng(count))
+                rng, fresh = np.random.default_rng(count), np.random.default_rng(count)
+                assert area_monte_carlo(region, count, rng) == want, (g.name, count)
+                fresh.uniform(size=2 * count)
+                assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+def test_monte_carlo_holds_one_block_of_samples():
+    # 1e6 samples hold every theta (8 MB) and one block of points: a traced
+    # peak of 14.1 MiB; the full (n, 3) sample array takes it to 44.2 MiB
+    for g in ALL:
+        region = regular_disk_triangle(0.8, 1.0, g).region
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            area_monte_carlo(region, 1_000_000, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20, (g.name, peak)
+
+
 @pytest.mark.parametrize("samples", (2.5, 1e3, True, 0, -5, "100"))
 def test_monte_carlo_refuses_a_bad_sample_count(samples):
     with pytest.raises(SpindleError, match="samples") as err:
@@ -734,12 +767,26 @@ def test_monte_carlo_refuses_a_bad_sample_count(samples):
     assert err.value.code == "BAD_RANGE"
 
 
+# the planes that sample a radius the others refuse: the sphere's disks stop
+# short of pi, and past R = 355.58 in H (1.3e154 flat) v (2 - kappa v) overflows
+SAMPLED_IN = {4.0: (EUCLIDEAN, HYPERBOLIC), 6.0: (EUCLIDEAN, HYPERBOLIC),
+              math.pi: (EUCLIDEAN, HYPERBOLIC), 355.5: (EUCLIDEAN, HYPERBOLIC),
+              356.0: (EUCLIDEAN,), 700.0: (EUCLIDEAN,)}
+
+
 @pytest.mark.parametrize("count, big_r, named", (
     (-1, 0.5, "count"), (2.0, 0.5, "count"), (False, 0.5, "count"),
-    (10, -0.5, "radius"), (10, math.nan, "radius"), (10, math.inf, "radius")))
+    (10, -0.5, "radius"), (10, math.nan, "radius"), (10, math.inf, "radius"),
+    (10, 4.0, "radius"), (10, 6.0, "radius"), (10, math.pi, "radius"),
+    (10, 355.5, "radius"), (10, 356.0, "radius"), (10, 700.0, "radius"),
+    (10, 1e200, "radius")))
 def test_disk_sampler_refuses_a_bad_count_or_radius(count, big_r, named):
-    # a coded error naming the argument, not numpy's, nor B(o, 0.5) for -0.5
+    # a coded error naming the argument, not numpy's, nor B(o, 0.5) for -0.5,
+    # nor samples in a smaller disk (sphere, R = 4) or nan rows (H, R = 356)
     for g in ALL:
+        if g in SAMPLED_IN.get(big_r, ()):
+            assert np.isfinite(sample_in_disk(origin(g), big_r, count, np.random.default_rng(0), g)).all()
+            continue
         with pytest.raises(SpindleError, match=named) as err:
             sample_in_disk(origin(g), big_r, count, np.random.default_rng(0), g)
         assert err.value.code == "BAD_RANGE"
