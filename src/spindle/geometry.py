@@ -194,8 +194,8 @@ class Circle(NamedTuple):
 
 # --------------------------------------------------------------------------
 # basic vector helpers (plain floats: single 3-vectors are too small for
-# array overhead to pay off; numpy serves only all-pairs screens, as the
-# width screen in measure does)
+# array overhead to pay off; numpy serves only batch passes, as ball_hull's
+# cover check and the Monte Carlo area do)
 
 def det3(a, b, c) -> float:
     """Determinant of the 3x3 matrix with rows a, b, c."""

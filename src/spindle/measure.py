@@ -5,13 +5,11 @@ plus closed-form circular-segment corrections, one per arc.  Width
 (minimal double-normal length) treats every boundary piece as a circle
 with a span of outward normals, an arc as radius r and a vertex as radius
 0, each span starting at a direction taken from points (no arc stores one),
-and checks the one candidate chord of each vertex-arc and arc-arc pair, on
-the geodesic through their centers: two form products turn every center
-toward every other and drop the pairs whose normals miss a span by more
-than a rounding slack, and the scalar test runs on the few pairs left.  The
+and checks the one candidate chord, on the geodesic through their centers,
+of the O(h) pairs a rotating-calipers walk round the boundary finds.  The
 inradius comes from a minimax reduction: the largest inscribed disk of an
 intersection of radius-r disks is centered at the center of the smallest
-disk enclosing their centers.
+disk enclosing their centers (DiskPolygon.centers_disk, the walk's base).
 
 The Monte Carlo area check is written once for all three planes: area-uniform
 disk samples have vers s uniform (sample_in_disk), and surface points satisfy
@@ -28,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,7 +39,6 @@ from .geometry import (
     Point,
     SpindleError,
     Tangent,
-    _distinct,
     _negate,
     _normalize_point,
     chord2,
@@ -50,7 +47,6 @@ from .geometry import (
     exp_map,
     log_dir,
     rotate_tangent,
-    smallest_enclosing_disk,
     tangent_basis,
     turn_angle,
     turn_toward,
@@ -58,8 +54,8 @@ from .geometry import (
 from .regions import Arc, DiskPolygon, TWO_PI
 
 
-# rows per numpy pass (screen pairs, Monte Carlo samples), so that its
-# temporaries stay a few MB, in cache, at any problem size
+# Monte Carlo samples per numpy pass, so that its temporaries stay a few MB,
+# in cache, at any sample count
 _BLOCK = 1 << 16
 
 
@@ -193,20 +189,7 @@ def _intervals_overlap(lo1: float, w1: float, lo2: float, w2: float) -> Optional
     return None
 
 
-# angle: span slack of the screen, as the turns it judges differ from turn_toward's by
-# rounding, <= 3.1e-9 on the width corpus (hyperbolic rings to D = 6) and
-# 4.2e-8 on rings of near twins to D = 6; past that it grows like cosh^3 D,
-# to 2.3e-6 at D = 8 (the chord-tensor screen's: 2.1e-6)
-_SCREEN_EPS = 1e-6
-# length: centers closer than this pass the screen unjudged (the common-center branch)
-_SCREEN_NEAR = 1e-6
-# share: rounding of a screen form product per Z^2, Z the largest center coordinate:
-# measured <= 1.25 eps Z^2 on the short chords of hyperbolic rings to D = 8
-_SCREEN_ROUNDING = 4.0 * 2.0 ** -52
-
 _Piece = tuple[Point, float, Tangent, float]  # (center, rho, first normal, span)
-# a row (c, u) in the column orders (y, z, x) and (z, x, y): c x u by columns
-_ROTATIONS = np.array([1, 2, 0, 4, 5, 3, 2, 0, 1, 5, 3, 4])
 
 
 def _pieces(poly: DiskPolygon) -> list[_Piece]:
@@ -217,7 +200,7 @@ def _pieces(poly: DiskPolygon) -> list[_Piece]:
     about c (parallel to -log_dir(v, c)); at an arc's center c, d = start -
     c (parallel to log_dir(c, start)).  It has unit length for points r
     apart, and its length is read nowhere (turn_angle, turn_toward and the
-    screen's arctan2 take only its direction), so it is not normalized.
+    walk's line coordinate take only its direction), so it is not normalized.
     """
     g = poly.geometry
     arcs = poly.arcs
@@ -240,44 +223,49 @@ def _pieces(poly: DiskPolygon) -> list[_Piece]:
     return vert_pieces + arc_pieces
 
 
-def _screen(pieces: Sequence[_Piece], g: Geometry) -> np.ndarray:
-    """Which pairs of pieces may bound a double normal, as a symmetric
-    boolean matrix: a superset of the pairs _chord_normals accepts.
-
-    turn_toward from c_f toward c_g is the angle of (along, left) =
-    (form(u_f, c_g - c_f), det3(c_f, u_f, c_g - c_f)), here two matrix
-    products per block of rows (_BLOCK pairs), (U w) C^T and (C x U) C^T,
-    minus their values at c_g = c_f (zero up to rounding, but for form(u_f,
-    c_f) in the plane, where w drops z).  A pair survives when at each end
-    its turn falls in the span within _SCREEN_EPS or the tangent part T of
-    its chord, T^2 = along^2 + left^2 = chord2 (1 - kappa chord2 / 4), is
-    short: at most b (1 + b), b = 2 vers _SCREEN_NEAR (so every chord2 <= b
-    passes), or so short that the products' rounding, _SCREEN_ROUNDING Z^2,
-    could turn it by _SCREEN_EPS / 2 (T 2e-4 at D = 6 in H, 1.1e-2 at D = 8).
+def _partners(pieces: Sequence[_Piece], x: Point, g: Geometry) -> list[tuple[int, int]]:
+    """The pairs (i, j) of pieces, i < j, j an arc, in row-major order, whose
+    normal lines may meet head to head: a superset of those _chord_normals
+    accepts.  The oriented geodesic through c along u has the coordinate
+    theta = atan2(det3(c, u, t2), det3(c, u, t1)), the angle of its pole c x
+    u in the frame (t1, t2) at x; reversed, it adds pi.  Round the boundary
+    (vertex k, arc k, vertex k + 1, ...) each piece's lines fill the interval
+    from its start line to the next piece's, and a chord normal to pieces f
+    and g has a theta in f's interval that pi takes into g's: one two-pointer
+    pass merges the intervals, unwrapped, with their copies shifted by pi,
+    and keeps each pair that meets within ANGLE_EPS.  MALFORMED_BOUNDARY: the
+    start lines do not wind once forward.
     """
     m = len(pieces)
-    cu = np.fromiter(chain.from_iterable(p[0] + p[2] for p in pieces), float, 6 * m).reshape(m, 6)
-    top = np.fromiter([p[3] for p in pieces], float, m)[:, None] + _SCREEN_EPS
-    c = cu[:, :3]
-    r = cu.take(_ROTATIONS, axis=1)
-    uv = np.empty((2, m, 3))  # rows u w and c x u
-    np.multiply(cu[:, 3:], _form_weights(g), out=uv[0])
-    np.subtract(r[:, :3] * r[:, 9:], r[:, 6:9] * r[:, 3:6], out=uv[1])
-    row_terms = (uv * c).sum(2)[:, :, None]
-    b = 2.0 * g.vers(_SCREEN_NEAR)
-    reach = max(b * (1.0 + b), (2.0 * _SCREEN_ROUNDING * np.abs(c).max() ** 2 / _SCREEN_EPS) ** 2)
-    keep = np.empty((m, m), dtype=bool)
-    rows = max(1, _BLOCK // m)
-    for s in range(0, m, rows):
-        f = slice(s, s + rows)
-        t = uv[:, f] @ c.T
-        t -= row_terms[:, f]
-        along, left = t
-        turn = np.arctan2(left, along)  # in (-pi, pi]; spans are >= 0 but for rounding
-        top_f = top[f]
-        keep[f] = ((turn <= top_f) & ((turn >= -_SCREEN_EPS) | (turn <= top_f - TWO_PI))
-                   | (along * along + left * left <= reach))
-    return keep & keep.T
+    h = m // 2
+    t1, t2 = tangent_basis(x, g)
+    order = [k + h * arc for k in range(h) for arc in (0, 1)]  # vertex k, then arc k
+    theta = []
+    for k in order:
+        c, _, u, _ = pieces[k]
+        # det3(c, u, t) = t . (c x u), for t = t1, t2
+        px, py, pz = c.y * u.z - c.z * u.y, c.z * u.x - c.x * u.z, c.x * u.y - c.y * u.x
+        theta.append(math.atan2(px * t2.x + py * t2.y + pz * t2.z, px * t1.x + py * t1.y + pz * t1.z))
+    # each step forward, back by at most ANGLE_EPS: a step further back
+    # reads as one more turn
+    steps = [(b - a + ANGLE_EPS) % TWO_PI - ANGLE_EPS for a, b in zip(theta, theta[1:] + theta[:1])]
+    if round(sum(steps) / TWO_PI) != 1:
+        raise SpindleError("MALFORMED_BOUNDARY", "the boundary normals do not turn once forward")
+    ends = list(accumulate(steps, initial=theta[0]))
+    # the shifted intervals [shifted[q], shifted[q + 1]], unrolled over two turns
+    shifted = [e - math.pi for e in ends[:m]] + [e + math.pi for e in ends]
+    pairs = set()
+    q = 0
+    for p in range(m):
+        lo, hi = ends[p] - ANGLE_EPS, ends[p + 1] + ANGLE_EPS
+        while shifted[q + 1] < lo:
+            q += 1
+        for k in range(q, 2 * m):
+            if shifted[k] > hi:
+                break
+            a, b = order[p], order[k % m]
+            pairs.add((a, b) if a < b else (b, a))
+    return sorted((i, j) for i, j in pairs if i < j and j >= h)
 
 
 def _chord_normals(pf: _Piece, pg: _Piece, common: bool, g: Geometry
@@ -316,15 +304,18 @@ def thickness(poly: DiskPolygon) -> ThicknessWitness:
     IEEE TPAMI 10(5), 1988): inside both cones their chord is a local maximum
     of the strip width, and on the edge of v1's cone, normal to its arc about
     c, the chord from v2 to that arc is as long, r - d(c, v2) = d(v1, v2).
-    An array screen (_screen) first drops, in numpy passes over all ~2h^2
-    pairs, those whose normals certainly miss a span; only the survivors
-    get the scalar test.
+    Only the O(h) pairs of _partners are tested, a walk in the manner of
+    rotating calipers (Toussaint, MELECON 1983), in row-major order: on an
+    exact tie (at w = r, one chord of the regular triangle) the vertex-arc
+    chord is reported.  Its line coordinate runs forward along the lines
+    through c when cs d(x, c) > 0, so its base x is the incircle center: on
+    the sphere every arc center lies within r - rho < pi/2 of it, and every
+    vertex within pi/2 (one farther would lie past r from a rim center).
     """
     if not isinstance(poly, DiskPolygon):
         raise SpindleError("BAD_RANGE", "width is defined for disk polygons")
     g = poly.geometry
     r = poly.r
-    h = len(poly.arcs)
     if poly.is_full_disk:
         c = poly.centers[0]
         u = tangent_basis(c, g)[0]
@@ -333,13 +324,8 @@ def thickness(poly: DiskPolygon) -> ThicknessWitness:
         )
 
     pieces = _pieces(poly)
-    # pairs (i, j), i < j, with an arc j >= h, in row-major order: vertex-arc
-    # pairs first, then arc-arc, so on an exact tie (at w = r one chord of the
-    # regular triangle is both) the vertex-arc chord is reported
-    i, j = np.nonzero(_screen(pieces, g))
-    paired = (i < j) & (j >= h)
     best: Optional[ThicknessWitness] = None
-    for f, k in zip(i[paired].tolist(), j[paired].tolist()):
+    for f, k in _partners(pieces, poly.centers_disk[0], g):
         pf, pg = pieces[f], pieces[k]
         cf, rf, cg, rg = pf[0], pf[1], pg[0], pg[1]
         d = distance(cf, cg, g)
@@ -381,12 +367,8 @@ def incircle(poly: DiskPolygon) -> Incircle:
         raise SpindleError("BAD_RANGE", "inradius is defined for disk polygons")
     g = poly.geometry
     r = poly.r
+    x, big_r, arcs = poly.centers_disk
     centers = poly.centers
-    keep = _distinct(centers, g)
-    if len(keep) == 1:
-        return Incircle(centers[keep[0]], r, (), ())
-    x, big_r, rim = smallest_enclosing_disk([centers[i] for i in keep], g)
-    arcs = tuple(keep[k] for k in rim)
     touch = tuple(exp_map(centers[i], log_dir(centers[i], x, g), r, g) for i in arcs)
     return Incircle(x, r - big_r, touch, arcs)
 

@@ -149,6 +149,17 @@ class DiskPolygon:
     def centers(self) -> tuple[Point, ...]:
         return tuple(a.center for a in self.arcs)
 
+    @cached_property
+    def centers_disk(self) -> tuple[Point, float, tuple[int, ...]]:
+        """Smallest disk enclosing the distinct arc centers: (center, radius,
+        the arcs centered on its rim, pins first); (center, 0, ()) for one."""
+        g, centers = self.geometry, self.centers
+        keep = _distinct(centers, g)
+        if len(keep) == 1:
+            return centers[keep[0]], 0.0, ()
+        x, big_r, rim = smallest_enclosing_disk([centers[i] for i in keep], g)
+        return x, big_r, tuple(keep[k] for k in rim)
+
     def contains(self, x: Point, tol: float = GEOM_EPS) -> bool:
         g = self.geometry
         bound = 2.0 * g.vers(self.r + tol)

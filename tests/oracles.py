@@ -6,8 +6,8 @@ inradii from re-solving the defining contact equations by bisection,
 widths from brute-force support sampling, from enumerating double
 normals family by family with the package's geometry primitives or (a
 two-point lens) from the right triangle at its midpoint, the width's
-pieces and pair screen on unit directions and chords, r-hulls by
-gift-wrapping, the incircle from a refining grid search, the MERGE_EPS
+pieces on unit directions, r-hulls by gift-wrapping, the incircle from a
+refining grid search, the MERGE_EPS
 dedup by comparing every pair, the smallest enclosing disk by pivoting on
 every pair disk, the distance and tangent normalization
 written once per plane, and geodesic directions, midpoints, circle
@@ -352,7 +352,7 @@ def double_normal_reference(poly):
 
 
 # ---------------------------------------------------------------------------
-# the width's pieces and pair screen on unit directions (package primitives)
+# the width's pieces on unit directions (package primitives)
 
 def pieces_reference(poly):
     """The boundary pieces of measure.thickness, vertices first, then arcs,
@@ -371,37 +371,6 @@ def pieces_reference(poly):
         vert_pieces.append((v, 0.0, n_in, turn_angle(v, n_in, n_out, g)))
     arc_pieces = [(a.center, poly.r, log_dir(a.center, a.start, g), a.extent) for a in arcs]
     return vert_pieces + arc_pieces
-
-
-def screen_reference(pieces, g):
-    """measure._screen on the chord tensor: which pairs of pieces may bound
-    a double normal, as a symmetric boolean matrix.
-
-    Array passes over blocks of rows (measure._BLOCK pairs each) take
-    turn_toward from every center toward every other: the angle of the chord
-    c_g - c_f in the frame (u, perp u) at c_f.  A pair survives when both
-    turns fall in their spans within _SCREEN_EPS, or when its centers lie
-    within _SCREEN_NEAR.
-    """
-    from spindle import measure
-    from spindle.geometry import perp
-    from spindle.measure import angle_in
-
-    a = np.array([(*c, *u, *perp(c, u, g), span) for c, _, u, span in pieces])
-    c, frame, span = a[:, :3], a[:, 3:9].reshape(-1, 2, 3), a[:, 9:]
-    w = measure._form_weights(g)
-    m = len(pieces)
-    hit = np.empty((m, m), dtype=bool)
-    near = np.empty((m, m), dtype=bool)
-    rows = max(1, measure._BLOCK // m)
-    for s in range(0, m, rows):
-        f = slice(s, s + rows)
-        chord = c - c[f, None]  # [f, g] = c_g - c_f
-        along, left = np.einsum("fik,fgk->ifg", frame[f] * w, chord)
-        turn = np.arctan2(left, along)
-        hit[f] = angle_in(turn, 0.0, span[f], measure._SCREEN_EPS)
-        near[f] = (chord * chord) @ w <= 2.0 * g.vers(measure._SCREEN_NEAR)
-    return hit & hit.T | near
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from spindle.geometry import (
 )
 from spindle.measure import thickness
 from spindle.regions import ball_hull
+from test_regions import jittered_ring
 
 
 @pytest.mark.xfail(strict=True, raises=SpindleError,
@@ -80,3 +81,15 @@ def test_hyperbolic_circles_about_a_far_center_meet_on_both():
     for x in points:
         assert abs(distance(far.center, x, g) - r) <= 1e-9
         assert abs(distance(near.center, x, g) - r) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=SpindleError,
+                   reason="FOUND: the width of a hyperbolic ring 8 from the origin raises BAD_TANGENT: "
+                          "exp_map refuses log_dir between two of its arc centers")
+def test_hyperbolic_ring_8_out_has_a_width():
+    # incircle and area measure this ring; 6 and 7 out its width reads
+    # 0.97801535817 and 0.97801535825 (rounding there is ~eps Z^3, 7e-7 at 8)
+    g = HYPERBOLIC
+    ring = ball_hull(jittered_ring(g, 48, 1.0, np.random.default_rng(48), center=from_polar(g, 0.3, 8.0)),
+                     1.0, g)
+    assert abs(thickness(ring).value - 0.97801535817) <= 1e-6

@@ -22,7 +22,6 @@ from oracles import (
     euclidean_width_reference,
     incircle_grid_reference,
     pieces_reference,
-    screen_reference,
     tangent_from_angle,
 )
 from spindle import measure
@@ -46,6 +45,7 @@ from spindle.geometry import (
     origin,
     rotate_tangent,
     signed_distance_to_geodesic,
+    tangent_basis,
     tangent_dot,
     turn_angle,
     turn_toward,
@@ -54,8 +54,8 @@ from spindle.measure import (
     _chord_normals,
     _inside_cap_domain,
     _inside_disks,
+    _partners,
     _pieces,
-    _screen,
     area,
     area_monte_carlo,
     bounding_disk,
@@ -384,59 +384,64 @@ def test_thickness_matches_double_normal_reference():
         assert thickness(regular_disk_triangle(r, r, EUCLIDEAN).region).value == r
 
 
-def assert_screen_keeps_every_double_normal(poly, monkeypatch):
+def assert_walk_keeps_every_double_normal(poly):
+    # every pair the scalar normal test accepts is a walk candidate, and the
+    # walk names O(h) pairs, each once, vertex-arc before arc-arc
     g = poly.geometry
     pieces = _pieces(poly)
-    keep = _screen(pieces, g)
-    assert (keep == keep.T).all()
-    with monkeypatch.context() as m:
-        m.setattr(measure, "_BLOCK", 3 * len(pieces))
-        assert (_screen(pieces, g) == keep).all()
     h = len(poly.arcs)
+    pairs = _partners(pieces, poly.centers_disk[0], g)
+    assert pairs == sorted(set(pairs)) and len(pairs) <= 3 * h, (g.name, h)
+    assert all(i < j and j >= h for i, j in pairs)
+    kept = set(pairs)
     for i, j in combinations(range(len(pieces)), 2):
         if j < h:
             continue  # two vertices are never paired
         pf, pg = pieces[i], pieces[j]
         common = distance(pf[0], pg[0], g) <= MERGE_EPS
         if _chord_normals(pf, pg, common, g) is not None:
-            assert keep[i, j], (g.name, len(poly.arcs), i, j)
+            assert (i, j) in kept, (g.name, h, i, j)
 
 
-def test_width_screen_keeps_every_double_normal(monkeypatch):
-    # the array screen may only drop pairs the scalar normal test rejects:
-    # w = r triangles put normals exactly on cone edges, lenses reach d = 2r;
-    # blocks of 3 rows, some straddling vertices and arcs, change nothing
+def test_width_walk_keeps_every_double_normal():
+    # w = r triangles put normals exactly on cone edges (the walk's ANGLE_EPS
+    # slack keeps them), lenses reach d = 2r, rings have 48 double normals
     rng = np.random.default_rng(304)
     for g in ALL:
         for poly in width_reference_corpus(g, rng):
             if not poly.is_full_disk:
-                assert_screen_keeps_every_double_normal(poly, monkeypatch)
+                assert_walk_keeps_every_double_normal(poly)
 
 
-def test_width_screen_keeps_every_double_normal_far_out(monkeypatch):
-    # hyperbolic rings 6 and 8 from the origin, every third point with a twin
-    # 1e-3 to 1e-6 away along the ring: the form products round by ~eps Z^2,
-    # Z ~ 2500 at D = 8, which turns the twins' short chords by up to 1e-3
+def twin_ring(d, rng):
+    """A hyperbolic ring d from the origin, every third point with a twin
+    1e-3 to 1e-6 away along the ring (64 vertices)."""
     g = HYPERBOLIC
+    c = from_polar(g, 0.3, d)
+    pts = []
+    for k, p in enumerate(jittered_ring(g, 48, 1.0, rng, center=c)):
+        pts.append(p)
+        if k % 3 == 0:
+            along = rotate_tangent(p, log_dir(p, c, g), 0.5 * math.pi, g)
+            pts.append(exp_map(p, along, 10.0 ** -(3 + k // 3 % 4), g))
+    return ball_hull(pts, 1.0, g)
+
+
+def test_width_walk_keeps_every_double_normal_far_out():
+    # hyperbolic rings 6 and 8 from the origin with near twins: coordinates
+    # near Z = 2500 at D = 8 round every line coordinate, and the twins' short
+    # pieces turn by little
     rng = np.random.default_rng(312)
     for d in (6.0, 8.0):
-        c = from_polar(g, 0.3, d)
-        pts = []
-        for k, p in enumerate(jittered_ring(g, 48, 1.0, rng, center=c)):
-            pts.append(p)
-            if k % 3 == 0:
-                along = rotate_tangent(p, log_dir(p, c, g), 0.5 * math.pi, g)
-                pts.append(exp_map(p, along, 10.0 ** -(3 + k // 3 % 4), g))
-        poly = ball_hull(pts, 1.0, g)
+        poly = twin_ring(d, rng)
         assert len(poly.arcs) == 64  # the twins are vertices too
-        assert_screen_keeps_every_double_normal(poly, monkeypatch)
+        assert_walk_keeps_every_double_normal(poly)
 
 
-def test_width_screen_keeps_chords_on_span_edges_far_out():
+def test_chord_normals_keep_chords_on_span_edges_far_out():
     # two arcs 6 and 8 from the origin, centers 1e-6 to 1e-3 apart, each span
-    # ending exactly on the chord to the other center: the form products
-    # round by ~eps Z^2 and turn such a chord by up to 1e-3, past the span
-    # slack, so the screen has to pass it unjudged
+    # ending exactly on the chord to the other center: turn_toward takes the
+    # turn on the chord, so the scalar test keeps the pair
     g = HYPERBOLIC
     rng = np.random.default_rng(314)
     for d in (6.0, 8.0):
@@ -447,14 +452,12 @@ def test_width_screen_keeps_chords_on_span_edges_far_out():
                 uf, ug = (tangent_from_angle(c, float(rng.uniform(0.0, TWO_PI)), g) for c in (cf, cg))
                 pf = (cf, 1.0, uf, turn_toward(cf, uf, cg, g) % TWO_PI)
                 pg = (cg, 1.0, ug, turn_toward(cg, ug, cf, g) % TWO_PI)
-                assert _chord_normals(pf, pg, False, g) is not None
-                assert _screen([pf, pg], g)[0, 1], (d, sep)
+                assert _chord_normals(pf, pg, False, g) is not None, (d, sep)
 
 
-def test_thickness_matches_the_unit_direction_screen(monkeypatch):
-    # the vertex normals as tangent parts of v - c and the screen as form
-    # products give the same witness, bit for bit, as unit log_dir normals
-    # screened on the chord tensor
+def test_thickness_matches_the_unit_direction_pieces(monkeypatch):
+    # the vertex normals as tangent parts of v - c give the same witness,
+    # bit for bit, as unit log_dir normals
     def bits(w):
         return w.value.hex(), w.kind, tuple(x.hex() for x in (*w.a, *w.b))
 
@@ -464,9 +467,75 @@ def test_thickness_matches_the_unit_direction_screen(monkeypatch):
             got = thickness(poly)
             with monkeypatch.context() as m:
                 m.setattr(measure, "_pieces", pieces_reference)
-                m.setattr(measure, "_screen", screen_reference)
                 want = thickness(poly)
             assert bits(got) == bits(want), (g.name, len(poly.arcs))
+
+
+def long_spherical_bodies(rng, count):
+    """Spherical hulls longer than pi/2: two points d in (pi/2, 2r) apart on a
+    great circle and up to 8 points within 0.1 of the arc between them, r
+    from 1.0 to 1.56, anywhere on the sphere.  Seen from one end, the other
+    end lies past pi/2, where the line coordinate would run backward."""
+    g = SPHERICAL
+    bodies = []
+    for _ in range(count):
+        r = float(rng.uniform(1.0, 1.56))
+        d = float(rng.uniform(0.5 * math.pi, 2.0 * r))
+        a = from_polar(g, float(rng.uniform(0.0, TWO_PI)), float(rng.uniform(0.0, 1.5)))
+        u = tangent_from_angle(a, float(rng.uniform(0.0, TWO_PI)), g)
+        pts = [a, exp_map(a, u, d, g)]
+        for _ in range(int(rng.integers(0, 9))):
+            p = exp_map(a, u, float(rng.uniform(0.0, d)), g)
+            pts.append(exp_map(p, tangent_from_angle(p, float(rng.uniform(0.0, TWO_PI)), g),
+                               float(rng.uniform(0.0, 0.1)), g))
+        bodies.append(ball_hull(pts, r, g))
+    return bodies
+
+
+def test_width_of_long_spherical_bodies():
+    # the walk's base is the incircle center, within pi/2 of every piece's
+    # center; based at vertex 0 or at the chart origin its line coordinate
+    # turns back on most of these bodies (MALFORMED_BOUNDARY)
+    for poly in long_spherical_bodies(np.random.default_rng(902), 60):
+        got = thickness(poly)
+        value, kind, _, _ = double_normal_reference(poly)
+        assert (got.value, got.kind) == (value, kind), len(poly.arcs)
+        assert_walk_keeps_every_double_normal(poly)
+
+
+def moved(poly, e, theta):
+    """The r-hull of poly's vertices carried by the isometry that takes its
+    incircle center x to e and the frame tangent t1 at x to the tangent at
+    angle theta at e: each vertex keeps its distance from the center and its
+    turn from the frame tangent."""
+    g = poly.geometry
+    x = poly.centers_disk[0]
+    t1 = tangent_basis(x, g)[0]
+    s1 = tangent_from_angle(e, theta, g)
+    return ball_hull([exp_map(e, rotate_tangent(e, s1, turn_toward(x, t1, v, g), g), distance(x, v, g), g)
+                      for v in poly.vertices], poly.r, g)
+
+
+def test_width_is_invariant_under_isometries():
+    # spheres turned anywhere and onto the equator, hyperbolic bodies carried
+    # up to 6 from the origin: the walk's base and frame move with the body.
+    # Coordinates near Z = cosh t round the hull's arc centers by ~eps Z^3
+    # (ROADMAP item 1): widths moved 6 out differ by up to 2.3e-9
+    rng = np.random.default_rng(315)
+    for g in (SPHERICAL, HYPERBOLIC):
+        for poly in width_reference_corpus(g, np.random.default_rng(304)):
+            if poly.is_full_disk:
+                continue
+            want = thickness(poly).value
+            if g is SPHERICAL:
+                reach = (math.acos(rng.uniform(-1.0, 1.0)), 0.5 * math.pi)
+            else:
+                reach = (rng.uniform(0.0, 6.0), 6.0)
+            for t in reach:
+                e = from_polar(g, rng.uniform(0.0, TWO_PI), t)
+                got = thickness(moved(poly, e, rng.uniform(0.0, TWO_PI))).value
+                tol = 1e-9 if g is SPHERICAL else max(1e-9, 4.0 * 2.0 ** -52 * math.cosh(t) ** 3)
+                assert abs(got - want) <= tol, (g.name, len(poly.arcs), t)
 
 
 def vertex_normal_errors(poly):
