@@ -84,10 +84,10 @@ def cmd_triangle(args) -> int:
             body = regular_disk_triangle(args.w, args.r, g)
             region = body.region
             label = f"triangle rho0={body.rho0:.12g}"
-        wid = thickness(region).value
+        wit = thickness(region)
         print(
             f"geometry={g.name} {label} w={args.w:.12g} r={args.r:.12g} "
-            f"area={area(region):.12g} width={wid:.12g}"
+            f"area={area(region):.12g} width={wit.value:.12g}"
         )
         if args.out:
             rec = region.to_record()
@@ -101,7 +101,7 @@ def cmd_triangle(args) -> int:
         if args.svg:
             inc = incircle(region)
             with open(args.svg, "w") as f:
-                f.write(render_svg([region], incircles=[inc], witnesses=[thickness(region)]))
+                f.write(render_svg([region], incircles=[inc], witnesses=[wit]))
     return 0
 
 

@@ -20,9 +20,6 @@ Conventions used throughout the package:
 * `det3(a, b, z) > 0` means z lies on the left of the oriented geodesic
   a -> b, in every geometry (it is the 3x3 determinant of the embeddings);
 * `perp` rotates a tangent by +90 degrees, counterclockwise;
-* `turn_toward(p, u, q)` is the signed turn from u to the direction p -> q,
-  taken on the chord q - p: code that needs only the angle of a direction
-  does not build it with `log_dir`;
 * `chord2(p, q) = form(q - p, q - p) = 2 vers d(p, q)`, where
   form(a, b) = a.x b.x + a.y b.y + kappa a.z b.z is the form of
   `tangent_dot`: a distance bound d <= t is tested as chord2 <= 2 vers t,
@@ -57,7 +54,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 # Each tolerance's comment opens with its unit: a length, a share (relative, or of
 # a unit quantity), an angle (radians), a chord2 (= 2 vers of a length) or an area.
 GEOM_EPS = 1e-10    # length: a disk's radius grows by this in containment tests
-ANGLE_EPS = 1e-9    # angle: slack of cone and arc-span tests
+ANGLE_EPS = 1e-9    # angle: slack of arc-span tests and of the width walk's line coordinate
 MERGE_EPS = 10 * GEOM_EPS  # length: boundary vertices closer than this are merged
 # share: relative residual of the surface equation an input point may carry
 ON_SURFACE_EPS = 1e-9
@@ -389,23 +386,6 @@ def _negate(u: Tangent) -> Tangent:
 def turn_angle(p: Point, u: Tangent, v: Tangent, g: Geometry) -> float:
     """Signed counterclockwise angle from tangent u to tangent v at p."""
     return math.atan2(det3(p, u, v), tangent_dot(u, v, g))
-
-
-def turn_toward(p: Point, u: Tangent, q: Point, g: Geometry) -> float:
-    """Signed counterclockwise angle from tangent u to the direction p -> q:
-    turn_angle(p, u, log_dir(p, q, g), g) without building the direction.
-
-    log_dir(p, q) is a positive multiple of q - cs(d) p, and p drops out of
-    det3(p, u, .) and of the tangent form with u, so both are taken on the
-    chord q - p, which keeps its digits when q is close to p.
-    """
-    dx, dy, dz = q.x - p.x, q.y - p.y, q.z - p.z
-    # det3(p, u, q - p) and tangent_dot(u, q - p), written out: building the
-    # chord as a Point doubles the cost in the width loop
-    return math.atan2(
-        p.x * (u.y * dz - u.z * dy) - p.y * (u.x * dz - u.z * dx) + p.z * (u.x * dy - u.y * dx),
-        u.x * dx + u.y * dy + g.kappa * u.z * dz,
-    )
 
 
 def tangent_basis(p: Point, g: Geometry) -> tuple[Tangent, Tangent]:

@@ -3,10 +3,11 @@
 Area is exact: a signed geodesic-polygon part over the boundary vertices
 plus closed-form circular-segment corrections, one per arc.  Width
 (minimal double-normal length) treats every boundary piece as a circle
-with a span of outward normals, an arc as radius r and a vertex as radius
-0, each span starting at a direction taken from points (no arc stores one),
-and checks the one candidate chord, on the geodesic through their centers,
-of the O(h) pairs a rotating-calipers walk round the boundary finds.  The
+with an interval of outward normal lines, an arc as radius r and a vertex
+as radius 0.  A rotating-calipers walk gives each line a coordinate, the
+angle of its pole in one frame, reads every interval off stored points,
+and tests the one candidate chord of each of its O(h) pairs, on the
+geodesic through their centers, in the same coordinate.  The
 inradius comes from a minimax reduction: the largest inscribed disk of an
 intersection of radius-r disks is centered at the center of the smallest
 disk enclosing their centers (DiskPolygon.centers_disk, the walk's base).
@@ -49,7 +50,6 @@ from .geometry import (
     rotate_tangent,
     tangent_basis,
     turn_angle,
-    turn_toward,
 )
 from .regions import Arc, DiskPolygon, TWO_PI
 
@@ -189,63 +189,54 @@ def _intervals_overlap(lo1: float, w1: float, lo2: float, w2: float) -> Optional
     return None
 
 
-_Piece = tuple[Point, float, Tangent, float]  # (center, rho, first normal, span)
+_Frame = tuple[Tangent, Tangent]
 
 
-def _pieces(poly: DiskPolygon) -> list[_Piece]:
-    """The boundary pieces, vertices first, then arcs, both in arc order.
-
-    Every normal is the tangent part of a chord over sn r, d - kappa form(d,
-    p) p for the chord d at its base p: at a vertex v, d = v - c off the arc
-    about c (parallel to -log_dir(v, c)); at an arc's center c, d = start -
-    c (parallel to log_dir(c, start)).  It has unit length for points r
-    apart, and its length is read nowhere (turn_angle, turn_toward and the
-    walk's line coordinate take only its direction), so it is not normalized.
-    """
-    g = poly.geometry
-    arcs = poly.arcs
-    kappa, s = g.kappa, 1.0 / g.sn(poly.r)
-
-    def normal(p: Point, q: Point, scale: float) -> Tangent:
-        # scale times the tangent part of q - p at p
-        dx, dy, dz = q.x - p.x, q.y - p.y, q.z - p.z
-        t = kappa * (dx * p.x + dy * p.y + kappa * dz * p.z)
-        return Tangent((dx - t * p.x) * scale, (dy - t * p.y) * scale, (dz - t * p.z) * scale)
-
-    vert_pieces = []
-    for k, arc in enumerate(arcs):
-        v = arc.start
-        n_in = normal(v, arcs[k - 1].center, -s)
-        # signed, not reduced mod 2 pi: a smooth vertex turning by -1e-17
-        # must not read as a full cone
-        vert_pieces.append((v, 0.0, n_in, turn_angle(v, n_in, normal(v, arc.center, -s), g)))
-    arc_pieces = [(a.center, poly.r, normal(a.center, a.start, s), a.extent) for a in arcs]
-    return vert_pieces + arc_pieces
+def _pieces(poly: DiskPolygon) -> list[tuple[Point, float]]:
+    """The boundary pieces (center, rho), vertices first, then arcs, both in
+    arc order: a vertex is a circle of radius 0, an arc one of radius r."""
+    return [(a.start, 0.0) for a in poly.arcs] + [(a.center, poly.r) for a in poly.arcs]
 
 
-def _partners(pieces: Sequence[_Piece], x: Point, g: Geometry) -> list[tuple[int, int]]:
-    """The pairs (i, j) of pieces, i < j, j an arc, in row-major order, whose
-    normal lines may meet head to head: a superset of those _chord_normals
-    accepts.  The oriented geodesic through c along u has the coordinate
-    theta = atan2(det3(c, u, t2), det3(c, u, t1)), the angle of its pole c x
-    u in the frame (t1, t2) at x; reversed, it adds pi.  Round the boundary
-    (vertex k, arc k, vertex k + 1, ...) each piece's lines fill the interval
-    from its start line to the next piece's, and a chord normal to pieces f
-    and g has a theta in f's interval that pi takes into g's: one two-pointer
-    pass merges the intervals, unwrapped, with their copies shifted by pi,
-    and keeps each pair that meets within ANGLE_EPS.  MALFORMED_BOUNDARY: the
-    start lines do not wind once forward.
-    """
-    m = len(pieces)
-    h = m // 2
+def _frame(x: Point, g: Geometry) -> _Frame:
+    """The walk's frame at its base x: tangent_basis(x) scaled to euclidean
+    unit length, in which a pole's angle runs as in tangent_basis.  Far out
+    on the hyperboloid the parts of tangent_basis grow like Z = x.z, and a
+    pole dotted with them rounds by eps Z^3, dotted with these by eps Z^2."""
     t1, t2 = tangent_basis(x, g)
+    n1, n2 = math.hypot(*t1), math.hypot(*t2)
+    return Tangent(t1.x / n1, t1.y / n1, t1.z / n1), Tangent(t2.x / n2, t2.y / n2, t2.z / n2)
+
+
+def _coordinate(a: Point, b: Point, frame: _Frame) -> float:
+    """The line coordinate of the geodesic from a toward b: the angle of its
+    pole a x b in the frame (_frame), the pole taken as a x (b - a), which
+    keeps its digits when b is close to a.  Reversed, a line adds pi."""
+    dx, dy, dz = b.x - a.x, b.y - a.y, b.z - a.z
+    px, py, pz = a.y * dz - a.z * dy, a.z * dx - a.x * dz, a.x * dy - a.y * dx
+    s1, s2 = frame
+    return math.atan2(px * s2.x + py * s2.y + pz * s2.z, px * s1.x + py * s1.y + pz * s1.z)
+
+
+def _partners(arcs: Sequence[Arc], frame: _Frame
+              ) -> tuple[list[tuple[int, int]], dict[int, tuple[float, float]]]:
+    """The pairs (i, j) of pieces, i < j, j an arc, in row-major order, whose
+    normal lines may meet head to head, and each piece's interval (lo,
+    width) of line coordinates, by piece.  Round the boundary (vertex k, arc
+    k, vertex k + 1, ...) each piece's normal lines run from its start line
+    to the next piece's, and every start line runs from a center to the
+    vertex v_k it starts at: vertex k's from c_k-1, arc k's from c_k.  A
+    chord normal to pieces f and g has a coordinate in f's interval that pi
+    takes into g's: one two-pointer pass merges the intervals, unwrapped,
+    with their copies shifted by pi, and keeps each pair that meets within
+    ANGLE_EPS.  MALFORMED_BOUNDARY: the start lines do not wind once forward.
+    """
+    h = len(arcs)
+    m = 2 * h
     order = [k + h * arc for k in range(h) for arc in (0, 1)]  # vertex k, then arc k
     theta = []
-    for k in order:
-        c, _, u, _ = pieces[k]
-        # det3(c, u, t) = t . (c x u), for t = t1, t2
-        px, py, pz = c.y * u.z - c.z * u.y, c.z * u.x - c.x * u.z, c.x * u.y - c.y * u.x
-        theta.append(math.atan2(px * t2.x + py * t2.y + pz * t2.z, px * t1.x + py * t1.y + pz * t1.z))
+    for k, arc in enumerate(arcs):
+        theta += (_coordinate(arcs[k - 1].center, arc.start, frame), _coordinate(arc.center, arc.start, frame))
     # each step forward, back by at most ANGLE_EPS: a step further back
     # reads as one more turn
     steps = [(b - a + ANGLE_EPS) % TWO_PI - ANGLE_EPS for a, b in zip(theta, theta[1:] + theta[:1])]
@@ -256,7 +247,7 @@ def _partners(pieces: Sequence[_Piece], x: Point, g: Geometry) -> list[tuple[int
     shifted = [e - math.pi for e in ends[:m]] + [e + math.pi for e in ends]
     pairs = set()
     q = 0
-    for p in range(m):
+    for p in range(1, m, 2):  # the arcs: every pair kept has one
         lo, hi = ends[p] - ANGLE_EPS, ends[p + 1] + ANGLE_EPS
         while shifted[q + 1] < lo:
             q += 1
@@ -264,53 +255,70 @@ def _partners(pieces: Sequence[_Piece], x: Point, g: Geometry) -> list[tuple[int
             if shifted[k] > hi:
                 break
             a, b = order[p], order[k % m]
-            pairs.add((a, b) if a < b else (b, a))
-    return sorted((i, j) for i, j in pairs if i < j and j >= h)
+            if a != b:
+                pairs.add((a, b) if a < b else (b, a))
+    return sorted(pairs), dict(zip(order, zip(theta, steps)))
 
 
-def _chord_normals(pf: _Piece, pg: _Piece, common: bool, g: Geometry
-                   ) -> Optional[tuple[Tangent, Tangent]]:
-    """Outward normals at the two ends of the pair's candidate chord, or
-    None when it is not normal to both pieces; common: the centers merge."""
-    (cf, rf, uf, sf), (cg, rg, ug, sg) = pf, pg
-    if common:
-        # every chord through a common center is normal to both circles:
-        # take a direction in one span whose reverse is in the other, each
-        # as an angle in the frame at its center
-        ef, eg = tangent_basis(cf, g)[0], tangent_basis(cg, g)[0]
-        phi = _intervals_overlap(turn_angle(cf, ef, uf, g) % TWO_PI, sf,
-                                 turn_angle(cg, eg, ug, g) % TWO_PI + math.pi, sg)
-        if phi is None:
-            return None
-        return rotate_tangent(cf, ef, phi, g), rotate_tangent(cg, eg, phi + math.pi, g)
-    if not angle_in(turn_toward(cf, uf, cg, g), 0.0, sf):
+def _normal_to_both(cf: Point, cg: Point, span_f: tuple, span_g: tuple, frame: _Frame) -> bool:
+    """Whether the chord from cf toward cg is normal to both pieces: its
+    line coordinate lies in f's interval (lo, width) and, plus pi, in g's."""
+    theta = _coordinate(cf, cg, frame)
+    return angle_in(theta, *span_f) and angle_in(theta + math.pi, *span_g)
+
+
+def _common_normals(poly: DiskPolygon, f: int, k: int) -> Optional[tuple[Tangent, Tangent]]:
+    """Outward normals of pieces f and k at their common center, one
+    direction in f's span whose reverse is in k's, or None: every chord
+    through a common center is normal to both circles.  Each span is a turn
+    from a first normal, log_dir(c_k, start) on arc k, the turn from
+    -log_dir(v, c_k-1) to -log_dir(v, c_k) at vertex k, taken as an angle in
+    the frame at its center."""
+    g, arcs, h = poly.geometry, poly.arcs, len(poly.arcs)
+
+    def span(i: int) -> tuple[Point, Tangent, float]:
+        if i >= h:
+            a = arcs[i - h]
+            return a.center, log_dir(a.center, a.start, g), a.extent
+        v = arcs[i].start
+        n_in = _negate(log_dir(v, arcs[i - 1].center, g))
+        # signed, not reduced mod 2 pi: a smooth vertex turning by -1e-17
+        # must not read as a full cone
+        return v, n_in, turn_angle(v, n_in, _negate(log_dir(v, arcs[i].center, g)), g)
+
+    (cf, uf, sf), (cg, ug, sg) = span(f), span(k)
+    ef, eg = tangent_basis(cf, g)[0], tangent_basis(cg, g)[0]
+    phi = _intervals_overlap(turn_angle(cf, ef, uf, g) % TWO_PI, sf,
+                             turn_angle(cg, eg, ug, g) % TWO_PI + math.pi, sg)
+    if phi is None:
         return None
-    if not angle_in(turn_toward(cg, ug, cf, g), 0.0, sg):
-        return None
-    return log_dir(cf, cg, g), log_dir(cg, cf, g)
+    return rotate_tangent(cf, ef, phi, g), rotate_tangent(cg, eg, phi + math.pi, g)
 
 
 def thickness(poly: DiskPolygon) -> ThicknessWitness:
     """Width of a disk polygon: the shortest double normal.
 
     A double normal is a chord meeting the boundary perpendicularly at both
-    ends.  Each boundary piece is a circle (center, rho, n, span) whose
-    outward normals leave the center turned 0..span from n: an arc has
-    rho = r, a vertex rho = 0 and the turn between its two arcs' normals.
-    A chord normal to two pieces lies on the geodesic through their centers,
-    so each pair has one candidate, of length rho_F + rho_G - d, kept when
-    both end normals fall in their pieces' spans.  No two vertices are
-    paired, as a polygon's width is a vertex-edge pair (Houle and Toussaint,
-    IEEE TPAMI 10(5), 1988): inside both cones their chord is a local maximum
-    of the strip width, and on the edge of v1's cone, normal to its arc about
-    c, the chord from v2 to that arc is as long, r - d(c, v2) = d(v1, v2).
-    Only the O(h) pairs of _partners are tested, a walk in the manner of
-    rotating calipers (Toussaint, MELECON 1983), in row-major order: on an
-    exact tie (at w = r, one chord of the regular triangle) the vertex-arc
-    chord is reported.  Its line coordinate runs forward along the lines
-    through c when cs d(x, c) > 0, so its base x is the incircle center: on
-    the sphere every arc center lies within r - rho < pi/2 of it, and every
-    vertex within pi/2 (one farther would lie past r from a rim center).
+    ends.  Each boundary piece is a circle (center, rho) with an interval of
+    outward normal lines: an arc has rho = r, a vertex rho = 0 and the lines
+    between its two arcs' normals.  A chord normal to two pieces lies on the
+    geodesic through their centers, so each pair has one candidate, of
+    length rho_F + rho_G - d, kept when its line from cf toward cg has a
+    coordinate in f's interval that pi takes into g's; only a kept chord
+    takes a distance, and only the winner builds its feet.  Centers within
+    MERGE_EPS (a vertex at an arc's center, as at w = r) take the turn-angle
+    test of _common_normals.  No two vertices are paired, as a polygon's
+    width is a vertex-edge pair (Houle and Toussaint, IEEE TPAMI 10(5),
+    1988): inside both cones their chord is a local maximum of the strip
+    width, and on the edge of v1's cone, normal to its arc about c, the
+    chord from v2 to that arc is as long, r - d(c, v2) = d(v1, v2).  Only
+    the O(h) pairs of _partners are tested, a walk in the manner of rotating
+    calipers (Toussaint, MELECON 1983), in row-major order: on an exact tie
+    (at w = r, one chord of the regular triangle) the vertex-arc chord is
+    reported.  The line coordinate runs forward along the lines through c
+    when cs d(x, c) > 0, so its base x is the incircle center: on the sphere
+    every arc center lies within r - rho < pi/2 of it, and every vertex
+    within pi/2 (one farther would lie past r from a rim center).
     """
     if not isinstance(poly, DiskPolygon):
         raise SpindleError("BAD_RANGE", "width is defined for disk polygons")
@@ -324,27 +332,32 @@ def thickness(poly: DiskPolygon) -> ThicknessWitness:
         )
 
     pieces = _pieces(poly)
-    best: Optional[ThicknessWitness] = None
-    for f, k in _partners(pieces, poly.centers_disk[0], g):
-        pf, pg = pieces[f], pieces[k]
-        cf, rf, cg, rg = pf[0], pf[1], pg[0], pg[1]
-        d = distance(cf, cg, g)
-        common = d <= MERGE_EPS
+    frame = _frame(poly.centers_disk[0], g)
+    pairs, spans = _partners(poly.arcs, frame)
+    merge = 2.0 * g.vers(MERGE_EPS)
+    best, win = math.inf, None
+    for f, k in pairs:
+        (cf, rf), (cg, rg) = pieces[f], pieces[k]
+        common = chord2(cf, cg, g) <= merge
+        if not common and not _normal_to_both(cf, cg, spans[f], spans[k], frame):
+            continue
         # the chord runs from each end toward the other center
-        length = rf + rg if common else rf + rg - d
+        length = rf + rg if common else rf + rg - distance(cf, cg, g)
         # zero length: a vertex on its own arc
-        if length <= MERGE_EPS or (best is not None and length >= best.value):
+        if length <= MERGE_EPS or length >= best:
             continue
-        normals = _chord_normals(pf, pg, common, g)
-        if normals is None:
+        normals = _common_normals(poly, f, k) if common else None
+        if common and normals is None:
             continue
-        a = exp_map(cf, normals[0], rf, g) if rf else cf  # a vertex is its own foot
-        best = ThicknessWitness(length, "arc-arc" if rf else "vertex-arc", a,
-                                exp_map(cg, normals[1], rg, g))
+        best, win = length, (cf, rf, cg, rg, normals)
 
-    if best is None:
+    if win is None:
         raise SpindleError("MALFORMED_BOUNDARY", "no double normal found")
-    return best
+    cf, rf, cg, rg, normals = win
+    if normals is None:
+        normals = (log_dir(cf, cg, g) if rf else None), log_dir(cg, cf, g)
+    a = exp_map(cf, normals[0], rf, g) if rf else cf  # a vertex is its own foot
+    return ThicknessWitness(best, "arc-arc" if rf else "vertex-arc", a, exp_map(cg, normals[1], rg, g))
 
 
 # --------------------------------------------------------------------------

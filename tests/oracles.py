@@ -5,8 +5,8 @@ from integrating the polar exit distance of a region with mpmath,
 inradii from re-solving the defining contact equations by bisection,
 widths from brute-force support sampling, from enumerating double
 normals family by family with the package's geometry primitives or (a
-two-point lens) from the right triangle at its midpoint, the width's
-pieces on unit directions, r-hulls by gift-wrapping, the incircle from a
+two-point lens) from the right triangle at its midpoint, the width by
+the turn-angle test on unit directions, r-hulls by gift-wrapping, the incircle from a
 refining grid search, the MERGE_EPS
 dedup by comparing every pair, the smallest enclosing disk by pivoting on
 every pair disk, the distance and tangent normalization
@@ -15,7 +15,7 @@ intersections and arcs by way of the inverse-trigonometric distance.  Tests comp
 against digits these routines produce (see the constants in the test
 modules).  The last sections hold helpers that only tests call: the
 Monte Carlo area in one pass over the full sample array, the wedge
-angle, arc spans and cap-domain membership by angular wedges, the law of
+angle, arc spans and cap-domain membership by angular wedges, the turn toward a point taken on the chord, the law of
 cosines on package primitives (a side from an angle, and an angle's cosine
 from three sides), the inverse versine, a tangent's angle in the frame at
 its point and the tangent at a given angle, and the proof-step
@@ -352,11 +352,13 @@ def double_normal_reference(poly):
 
 
 # ---------------------------------------------------------------------------
-# the width's pieces on unit directions (package primitives)
+# the width by turn angles (package primitives)
 
 def pieces_reference(poly):
-    """The boundary pieces of measure.thickness, vertices first, then arcs,
-    both in arc order, with each vertex normal and arc direction a unit log_dir."""
+    """The width's boundary pieces (center, rho, first normal, span),
+    vertices first, then arcs, both in arc order, each span the turn from
+    its first normal, a unit log_dir: at vertex k from -log_dir(v, c_k-1) to
+    -log_dir(v, c_k), at arc k from log_dir(c_k, start)."""
     from spindle.geometry import _negate, log_dir, turn_angle
 
     g = poly.geometry
@@ -371,6 +373,61 @@ def pieces_reference(poly):
         vert_pieces.append((v, 0.0, n_in, turn_angle(v, n_in, n_out, g)))
     arc_pieces = [(a.center, poly.r, log_dir(a.center, a.start, g), a.extent) for a in arcs]
     return vert_pieces + arc_pieces
+
+
+def chord_normals_reference(pf, pg, common, g):
+    """Outward normals at the two ends of the pair's candidate chord, or
+    None when it is not normal to both pieces of pieces_reference; common:
+    the centers lie within MERGE_EPS.  The chord from cf toward cg is kept
+    when the turn from each first normal to the other center lies in its
+    span, within ANGLE_EPS."""
+    from spindle.geometry import log_dir, rotate_tangent, tangent_basis, turn_angle
+    from spindle.measure import _intervals_overlap, angle_in
+
+    two_pi = 2.0 * math.pi
+    (cf, rf, uf, sf), (cg, rg, ug, sg) = pf, pg
+    if common:
+        # every chord through a common center is normal to both circles:
+        # take a direction in one span whose reverse is in the other, each
+        # as an angle in the frame at its center
+        ef, eg = tangent_basis(cf, g)[0], tangent_basis(cg, g)[0]
+        phi = _intervals_overlap(turn_angle(cf, ef, uf, g) % two_pi, sf,
+                                 turn_angle(cg, eg, ug, g) % two_pi + math.pi, sg)
+        if phi is None:
+            return None
+        return rotate_tangent(cf, ef, phi, g), rotate_tangent(cg, eg, phi + math.pi, g)
+    if not angle_in(turn_toward(cf, uf, cg, g), 0.0, sf):
+        return None
+    if not angle_in(turn_toward(cg, ug, cf, g), 0.0, sg):
+        return None
+    return log_dir(cf, cg, g), log_dir(cg, cf, g)
+
+
+def thickness_reference(poly):
+    """measure.thickness by the turn-angle test on every vertex-arc and
+    arc-arc pair of pieces_reference in row-major order (no walk): the
+    shortest accepted chord, rho_F + rho_G - d long (rho_F + rho_G for a
+    common center), the first on a tie, its feet built once."""
+    from spindle.geometry import MERGE_EPS, distance, exp_map
+    from spindle.measure import ThicknessWitness
+
+    g = poly.geometry
+    pieces = pieces_reference(poly)
+    h = len(poly.arcs)
+    best = None
+    for i in range(len(pieces)):
+        for j in range(max(i + 1, h), len(pieces)):
+            (cf, rf, _, _), (cg, rg, _, _) = pieces[i], pieces[j]
+            d = distance(cf, cg, g)
+            length = rf + rg if d <= MERGE_EPS else rf + rg - d
+            if length <= MERGE_EPS or (best is not None and length >= best[0]):
+                continue
+            normals = chord_normals_reference(pieces[i], pieces[j], d <= MERGE_EPS, g)
+            if normals is not None:
+                best = (length, cf, rf, cg, rg, normals)
+    length, cf, rf, cg, rg, (nf, ng) = best
+    a = exp_map(cf, nf, rf, g) if rf else cf
+    return ThicknessWitness(length, "arc-arc" if rf else "vertex-arc", a, exp_map(cg, ng, rg, g))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +455,6 @@ def gift_wrap_reference(points, r, g):
         distance,
         log_dir,
         smallest_enclosing_disk,
-        turn_toward,
     )
 
     two_pi, tie = 2.0 * math.pi, 1e-12
@@ -683,7 +739,7 @@ def circle_circle_intersection_reference(c1, c2, g):
 def make_arc_reference(center, radius, start, end, g):
     """Arc from start to end counterclockwise about center, its endpoint
     test |d(center, x) - radius| <= 1e-7 and its extent taken on distances."""
-    from spindle.geometry import SpindleError, distance, log_dir, turn_toward
+    from spindle.geometry import SpindleError, distance, log_dir
     from spindle.regions import Arc
 
     two_pi = 2.0 * math.pi
@@ -804,9 +860,25 @@ def area_monte_carlo_reference(region, samples, rng):
 # ---------------------------------------------------------------------------
 # angles and sides (package primitives)
 
+def turn_toward(p, u, q, g):
+    """Signed counterclockwise angle from tangent u to the direction p -> q:
+    turn_angle(p, u, log_dir(p, q, g), g) without building the direction.
+
+    log_dir(p, q) is a positive multiple of q - cs(d) p, and p drops out of
+    det3(p, u, .) and of the tangent form with u, so both are taken on the
+    chord q - p, which keeps its digits when q is close to p.
+    """
+    dx, dy, dz = q.x - p.x, q.y - p.y, q.z - p.z
+    # det3(p, u, q - p) and tangent_dot(u, q - p), written out
+    return math.atan2(
+        p.x * (u.y * dz - u.z * dy) - p.y * (u.x * dz - u.z * dx) + p.z * (u.x * dy - u.y * dx),
+        u.x * dx + u.y * dy + g.kappa * u.z * dz,
+    )
+
+
 def angle_coord(o, x, g):
     """Angle of the direction o -> x in the frame at o, in [0, 2*pi)."""
-    from spindle.geometry import tangent_basis, turn_toward
+    from spindle.geometry import tangent_basis
 
     return turn_toward(o, tangent_basis(o, g)[0], x, g) % (2.0 * math.pi)
 
@@ -814,7 +886,7 @@ def angle_coord(o, x, g):
 def contains_ray_angle(arc, x):
     """Whether the ray arc.center -> x falls inside the arc's angular span,
     within ANGLE_EPS at both ends."""
-    from spindle.geometry import log_dir, turn_toward
+    from spindle.geometry import log_dir
     from spindle.measure import angle_in
 
     c, g = arc.center, arc.geometry

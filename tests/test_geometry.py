@@ -40,7 +40,6 @@ from spindle.geometry import (
     smallest_enclosing_disk,
     tangent_basis,
     tangent_dot,
-    turn_toward,
 )
 from oracles import (
     angle_at,
@@ -56,6 +55,7 @@ from oracles import (
     side_from_cosine_law,
     smallest_enclosing_disk_reference,
     tangent_from_angle,
+    turn_toward,
 )
 from spindle.regions import ball_hull
 from test_regions import jittered_ring

@@ -18,11 +18,14 @@ from oracles import (
     avers,
     cap_domain_contains_reference,
     cap_wedges,
+    chord_normals_reference,
     double_normal_reference,
     euclidean_width_reference,
     incircle_grid_reference,
     pieces_reference,
     tangent_from_angle,
+    thickness_reference,
+    turn_toward,
 )
 from spindle import measure
 from spindle.extremal import regular_disk_hexagon, regular_disk_triangle
@@ -38,6 +41,7 @@ from spindle.geometry import (
     Point,
     SpindleError,
     _negate,
+    det3,
     distance,
     exp_map,
     from_polar,
@@ -46,14 +50,13 @@ from spindle.geometry import (
     rotate_tangent,
     signed_distance_to_geodesic,
     tangent_basis,
-    tangent_dot,
-    turn_angle,
-    turn_toward,
 )
 from spindle.measure import (
-    _chord_normals,
+    _common_normals,
+    _frame,
     _inside_cap_domain,
     _inside_disks,
+    _normal_to_both,
     _partners,
     _pieces,
     area,
@@ -384,22 +387,49 @@ def test_thickness_matches_double_normal_reference():
         assert thickness(regular_disk_triangle(r, r, EUCLIDEAN).region).value == r
 
 
+def pole_coordinate(p, u, frame):
+    """The line coordinate of the geodesic through p along the tangent u:
+    the angle of its pole p x u in the frame (t1, t2)."""
+    t1, t2 = frame
+    return math.atan2(det3(p, u, t2), det3(p, u, t1))
+
+
+def walk(poly):
+    """The pieces, the frame at the walk's base and _partners' pairs and
+    intervals, as thickness takes them."""
+    frame = _frame(poly.centers_disk[0], poly.geometry)
+    return (_pieces(poly), frame, *_partners(poly.arcs, frame))
+
+
+def chord_kept(poly, walked, ref, i, j):
+    """Whether the chord of pieces i and j is kept by thickness's test (the
+    line coordinates of walked = walk(poly), or _common_normals for centers
+    within MERGE_EPS) and by the turn-angle test on ref = pieces_reference."""
+    g = poly.geometry
+    pieces, frame, _, spans = walked
+    (cf, _), (cg, _) = pieces[i], pieces[j]
+    common = distance(cf, cg, g) <= MERGE_EPS
+    if common:
+        got = _common_normals(poly, i, j) is not None
+    else:
+        got = _normal_to_both(cf, cg, spans[i], spans[j], frame)
+    return got, chord_normals_reference(ref[i], ref[j], common, g) is not None
+
+
 def assert_walk_keeps_every_double_normal(poly):
-    # every pair the scalar normal test accepts is a walk candidate, and the
+    # every pair whose chord coordinate lies in both intervals, and every
+    # pair the turn-angle reference accepts, is a walk candidate, and the
     # walk names O(h) pairs, each once, vertex-arc before arc-arc
     g = poly.geometry
-    pieces = _pieces(poly)
+    walked = walk(poly)
+    pairs = walked[2]
+    ref = pieces_reference(poly)
     h = len(poly.arcs)
-    pairs = _partners(pieces, poly.centers_disk[0], g)
     assert pairs == sorted(set(pairs)) and len(pairs) <= 3 * h, (g.name, h)
     assert all(i < j and j >= h for i, j in pairs)
     kept = set(pairs)
-    for i, j in combinations(range(len(pieces)), 2):
-        if j < h:
-            continue  # two vertices are never paired
-        pf, pg = pieces[i], pieces[j]
-        common = distance(pf[0], pg[0], g) <= MERGE_EPS
-        if _chord_normals(pf, pg, common, g) is not None:
+    for i, j in combinations(range(2 * h), 2):
+        if j >= h and any(chord_kept(poly, walked, ref, i, j)):  # two vertices are never paired
             assert (i, j) in kept, (g.name, h, i, j)
 
 
@@ -438,10 +468,23 @@ def test_width_walk_keeps_every_double_normal_far_out():
         assert_walk_keeps_every_double_normal(poly)
 
 
+def exact_coordinate(a, b, frame):
+    """_coordinate at 50 digits: the angle of the pole a x b of the stored
+    floats in the frame, rounded once."""
+    with mp.workdps(50):
+        a, b = [mp.mpf(c) for c in a], [mp.mpf(c) for c in b]
+        pole = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+        t1, t2 = ([mp.mpf(c) for c in t] for t in frame)
+        return float(mp.atan2(mp.fdot(pole, t2), mp.fdot(pole, t1)))
+
+
 def test_chord_normals_keep_chords_on_span_edges_far_out():
-    # two arcs 6 and 8 from the origin, centers 1e-6 to 1e-3 apart, each span
-    # ending exactly on the chord to the other center: turn_toward takes the
-    # turn on the chord, so the scalar test keeps the pair
+    # two arcs 6 and 8 from the origin, centers 1e-6 to 1e-3 apart, the walk's
+    # base 0.5 from them, each interval of line coordinates ending exactly on
+    # the chord (its exact coordinate, plus pi for the far piece): the pole
+    # taken on the chord, in the walk's euclidean frame, rounds by about eps
+    # Z^2 (2e-10 on these draws at D = 8, up to 9e-10 on others; in
+    # tangent_basis(x), 1e-7), so the chord test keeps the pair within ANGLE_EPS
     g = HYPERBOLIC
     rng = np.random.default_rng(314)
     for d in (6.0, 8.0):
@@ -449,26 +492,12 @@ def test_chord_normals_keep_chords_on_span_edges_far_out():
             for _ in range(8):
                 cf = from_polar(g, float(rng.uniform(0.0, TWO_PI)), d)
                 cg = exp_map(cf, tangent_from_angle(cf, float(rng.uniform(0.0, TWO_PI)), g), sep, g)
-                uf, ug = (tangent_from_angle(c, float(rng.uniform(0.0, TWO_PI)), g) for c in (cf, cg))
-                pf = (cf, 1.0, uf, turn_toward(cf, uf, cg, g) % TWO_PI)
-                pg = (cg, 1.0, ug, turn_toward(cg, ug, cf, g) % TWO_PI)
-                assert _chord_normals(pf, pg, False, g) is not None, (d, sep)
-
-
-def test_thickness_matches_the_unit_direction_pieces(monkeypatch):
-    # the vertex normals as tangent parts of v - c give the same witness,
-    # bit for bit, as unit log_dir normals
-    def bits(w):
-        return w.value.hex(), w.kind, tuple(x.hex() for x in (*w.a, *w.b))
-
-    rng = np.random.default_rng(304)
-    for g in ALL:
-        for poly in width_reference_corpus(g, rng):
-            got = thickness(poly)
-            with monkeypatch.context() as m:
-                m.setattr(measure, "_pieces", pieces_reference)
-                want = thickness(poly)
-            assert bits(got) == bits(want), (g.name, len(poly.arcs))
+                x = exp_map(cf, tangent_from_angle(cf, float(rng.uniform(0.0, TWO_PI)), g), 0.5, g)
+                frame = _frame(x, g)
+                end = exact_coordinate(cf, cg, frame)
+                lo_f, lo_g = (float(t) for t in rng.uniform(0.0, TWO_PI, 2))
+                span_f, span_g = (lo_f, (end - lo_f) % TWO_PI), (lo_g, (end + math.pi - lo_g) % TWO_PI)
+                assert _normal_to_both(cf, cg, span_f, span_g, frame), (d, sep)
 
 
 def long_spherical_bodies(rng, count):
@@ -501,6 +530,39 @@ def test_width_of_long_spherical_bodies():
         value, kind, _, _ = double_normal_reference(poly)
         assert (got.value, got.kind) == (value, kind), len(poly.arcs)
         assert_walk_keeps_every_double_normal(poly)
+
+
+def width_probe_corpus():
+    """The width reference corpus in every plane (its regular triangles reach
+    w = r), the twin rings 6 and 8 from the origin and the 60 long spherical
+    bodies, with no full disk."""
+    rng = np.random.default_rng(304)
+    for g in ALL:
+        yield from (p for p in width_reference_corpus(g, rng) if not p.is_full_disk)
+    rng = np.random.default_rng(312)
+    yield from (twin_ring(d, rng) for d in (6.0, 8.0))
+    yield from long_spherical_bodies(np.random.default_rng(902), 60)
+
+
+def test_chord_test_accepts_what_the_turn_angle_test_accepts():
+    # on every walk candidate the line-coordinate test keeps exactly the
+    # chords the turn-angle test on unit log_dir directions keeps
+    for poly in width_probe_corpus():
+        walked, ref = walk(poly), pieces_reference(poly)
+        for f, k in walked[2]:
+            got, want = chord_kept(poly, walked, ref, f, k)
+            assert got == want, (poly.geometry.name, len(poly.arcs), f, k)
+
+
+def test_thickness_matches_the_unit_direction_pieces():
+    # the turn-angle test on unit log_dir directions over every pair gives
+    # the same witness, bit for bit, as the walk's line coordinates (the twin
+    # ring 8 out measures in both: each builds only the winner's feet)
+    def bits(w):
+        return w.value.hex(), w.kind, tuple(x.hex() for x in (*w.a, *w.b))
+
+    for poly in width_probe_corpus():
+        assert bits(thickness(poly)) == bits(thickness_reference(poly)), (poly.geometry.name, len(poly.arcs))
 
 
 def moved(poly, e, theta):
@@ -539,39 +601,44 @@ def test_width_is_invariant_under_isometries():
 
 
 def vertex_normal_errors(poly):
-    """Per vertex piece (v, 0, n_in, span), with Z = max(1, |v.z|): the turn
-    from n_in to -log_dir(v) toward the incoming arc's center, the turn from
-    n_in turned by span to -log_dir(v) toward its own arc's center, n_in's
-    distance from the tangent plane at v (form(n_in, v); its z when flat)
-    and form(n_in, n_in) - 1, each over eps Z^3."""
+    """Per vertex piece v with its interval (lo, width) of line coordinates
+    and Z = max(1, |v.z|): lo less the coordinate of the line through v
+    along -log_dir(v) toward the incoming arc's center, and lo + width less
+    that of the line along -log_dir(v) toward its own arc's center (each by
+    pole_coordinate), both reduced to (-pi, pi] and over eps Z^3."""
     g = poly.geometry
     arcs = poly.arcs
-    for k, (v, _, n, span) in enumerate(_pieces(poly)[:len(arcs)]):
+    pieces, frame, _, spans = walk(poly)
+
+    def coordinate(v, c):
+        return pole_coordinate(v, _negate(log_dir(v, c, g)), frame)
+
+    for k, (v, _) in enumerate(pieces[:len(arcs)]):
+        lo, width = spans[k]
         scale = 2.0 ** -52 * max(1.0, abs(v.z)) ** 3
-        end = rotate_tangent(v, n, span, g)
-        yield tuple(abs(e) / scale for e in (
-            turn_angle(v, n, _negate(log_dir(v, arcs[k - 1].center, g)), g),
-            turn_angle(v, end, _negate(log_dir(v, arcs[k].center, g)), g),
-            n.z if g is EUCLIDEAN else tangent_dot(n, v, g),
-            tangent_dot(n, n, g) - 1.0,
+        yield tuple(abs(math.remainder(e, TWO_PI)) / scale for e in (
+            lo - coordinate(v, arcs[k - 1].center),
+            lo + width - coordinate(v, arcs[k].center),
         ))
 
 
 def test_vertex_normals_point_away_from_their_arc_centers():
-    # measured to 1.7, 1.4 and 19 eps Z^3 (rings at D = 6 have Z ~ 330)
+    # each vertex interval runs between the lines through v away from its
+    # two arc centers: measured to 4.0, 3.5 and 4.0 eps Z^3 (E / H / S; in E
+    # and S two ulps of a coordinate near pi; rings at D = 6 have Z ~ 330)
     rng = np.random.default_rng(304)
     for g in ALL:
         for poly in width_reference_corpus(g, rng):
             if poly.is_full_disk:
                 continue
-            for turn_in, turn_end, off, length in vertex_normal_errors(poly):
-                assert max(turn_in, turn_end, off) <= 4.0, (g.name, len(poly.arcs))
-                assert length <= 64.0, (g.name, len(poly.arcs))
+            for turn_in, turn_end in vertex_normal_errors(poly):
+                assert max(turn_in, turn_end) <= 4.0, (g.name, len(poly.arcs))
 
 
 def test_vertex_normals_of_vertices_off_their_circles():
     # a record's vertices may sit up to 1e-7 off their circles (make_arc):
-    # the normal keeps the direction of -log_dir there, only its length moves
+    # the start line from c_k-1 through v is still the line through v away
+    # from c_k-1, as the pole c_k-1 x v names the line through both points
     rng = np.random.default_rng(313)
     for g in ALL:
         rec = random_polygon(g, rng, n=7).to_record()
@@ -582,9 +649,7 @@ def test_vertex_normals_of_vertices_off_their_circles():
         poly = DiskPolygon.from_record({**rec, "vertices": moved})
         off = [abs(distance(a.center, p, g) - poly.r) for a in poly.arcs for p in (a.start, a.end)]
         assert max(off) >= 5e-9
-        errors = list(vertex_normal_errors(poly))
-        assert max(max(e[:3]) for e in errors) <= 4.0, g.name
-        assert max(e[3] for e in errors) >= 1e6, g.name  # unit length only on the circle
+        assert max(max(e) for e in vertex_normal_errors(poly)) <= 4.0, g.name
 
 
 def test_thickness_ignores_where_the_arc_cycle_starts():

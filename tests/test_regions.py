@@ -14,6 +14,7 @@ from oracles import (
     lens_width_reference,
     make_arc_reference,
     tangent_from_angle,
+    turn_toward,
 )
 from spindle import geometry, measure, regions
 from spindle.extremal import (
@@ -41,7 +42,6 @@ from spindle.geometry import (
     midpoint,
     origin,
     rotate_tangent,
-    turn_toward,
 )
 from spindle.measure import angle_in, area, disk_area, incircle, thickness
 from spindle.regions import (
@@ -313,11 +313,12 @@ def test_make_arc_matches_the_distance_reference():
 def test_hull_and_width_build_few_directions(monkeypatch):
     # the r-scan builds one direction per arc (in its circle intersection),
     # and its arcs store none, test their endpoints and take their extents on
-    # chord2, so ball_hull takes no distance of its own; the width screens all
-    # piece pairs in one array pass: log_dir, distance and turn_toward run
-    # O(h) times, not once per pair, and the width's log_dir two per chord
-    # that shortens the best so far
-    calls = {"log_dir": 0, "distance": 0, "turn_toward": 0}
+    # chord2, so ball_hull takes no distance of its own; the width tests
+    # each walk candidate in the walk's line coordinate, takes no turn (the
+    # rings have no common centers), a distance only for the chords normal
+    # to both pieces, about one per double normal, and builds the winner's
+    # feet alone, with at most two log_dir
+    calls = {"log_dir": 0, "distance": 0, "turn_angle": 0}
 
     def counted(fn):
         def spy(*args):
@@ -330,7 +331,7 @@ def test_hull_and_width_build_few_directions(monkeypatch):
     monkeypatch.setattr(regions, "distance", counted(distance))
     monkeypatch.setattr(measure, "log_dir", counted(log_dir))
     monkeypatch.setattr(measure, "distance", counted(distance))
-    monkeypatch.setattr(measure, "turn_toward", counted(turn_toward))
+    monkeypatch.setattr(measure, "turn_angle", counted(geometry.turn_angle))
     rng = np.random.default_rng(208)
     for g in ALL:
         pts = jittered_ring(g, 48, 1.0, rng)
@@ -340,11 +341,11 @@ def test_hull_and_width_build_few_directions(monkeypatch):
         assert h == 48
         assert calls["log_dir"] <= h
         assert calls["distance"] == 0
-        calls.update(log_dir=0, distance=0, turn_toward=0)
+        calls.update(log_dir=0, distance=0, turn_angle=0)
         thickness(hull)
-        assert calls["log_dir"] <= h // 4  # the pieces' normals take none
-        assert calls["distance"] <= 2 * h
-        assert calls["turn_toward"] <= 2 * h
+        assert calls["log_dir"] <= 2
+        assert calls["distance"] <= h // 2
+        assert calls["turn_angle"] == 0
 
 
 def test_ball_hull_intersects_circles_once_per_arc(monkeypatch):
