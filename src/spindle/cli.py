@@ -304,7 +304,10 @@ def _apply_config(args: argparse.Namespace) -> None:
         if dest not in actions or not hasattr(args, dest):
             raise SpindleError("USAGE", f"unknown config key {key!r}")
         kind = actions[dest].type
-        if kind is not None and value is not None:
+        if value is None:  # null unsets an optional flag; a required one has no unset
+            if actions[dest].required:
+                raise SpindleError("USAGE", f"config key {key!r}: a required flag cannot be null")
+        elif kind is not None:
             try:  # as the flag's text: 5 and "5" pass for --trials, 5.5 and true do not
                 value = kind(str(value))
             except (TypeError, ValueError, argparse.ArgumentTypeError):

@@ -7,8 +7,8 @@ with an interval of outward normal lines, an arc as radius r and a vertex
 as radius 0.  A rotating-calipers walk gives each line a coordinate, the
 angle of its pole in one frame, reads every interval off stored points,
 and tests the one candidate chord of each of its O(h) pairs, on the
-geodesic through their centers, in the same coordinate.  The
-inradius comes from a minimax reduction: the largest inscribed disk of an
+geodesic through their centers or, where the centers coincide, on a start
+line both intervals hold, in the same coordinate.  The inradius comes from a minimax reduction: the largest inscribed disk of an
 intersection of radius-r disks is centered at the center of the smallest
 disk enclosing their centers (DiskPolygon.centers_disk, the walk's base).
 
@@ -47,9 +47,7 @@ from .geometry import (
     distance,
     exp_map,
     log_dir,
-    rotate_tangent,
     tangent_basis,
-    turn_angle,
 )
 from .regions import Arc, DiskPolygon, TWO_PI
 
@@ -180,15 +178,6 @@ def angle_in(theta, lo: float, width: float, tol: float = ANGLE_EPS):
     return (a <= width + tol) | (a >= TWO_PI - tol)
 
 
-def _intervals_overlap(lo1: float, w1: float, lo2: float, w2: float) -> Optional[float]:
-    """A point common to two circular intervals [lo, lo+w], or None."""
-    if angle_in(lo2, lo1, w1):
-        return lo2
-    if angle_in(lo1, lo2, w2):
-        return lo1
-    return None
-
-
 _Frame = tuple[Tangent, Tangent]
 
 
@@ -267,32 +256,25 @@ def _normal_to_both(cf: Point, cg: Point, span_f: tuple, span_g: tuple, frame: _
     return angle_in(theta, *span_f) and angle_in(theta + math.pi, *span_g)
 
 
-def _common_normals(poly: DiskPolygon, f: int, k: int) -> Optional[tuple[Tangent, Tangent]]:
-    """Outward normals of pieces f and k at their common center, one
-    direction in f's span whose reverse is in k's, or None: every chord
-    through a common center is normal to both circles.  Each span is a turn
-    from a first normal, log_dir(c_k, start) on arc k, the turn from
-    -log_dir(v, c_k-1) to -log_dir(v, c_k) at vertex k, taken as an angle in
-    the frame at its center."""
-    g, arcs, h = poly.geometry, poly.arcs, len(poly.arcs)
-
-    def span(i: int) -> tuple[Point, Tangent, float]:
-        if i >= h:
-            a = arcs[i - h]
-            return a.center, log_dir(a.center, a.start, g), a.extent
-        v = arcs[i].start
-        n_in = _negate(log_dir(v, arcs[i - 1].center, g))
-        # signed, not reduced mod 2 pi: a smooth vertex turning by -1e-17
-        # must not read as a full cone
-        return v, n_in, turn_angle(v, n_in, _negate(log_dir(v, arcs[i].center, g)), g)
-
-    (cf, uf, sf), (cg, ug, sg) = span(f), span(k)
-    ef, eg = tangent_basis(cf, g)[0], tangent_basis(cg, g)[0]
-    phi = _intervals_overlap(turn_angle(cf, ef, uf, g) % TWO_PI, sf,
-                             turn_angle(cg, eg, ug, g) % TWO_PI + math.pi, sg)
-    if phi is None:
+def _common_line(arcs: Sequence[Arc], f: int, k: int, spans: dict[int, tuple[float, float]]
+                 ) -> Optional[tuple[Point, bool]]:
+    """The chord of pieces f < k at a common center, or None.  Every line
+    through the center is normal to both circles, so the pair is kept when
+    f's interval meets k's turned by pi, and two circular intervals meet
+    exactly when one's start lies in the other: k's start plus pi in f's
+    interval, else f's start in k's turned by pi.  The chord runs along that
+    start line, which passes through the center and one other stored point
+    p, v_i on arc i's and c_i-1 on vertex i's.  Returns p and whether f's
+    outward normal points away from p (k's then points toward it)."""
+    h = len(arcs)
+    (lo_f, w_f), (lo_k, w_k) = spans[f], spans[k]
+    if angle_in(lo_k + math.pi, lo_f, w_f):
+        return arcs[k - h].start, True  # k's start line, from c_k out through v_k
+    if not angle_in(lo_f, lo_k + math.pi, w_k):
         return None
-    return rotate_tangent(cf, ef, phi, g), rotate_tangent(cg, eg, phi + math.pi, g)
+    if f >= h:
+        return arcs[f - h].start, False  # arc f's, from c_f out through v_f
+    return arcs[f - 1].center, True  # vertex f's, from c_f-1 in to v_f
 
 
 def thickness(poly: DiskPolygon) -> ThicknessWitness:
@@ -306,12 +288,13 @@ def thickness(poly: DiskPolygon) -> ThicknessWitness:
     length rho_F + rho_G - d, kept when its line from cf toward cg has a
     coordinate in f's interval that pi takes into g's; only a kept chord
     takes a distance, and only the winner builds its feet.  Centers within
-    MERGE_EPS (a vertex at an arc's center, as at w = r) take the turn-angle
-    test of _common_normals.  No two vertices are paired, as a polygon's
-    width is a vertex-edge pair (Houle and Toussaint, IEEE TPAMI 10(5),
-    1988): inside both cones their chord is a local maximum of the strip
-    width, and on the edge of v1's cone, normal to its arc about c, the
-    chord from v2 to that arc is as long, r - d(c, v2) = d(v1, v2).  Only
+    MERGE_EPS (a vertex at an arc's center, as at w = r) give no line: their
+    chord, rho_F + rho_G long, runs along a start line that the two
+    intervals share (_common_line).  No two vertices are paired, as a
+    polygon's width is a vertex-edge pair (Houle and Toussaint, IEEE TPAMI
+    10(5), 1988): inside both cones their chord is a local maximum of the
+    strip width, and on the edge of v1's cone, normal to its arc about c,
+    the chord from v2 to that arc is as long, r - d(c, v2) = d(v1, v2).  Only
     the O(h) pairs of _partners are tested, a walk in the manner of rotating
     calipers (Toussaint, MELECON 1983), in row-major order: on an exact tie
     (at w = r, one chord of the regular triangle) the vertex-arc chord is
@@ -338,26 +321,30 @@ def thickness(poly: DiskPolygon) -> ThicknessWitness:
     best, win = math.inf, None
     for f, k in pairs:
         (cf, rf), (cg, rg) = pieces[f], pieces[k]
-        common = chord2(cf, cg, g) <= merge
-        if not common and not _normal_to_both(cf, cg, spans[f], spans[k], frame):
-            continue
-        # the chord runs from each end toward the other center
-        length = rf + rg if common else rf + rg - distance(cf, cg, g)
+        if chord2(cf, cg, g) > merge:
+            if not _normal_to_both(cf, cg, spans[f], spans[k], frame):
+                continue
+            line, length = None, rf + rg - distance(cf, cg, g)
+        else:
+            line, length = _common_line(poly.arcs, f, k, spans), rf + rg
+            if line is None:
+                continue
         # zero length: a vertex on its own arc
         if length <= MERGE_EPS or length >= best:
             continue
-        normals = _common_normals(poly, f, k) if common else None
-        if common and normals is None:
-            continue
-        best, win = length, (cf, rf, cg, rg, normals)
+        best, win = length, (cf, rf, cg, rg, line)
 
     if win is None:
         raise SpindleError("MALFORMED_BOUNDARY", "no double normal found")
-    cf, rf, cg, rg, normals = win
-    if normals is None:
-        normals = (log_dir(cf, cg, g) if rf else None), log_dir(cg, cf, g)
-    a = exp_map(cf, normals[0], rf, g) if rf else cf  # a vertex is its own foot
-    return ThicknessWitness(best, "arc-arc" if rf else "vertex-arc", a, exp_map(cg, normals[1], rg, g))
+    cf, rf, cg, rg, line = win
+    if line is None:  # the chord runs from each end toward the other center
+        nf, ng = (log_dir(cf, cg, g) if rf else None), log_dir(cg, cf, g)
+    else:  # along the start line through the common center and p
+        p, f_away = line
+        nf, ng = log_dir(cf, p, g), log_dir(cg, p, g)
+        nf, ng = (_negate(nf), ng) if f_away else (nf, _negate(ng))
+    a = exp_map(cf, nf, rf, g) if rf else cf  # a vertex is its own foot
+    return ThicknessWitness(best, "arc-arc" if rf else "vertex-arc", a, exp_map(cg, ng, rg, g))
 
 
 # --------------------------------------------------------------------------

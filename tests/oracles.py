@@ -375,6 +375,19 @@ def pieces_reference(poly):
     return vert_pieces + arc_pieces
 
 
+def _intervals_overlap(lo1, w1, lo2, w2):
+    """A point common to two circular intervals [lo, lo + w], within
+    ANGLE_EPS, or None: lo2 if it lies in the first, else lo1 if it lies in
+    the second."""
+    from spindle.measure import angle_in
+
+    if angle_in(lo2, lo1, w1):
+        return lo2
+    if angle_in(lo1, lo2, w2):
+        return lo1
+    return None
+
+
 def chord_normals_reference(pf, pg, common, g):
     """Outward normals at the two ends of the pair's candidate chord, or
     None when it is not normal to both pieces of pieces_reference; common:
@@ -382,7 +395,7 @@ def chord_normals_reference(pf, pg, common, g):
     when the turn from each first normal to the other center lies in its
     span, within ANGLE_EPS."""
     from spindle.geometry import log_dir, rotate_tangent, tangent_basis, turn_angle
-    from spindle.measure import _intervals_overlap, angle_in
+    from spindle.measure import angle_in
 
     two_pi = 2.0 * math.pi
     (cf, rf, uf, sf), (cg, rg, ug, sg) = pf, pg
@@ -407,7 +420,8 @@ def thickness_reference(poly):
     """measure.thickness by the turn-angle test on every vertex-arc and
     arc-arc pair of pieces_reference in row-major order (no walk): the
     shortest accepted chord, rho_F + rho_G - d long (rho_F + rho_G for a
-    common center), the first on a tie, its feet built once."""
+    common center), the first on a tie, its feet built once; returned with
+    its pair (i, j) of pieces."""
     from spindle.geometry import MERGE_EPS, distance, exp_map
     from spindle.measure import ThicknessWitness
 
@@ -424,10 +438,11 @@ def thickness_reference(poly):
                 continue
             normals = chord_normals_reference(pieces[i], pieces[j], d <= MERGE_EPS, g)
             if normals is not None:
-                best = (length, cf, rf, cg, rg, normals)
-    length, cf, rf, cg, rg, (nf, ng) = best
+                best = (length, i, j, normals)
+    length, i, j, (nf, ng) = best
+    (cf, rf, _, _), (cg, rg, _, _) = pieces[i], pieces[j]
     a = exp_map(cf, nf, rf, g) if rf else cf
-    return ThicknessWitness(length, "arc-arc" if rf else "vertex-arc", a, exp_map(cg, ng, rg, g))
+    return ThicknessWitness(length, "arc-arc" if rf else "vertex-arc", a, exp_map(cg, ng, rg, g)), (i, j)
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,19 @@ def test_config_values_take_the_flag_types(tmp_path, capsys):
         code, _, err = run_cli(capsys, "verify", "--geom", "euclidean", "--config", os.fspath(cfg))
         assert code == 2
         assert "USAGE" in err and "'trials'" in err
+    # null leaves an optional flag unset, and is no value for a required one
+    cfg.write_text(json.dumps({"trials": 1, "out": None}))
+    code, _, _ = run_cli(capsys, "verify", "--geom", "euclidean", "--config", os.fspath(cfg))
+    assert code == 0
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"points": [[0, 0], [0.5, 0], [0.2, 0.4]]}))
+    for key, argv in (("w", ("triangle", "--w", "1", "--r", "2")),
+                      ("r", ("hull", "--r", "1", "--in", os.fspath(pts))),
+                      ("in", ("measure", "--in", os.fspath(pts)))):
+        cfg.write_text(json.dumps({key: None}))
+        code, _, err = run_cli(capsys, *argv, "--config", os.fspath(cfg))
+        assert code == 2
+        assert "USAGE" in err and f"'{key}'" in err
 
 
 def test_triangle_past_the_float_range_exits_2(capsys):

@@ -15,8 +15,8 @@ import pytest
 
 from oracles import tangent_from_angle
 from spindle.geometry import (
-    HYPERBOLIC, SPHERICAL, Circle, SpindleError, _distinct, circle_circle_intersection, distance, exp_map,
-    from_polar, origin,
+    HYPERBOLIC, SPHERICAL, Circle, SpindleError, _distinct, circle_circle_intersection, circumcenter,
+    distance, exp_map, from_polar, origin,
 )
 from spindle.measure import thickness
 from spindle.regions import ball_hull
@@ -81,6 +81,20 @@ def test_hyperbolic_circles_about_a_far_center_meet_on_both():
     for x in points:
         assert abs(distance(far.center, x, g) - r) <= 1e-9
         assert abs(distance(near.center, x, g) - r) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="FOUND: the spherical circumcenter of a 1e-7 triangle 1.55 from the pole "
+                          "is equidistant from its points only to 5.4e-8 relative")
+def test_sphere_circumcenter_off_the_pole_keeps_its_digits():
+    # coordinates rounded to eps put a floor of about eps / 1e-7 = 2e-9 under
+    # the spread of the three distances (the construction center reads 4.6e-10
+    # here, circumcenter 4e-10 to 1.9e-9 at 0.3 to 1.2 from the pole)
+    g, s = SPHERICAL, 1e-7
+    c = from_polar(g, 0.4, 1.55)
+    tri = [exp_map(c, tangent_from_angle(c, a, g), s, g) for a in (0.1, 2.2, 4.3)]
+    reach = [distance(circumcenter(*tri, g), p, g) for p in tri]
+    assert max(reach) - min(reach) <= 1e-8 * s
 
 
 def test_hyperbolic_ring_8_out_has_a_width():

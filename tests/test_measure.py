@@ -52,7 +52,7 @@ from spindle.geometry import (
     tangent_basis,
 )
 from spindle.measure import (
-    _common_normals,
+    _common_line,
     _frame,
     _inside_cap_domain,
     _inside_disks,
@@ -403,14 +403,15 @@ def walk(poly):
 
 def chord_kept(poly, walked, ref, i, j):
     """Whether the chord of pieces i and j is kept by thickness's test (the
-    line coordinates of walked = walk(poly), or _common_normals for centers
-    within MERGE_EPS) and by the turn-angle test on ref = pieces_reference."""
+    line coordinates of walked = walk(poly), or _common_line's interval
+    starts for centers within MERGE_EPS) and by the turn-angle test on ref =
+    pieces_reference."""
     g = poly.geometry
     pieces, frame, _, spans = walked
     (cf, _), (cg, _) = pieces[i], pieces[j]
     common = distance(cf, cg, g) <= MERGE_EPS
     if common:
-        got = _common_normals(poly, i, j) is not None
+        got = _common_line(poly.arcs, i, j, spans) is not None
     else:
         got = _normal_to_both(cf, cg, spans[i], spans[j], frame)
     return got, chord_normals_reference(ref[i], ref[j], common, g) is not None
@@ -532,16 +533,30 @@ def test_width_of_long_spherical_bodies():
         assert_walk_keeps_every_double_normal(poly)
 
 
+def reuleaux_polygons():
+    """The regular Reuleaux k-gons, k = 3, 5, 7, 9, at r = 0.5, 1.0 and 1.4
+    in every plane: the r-hull of the regular k-gon whose long diagonal,
+    across the central angle pi - pi / k, is r.  Its circumradius R has
+    sn(r / 2) = sn(R) cos(pi / 2k).  Every vertex is the center of the
+    opposite arc, so the body has constant width r."""
+    for g in ALL:
+        for k in (3, 5, 7, 9):
+            for r in (0.5, 1.0, 1.4):
+                big_r = g.asn(g.sn(0.5 * r) / math.cos(0.5 * math.pi / k))
+                yield ball_hull([from_polar(g, TWO_PI * i / k, big_r) for i in range(k)], r, g)
+
+
 def width_probe_corpus():
     """The width reference corpus in every plane (its regular triangles reach
-    w = r), the twin rings 6 and 8 from the origin and the 60 long spherical
-    bodies, with no full disk."""
+    w = r), the twin rings 6 and 8 from the origin, the 60 long spherical
+    bodies and the regular Reuleaux polygons, with no full disk."""
     rng = np.random.default_rng(304)
     for g in ALL:
         yield from (p for p in width_reference_corpus(g, rng) if not p.is_full_disk)
     rng = np.random.default_rng(312)
     yield from (twin_ring(d, rng) for d in (6.0, 8.0))
     yield from long_spherical_bodies(np.random.default_rng(902), 60)
+    yield from reuleaux_polygons()
 
 
 def test_chord_test_accepts_what_the_turn_angle_test_accepts():
@@ -554,15 +569,68 @@ def test_chord_test_accepts_what_the_turn_angle_test_accepts():
             assert got == want, (poly.geometry.name, len(poly.arcs), f, k)
 
 
+def foot_on_piece(poly, piece, x):
+    """Whether x lies on the width piece (vertices first, then arcs): a
+    vertex is its own foot, an arc's lies r from its center within 1e-15 and
+    turns from the arc's start by an angle in its extent, within ANGLE_EPS."""
+    g, h = poly.geometry, len(poly.arcs)
+    if piece < h:
+        return x == poly.arcs[piece].start
+    a = poly.arcs[piece - h]
+    return (abs(distance(a.center, x, g) - poly.r) <= 1e-15
+            and bool(measure.angle_in(turn_toward(a.center, log_dir(a.center, a.start, g), x, g), 0.0, a.extent)))
+
+
+def common_center(poly, pair):
+    """Whether the width pieces of pair have centers within MERGE_EPS."""
+    (cf, _), (cg, _) = (_pieces(poly)[i] for i in pair)
+    return distance(cf, cg, poly.geometry) <= MERGE_EPS
+
+
 def test_thickness_matches_the_unit_direction_pieces():
     # the turn-angle test on unit log_dir directions over every pair gives
-    # the same witness, bit for bit, as the walk's line coordinates (the twin
-    # ring 8 out measures in both: each builds only the winner's feet)
+    # the same value and kind, bit for bit, as the walk's line coordinates,
+    # and the same feet wherever the winner's centers are more than MERGE_EPS
+    # apart (the twin ring 8 out measures in both: each builds only the
+    # winner's feet).  A common-center winner's chord runs along a start line
+    # in the walk and along a turn from the frame at its center in the
+    # reference: its feet lie on their pieces, within 4e-15 of the
+    # reference's (measured: 1.7e-15; 13 winners, all vertex-arc: the
+    # regular triangles at w = r in E and H and 9 of the 36 Reuleaux polygons)
     def bits(w):
         return w.value.hex(), w.kind, tuple(x.hex() for x in (*w.a, *w.b))
 
+    common = 0
     for poly in width_probe_corpus():
-        assert bits(thickness(poly)) == bits(thickness_reference(poly)), (poly.geometry.name, len(poly.arcs))
+        got, (want, (f, k)) = thickness(poly), thickness_reference(poly)
+        where = (poly.geometry.name, len(poly.arcs))
+        assert bits(got)[:2] == bits(want)[:2], where
+        if not common_center(poly, (f, k)):
+            assert bits(got) == bits(want), where
+            continue
+        common += 1
+        assert foot_on_piece(poly, f, got.a) and foot_on_piece(poly, k, got.b), where
+        assert max(math.dist(got.a, want.a), math.dist(got.b, want.b)) <= 4e-15, where
+    assert common == 13
+
+
+def test_reuleaux_polygons_have_width_r():
+    # at w = r every vertex is the center of the opposite arc: the width
+    # reads r within 4 eps relative, its chord is r long within 8 eps (both
+    # reached, in H), and a winner at a common center has its feet on its
+    # pieces
+    eps = 2.0 ** -52
+    common = 0
+    for poly in reuleaux_polygons():
+        g, r = poly.geometry, poly.r
+        got, (_, pair) = thickness(poly), thickness_reference(poly)
+        where = (g.name, len(poly.arcs), r)
+        assert abs(got.value / r - 1.0) <= 4.0 * eps, where
+        assert abs(distance(got.a, got.b, g) - r) <= 8.0 * eps, where
+        if common_center(poly, pair):
+            common += 1
+            assert foot_on_piece(poly, pair[0], got.a) and foot_on_piece(poly, pair[1], got.b), where
+    assert common == 9
 
 
 def moved(poly, e, theta):

@@ -314,11 +314,12 @@ def test_hull_and_width_build_few_directions(monkeypatch):
     # the r-scan builds one direction per arc (in its circle intersection),
     # and its arcs store none, test their endpoints and take their extents on
     # chord2, so ball_hull takes no distance of its own; the width tests
-    # each walk candidate in the walk's line coordinate, takes no turn (the
-    # rings have no common centers), a distance only for the chords normal
-    # to both pieces, about one per double normal, and builds the winner's
-    # feet alone, with at most two log_dir
-    calls = {"log_dir": 0, "distance": 0, "turn_angle": 0}
+    # each walk candidate in the walk's line coordinate (common centers
+    # too, so measure binds no turn or rotation), a distance only for the
+    # chords normal to both pieces, about one per double normal, and builds
+    # the winner's feet alone, with at most two log_dir
+    assert not hasattr(measure, "turn_angle") and not hasattr(measure, "rotate_tangent")
+    calls = {"log_dir": 0, "distance": 0}
 
     def counted(fn):
         def spy(*args):
@@ -331,7 +332,6 @@ def test_hull_and_width_build_few_directions(monkeypatch):
     monkeypatch.setattr(regions, "distance", counted(distance))
     monkeypatch.setattr(measure, "log_dir", counted(log_dir))
     monkeypatch.setattr(measure, "distance", counted(distance))
-    monkeypatch.setattr(measure, "turn_angle", counted(geometry.turn_angle))
     rng = np.random.default_rng(208)
     for g in ALL:
         pts = jittered_ring(g, 48, 1.0, rng)
@@ -341,11 +341,10 @@ def test_hull_and_width_build_few_directions(monkeypatch):
         assert h == 48
         assert calls["log_dir"] <= h
         assert calls["distance"] == 0
-        calls.update(log_dir=0, distance=0, turn_angle=0)
+        calls.update(log_dir=0, distance=0)
         thickness(hull)
         assert calls["log_dir"] <= 2
         assert calls["distance"] <= h // 2
-        assert calls["turn_angle"] == 0
 
 
 def test_ball_hull_intersects_circles_once_per_arc(monkeypatch):
